@@ -5,10 +5,11 @@ as the hyperelliptic locus (send a configuration to its degree-two admissible
 cover), and the odd-point one-marked quotients map in by covering and then
 attaching a fixed complementary-genus tail at the distinguished point.  Both
 maps are linear on numerical classes, so the cone machinery of
-:mod:`modulicones.curves` transports: dual-basis vectors go to combinations
-of the standard classes ``lambda``, ``delta_irr``, ``delta_i`` (and ``omega``
-on the pointed side), and inequality systems follow by applying the maps
-row-wise.
+:mod:`modulicones.curves` transports: each map is a
+:class:`modulicones.curves.LinearMap` sending dual-basis vectors to
+combinations of the standard classes ``lambda``, ``delta_irr``, ``delta_i``
+(and ``omega`` on the pointed side), and inequality systems follow by
+applying the maps row-wise.
 
 Conventions, applied once at vector construction: ``delta_j`` folds to
 ``delta_{g-j}`` above ``floor(g/2)`` on the unpointed side, ``delta_0`` is
@@ -30,12 +31,11 @@ from typing import Iterable, Mapping, Sequence
 
 from . import fixtures
 from .cones import Cone
-from .linalg import Vec, add, dot, primitive, scale, vec, zero_vec
-from .curves import curve_ck, nem_hrep
+from .linalg import Vec, add, dot, primitive, scale, vec
+from .curves import LinearMap, curve_ck, nem_hrep
 from .spaces import CurveClass, DivisorClass, SpaceId, relations_and_basis
 
 __all__ = [
-    "BridgeMap",
     "ComboWitness",
     "MoriData",
     "hyperelliptic_curve_image",
@@ -134,43 +134,11 @@ def _target_vec(target: str, g: int, **kw) -> Vec:
     return _mg_vec(g, **kw) if target == "mg" else _mg1_vec(g, **kw)
 
 
-@dataclass(frozen=True)
-class BridgeMap:
-    """Linear map from quotient dual coordinates into moduli coordinates."""
-
-    source: SpaceId
-    source_names: tuple[str, ...]
-    target_names: tuple[str, ...]
-    columns: tuple[Vec, ...]
-
-    def __call__(self, coefficients: Sequence[Fraction | int]) -> Vec:
-        if len(coefficients) != len(self.columns):
-            raise ValueError(
-                f"expected {len(self.columns)} coefficients, got {len(coefficients)}"
-            )
-        out = zero_vec(len(self.target_names))
-        for coeff, col in zip(coefficients, self.columns):
-            if coeff:
-                out = add(out, scale(Fraction(coeff), col))
-        return out
-
-    def column(self, name: str) -> Vec:
-        try:
-            return self.columns[self.source_names.index(name)]
-        except ValueError:
-            raise KeyError(f"{name!r} is not a dual-basis name of {self.source}") from None
-
-    def push_curve(self, curve: CurveClass) -> Vec:
-        if curve.space != self.source:
-            raise ValueError(f"curve lives on {curve.space}, map starts at {self.source}")
-        return self(curve.coords)
-
-
 # --------------------------------------------------------------------------
 # the hyperelliptic locus
 
 
-def hyperelliptic_pushforward(g: int) -> BridgeMap:
+def hyperelliptic_pushforward(g: int) -> LinearMap:
     """Dual-basis transport along the degree-two admissible-cover map.
 
     The source is the ``2g+2``-point unpointed quotient.  Even dual classes
@@ -198,7 +166,7 @@ def hyperelliptic_pushforward(g: int) -> BridgeMap:
                     deltas={j: Fraction(1, 2)},
                 )
             )
-    return BridgeMap(src, names, mg_basis(g), tuple(cols))
+    return LinearMap(src, names, mg_basis(g), tuple(cols))
 
 
 def hyperelliptic_curve_image(g: int, k: int) -> Vec:
@@ -256,7 +224,7 @@ def _check_pointed_params(g: int, n: int, target: str) -> None:
         raise ValueError(f"need 1 <= n <= {hi} for target {target!r}, got {n}")
 
 
-def pointed_pushforward(g: int, n: int, target: str = "mg") -> BridgeMap:
+def pointed_pushforward(g: int, n: int, target: str = "mg") -> LinearMap:
     """Transport from the ``2n+3``-point one-marked quotient.
 
     The map covers and then glues a fixed complementary tail at the marked
@@ -297,7 +265,7 @@ def pointed_pushforward(g: int, n: int, target: str = "mg") -> BridgeMap:
                 )
             )
     basis = mg_basis(g) if target == "mg" else mg1_basis(g)
-    return BridgeMap(src, names, basis, tuple(cols))
+    return LinearMap(src, names, basis, tuple(cols))
 
 
 def pointed_curve_image(g: int, n: int, k: int, target: str = "mg") -> Vec:

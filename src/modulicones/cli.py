@@ -32,8 +32,6 @@ from .bridge import (
     m21_cones,
     m21_pushforward,
     mg1_inequality_family,
-    mg1_basis,
-    mg_basis,
     pointed_pushforward,
 )
 from .cones import Cone
@@ -172,18 +170,16 @@ def _run_push(args: argparse.Namespace) -> int:
     if args.map == "hyperelliptic":
         _require(args, "g")
         bridge = hyperelliptic_pushforward(args.g)
-        names = mg_basis(args.g)
     else:  # pointed
         _require(args, "g", "n")
         bridge = pointed_pushforward(args.g, args.n, args.target)
-        names = mg_basis(args.g) if args.target == "mg" else mg1_basis(args.g)
     if len(coords) != len(bridge.columns):
         raise ValueError(
             f"the map from {bridge.source} takes {len(bridge.columns)} "
             f"coordinates, got {len(coords)}"
         )
     image = bridge(coords)
-    print(f"curve class in the dual of ({', '.join(names)}): {_fmt_vec(image)}")
+    print(f"curve class in the dual of ({', '.join(bridge.target_names)}): {_fmt_vec(image)}")
     return EXIT_OK
 
 

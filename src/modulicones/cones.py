@@ -7,14 +7,15 @@ computed so far:
   rows ``e`` with ``e @ x == 0``;
 * V-representation -- generating rays plus a basis of the lineality space.
 
-Conversions run the double description method (`dual_description`) in exact
-integer/rational arithmetic, with the lineality space handled by pivoting and
-adjacency decided through the rank of the common tight rows.  Membership and
-redundancy questions are answered by a phase-1 simplex that produces either
-explicit nonnegative coefficients or a Farkas functional separating the point
-from the cone.  Every `Certificate` is re-verified by direct arithmetic before
-it is returned, so a bug in the pivoting can only surface as an exception,
-never as a wrong answer.
+Conversions happen only in the lazy `Cone` properties and in
+`Cone.canonical_vrep`, and both run the double description method
+(`dual_description`) in exact integer/rational arithmetic, with the lineality
+space handled by pivoting and adjacency decided through the rank of the common
+tight rows.  Each membership or redundancy query takes one phase-1 simplex
+solve, which produces either explicit nonnegative coefficients or a Farkas
+functional separating the point from the cone.  Every `Certificate` is
+re-verified by direct arithmetic before it is returned, so a bug in the
+pivoting can only surface as an exception, never as a wrong answer.
 """
 
 from __future__ import annotations
@@ -99,41 +100,25 @@ class Certificate:
         return tuple(acc) == t
 
 
-def _membership_certificate(
-    kind: str,
-    target: Vec,
-    generators: list[Vec],
-    lineality: list[Vec],
-) -> Optional[Certificate]:
-    columns = generators + [x for l in lineality for x in (l, scale(-1, l))]
-    x, _ = _phase1(columns, target)
+def _certificate(target: Sequence, generators: Sequence[Sequence], lineality: Sequence[Sequence]) -> Certificate:
+    """One phase-1 solve: a membership certificate when ``target`` lies in
+    the generated cone, a non-membership certificate otherwise, verified
+    before it is returned."""
+    t, gens, lin = vec(target), [vec(g) for g in generators], [vec(l) for l in lineality]
+    x, w = _phase1(gens + [col for l in lin for col in (l, scale(-1, l))], t)
     if x is None:
-        return None
-    k = len(generators)
-    coeffs = tuple((i, c) for i, c in enumerate(x[:k]) if c != 0)
-    lin_coeffs = tuple(
-        (j, c)
-        for j, c in enumerate(x[k + 2 * j_] - x[k + 2 * j_ + 1] for j_ in range(len(lineality)))
-        if c != 0
-    )
-    cert = Certificate(kind, coefficients=coeffs, lineality_coefficients=lin_coeffs)
-    if not cert.verify(target, generators, lineality):
-        raise AssertionError("simplex produced an invalid conic combination")
-    return cert
-
-
-def _separation_certificate(
-    target: Vec,
-    generators: list[Vec],
-    lineality: list[Vec],
-) -> Optional[Certificate]:
-    columns = generators + [x for l in lineality for x in (l, scale(-1, l))]
-    x, w = _phase1(columns, target)
-    if x is not None:
-        return None
-    cert = Certificate("non-membership", functional=primitive(scale(-1, w)))
-    if not cert.verify(target, generators, lineality):
-        raise AssertionError("simplex produced an invalid separating functional")
+        cert = Certificate("non-membership", functional=primitive(scale(-1, w)))
+    else:
+        k = len(gens)
+        cert = Certificate(
+            "membership",
+            coefficients=tuple((i, c) for i, c in enumerate(x[:k]) if c != 0),
+            lineality_coefficients=tuple(
+                (j, c) for j in range(len(lin)) if (c := x[k + 2 * j] - x[k + 2 * j + 1]) != 0
+            ),
+        )
+    if not cert.verify(t, gens, lin):
+        raise AssertionError(f"simplex produced an invalid {cert.kind} certificate")
     return cert
 
 
@@ -144,9 +129,8 @@ def conic_combination(
 ) -> Optional[Certificate]:
     """Certificate expressing ``target`` as a nonnegative combination of the
     generators plus a lineality part, or None when no such expression exists."""
-    return _membership_certificate(
-        "membership", vec(target), [vec(g) for g in generators], [vec(l) for l in lineality]
-    )
+    cert = _certificate(target, generators, lineality)
+    return cert if cert else None
 
 
 def separating_functional(
@@ -156,7 +140,8 @@ def separating_functional(
 ) -> Optional[Certificate]:
     """Non-membership certificate for ``target`` against the generated cone,
     or None when the target lies inside."""
-    return _separation_certificate(vec(target), [vec(g) for g in generators], [vec(l) for l in lineality])
+    cert = _certificate(target, generators, lineality)
+    return None if cert else cert
 
 
 # --------------------------------------------------------------------------
@@ -320,20 +305,6 @@ def dual_description(
     return sorted(final), sorted(primitive(l) for l in lin)
 
 
-def facet_description(
-    dim: int,
-    rays: Sequence[Sequence],
-    lineality: Sequence[Sequence] = (),
-) -> tuple[list[IntVec], list[IntVec]]:
-    """Irredundant H-representation of ``cone(rays) + span(lineality)``.
-
-    Works on the polar dual: the facet normals of the cone are exactly the
-    extreme rays of ``{y : y @ r >= 0 for all rays, y @ l == 0 on lineality}``,
-    and the equations cutting out its span are that dual's lineality.
-    """
-    return dual_description(dim, rays, lineality)
-
-
 # --------------------------------------------------------------------------
 # the Cone class
 # --------------------------------------------------------------------------
@@ -430,7 +401,11 @@ class Cone:
 
     def _ensure_hrep(self) -> None:
         if self._ineqs is None:
-            ineqs, eqs = facet_description(self.ambient_dim, self._rays, self._lineality)
+            # Polar duality: the facet normals of the cone are exactly the
+            # extreme rays of {y : y @ r >= 0 for all rays, y @ l == 0 on the
+            # lineality}, and the equations cutting out its span are that
+            # dual's lineality.
+            ineqs, eqs = dual_description(self.ambient_dim, self._rays, self._lineality)
             object.__setattr__(self, "_ineqs", tuple(ineqs))
             object.__setattr__(self, "_eqs", tuple(eqs))
 
@@ -482,10 +457,7 @@ class Cone:
             if cert is None:
                 raise AssertionError("H-representation and V-representation disagree")
             return cert
-        cert = conic_combination(v, self._rays, self._lineality)
-        if cert is not None:
-            return cert
-        return separating_functional(v, self._rays, self._lineality)
+        return _certificate(v, self._rays, self._lineality)
 
     def _generators(self) -> list[IntVec]:
         return list(self.rays) + [g for l in self.lineality for g in (l, tuple(-x for x in l))]
@@ -532,11 +504,6 @@ class Cone:
         kept = tuple(r for r in self.rays if dot(f, r) == 0)
         return Cone(self.ambient_dim, _rays=kept, _lineality=self._lineality)
 
-    def minimal_hrep(self) -> tuple["Cone", tuple[tuple[IntVec, Certificate], ...]]:
-        """Certified-irredundant H-representation of this cone."""
-        kept, certs = minimal_hrep(self.inequalities, self.equations)
-        return Cone.from_hrep(self.ambient_dim, kept, self.equations), certs
-
     def __repr__(self) -> str:  # pragma: no cover
         parts = [f"dim={self.ambient_dim}"]
         if self._ineqs is not None:
@@ -544,32 +511,6 @@ class Cone:
         if self._rays is not None:
             parts.append(f"{len(self._rays)} rays, {len(self._lineality)} lineality")
         return f"Cone({', '.join(parts)})"
-
-
-def hrep_to_vrep(c: Cone) -> Cone:
-    """Copy of ``c`` carrying both its H-representation and the canonical
-    V-representation computed from it."""
-    rays, lin = dual_description(c.ambient_dim, c.inequalities, c.equations)
-    return Cone(
-        c.ambient_dim,
-        _ineqs=c.inequalities,
-        _eqs=c.equations,
-        _rays=tuple(rays),
-        _lineality=tuple(lin),
-    )
-
-
-def vrep_to_hrep(c: Cone) -> Cone:
-    """Copy of ``c`` carrying both its V-representation and the minimal
-    H-representation computed from it."""
-    ineqs, eqs = facet_description(c.ambient_dim, c.rays, c.lineality)
-    return Cone(
-        c.ambient_dim,
-        _ineqs=tuple(ineqs),
-        _eqs=tuple(eqs),
-        _rays=c.rays,
-        _lineality=c.lineality,
-    )
 
 
 def minimal_hrep(

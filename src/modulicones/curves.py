@@ -23,10 +23,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .cones import Certificate, Cone, conic_combination, separating_functional
-from .linalg import Vec, add, dot, is_zero_vec, primitive, scale, sub, vec, zero_vec
+from .linalg import Vec, add, primitive, scale, zero_vec
 from .spaces import (
     BoundaryLabel,
     CurveClass,
@@ -199,17 +199,17 @@ class AttachMapSpec:
 
 @dataclass(frozen=True)
 class LinearMap:
-    """Columns of a pushforward (or pullback), indexed by source basis name.
+    """Linear map on dual coordinates: one column per source basis name, each
+    a vector over ``target_names``.
 
     ``source_names`` may be a subcolumn of the full source basis — the
     two-marked gluing into ``X(n, 2)`` is only ever needed on the starred
     block — so application takes coefficients aligned with those names.
     """
 
-    spec: AttachMapSpec
     source: SpaceId
-    target: SpaceId
     source_names: tuple[str, ...]
+    target_names: tuple[str, ...]
     columns: tuple[Vec, ...]
 
     def __call__(self, coefficients: Sequence[Fraction | int]) -> Vec:
@@ -218,30 +218,24 @@ class LinearMap:
                 f"expected {len(self.source_names)} coefficients, "
                 f"got {len(coefficients)}"
             )
-        out = zero_vec(picard_number(self.target))
+        out = zero_vec(len(self.target_names))
         for c, col in zip(coefficients, self.columns):
             if c:
                 out = add(out, scale(Fraction(c), col))
         return out
 
     def column(self, name: str) -> Vec:
-        return self.columns[self.source_names.index(name)]
+        try:
+            return self.columns[self.source_names.index(name)]
+        except ValueError:
+            raise KeyError(f"{name!r} is not a dual-basis name of {self.source}") from None
 
-    def push_curve(self, curve: CurveClass) -> CurveClass:
+    def push_curve(self, curve: CurveClass) -> Vec:
         if curve.space != self.source:
             raise ValueError(f"curve lives on {curve.space}, map starts at {self.source}")
         if len(self.source_names) != picard_number(self.source):
             raise ValueError("map is defined on a partial basis; apply it to coefficients")
-        return CurveClass(self.target, self(curve.coords))
-
-    def pull_divisor(self, divisor: DivisorClass) -> DivisorClass:
-        if self.spec.kind != "pi_star":
-            raise ValueError("only the forgetful pullback acts on divisors")
-        if divisor.space != self.source:
-            raise ValueError(
-                f"divisor lives on {divisor.space}, map starts at {self.source}"
-            )
-        return DivisorClass(self.target, self(divisor.coords))
+        return self(curve.coords)
 
 
 def attach_pushforward(spec: AttachMapSpec) -> LinearMap:
@@ -251,16 +245,14 @@ def attach_pushforward(spec: AttachMapSpec) -> LinearMap:
     curve coordinates; for ``r`` only the starred block is provided.  For
     ``pi_star`` the columns are divisor pullbacks.
     """
-    if spec.kind == "q":
-        return _q_map(spec)
-    if spec.kind == "r":
-        return _r_map(spec)
-    if spec.kind == "s":
-        return _s_map(spec)
-    return _pi_star_map(spec)
+    build = {"q": _q_columns, "r": _r_columns, "s": _s_columns, "pi_star": _pi_star_columns}[spec.kind]
+    names, cols = build(spec)
+    return LinearMap(
+        spec.source, tuple(names), relations_and_basis(spec.target).ordered_basis, tuple(cols)
+    )
 
 
-def _q_map(spec: AttachMapSpec) -> LinearMap:
+def _q_columns(spec: AttachMapSpec) -> tuple[list[str], list[Vec]]:
     n, l = spec.n, spec.l
     assert l is not None
     t = spec.target
@@ -271,10 +263,10 @@ def _q_map(spec: AttachMapSpec) -> LinearMap:
         _add_b(t, row, n - l + k, Fraction(1))
         _add_b(t, row, n - l, -Fraction((l - k - 1) * (l - k), l * (l - 1)))
         cols.append(tuple(row))
-    return LinearMap(spec, spec.source, t, tuple(names), tuple(cols))
+    return names, cols
 
 
-def _r_map(spec: AttachMapSpec) -> LinearMap:
+def _r_columns(spec: AttachMapSpec) -> tuple[list[str], list[Vec]]:
     n, l = spec.n, spec.l
     assert l is not None
     t = spec.target
@@ -286,10 +278,10 @@ def _r_map(spec: AttachMapSpec) -> LinearMap:
         _add_b(t, row, n - l + 1, Fraction(i * (l - i - 1), (l - 2) * (l - 1)))
         row[_basis_index(t, f"b*{l}")] -= Fraction(i, l - 1)
         cols.append(tuple(row))
-    return LinearMap(spec, spec.source, t, tuple(names), tuple(cols))
+    return names, cols
 
 
-def _s_map(spec: AttachMapSpec) -> LinearMap:
+def _s_columns(spec: AttachMapSpec) -> tuple[list[str], list[Vec]]:
     n, l = spec.n, spec.l
     assert l is not None
     t = spec.target
@@ -307,12 +299,12 @@ def _s_map(spec: AttachMapSpec) -> LinearMap:
         _add_b(t, row, n - l + 1, Fraction(i * (l - i - 1), (l - 2) * (l - 1)))
         _add_b(t, row, l, -Fraction(i, l - 1))
         cols.append(tuple(row))
-    return LinearMap(spec, spec.source, t, tuple(names), tuple(cols))
+    return names, cols
 
 
-def _pi_star_map(spec: AttachMapSpec) -> LinearMap:
+def _pi_star_columns(spec: AttachMapSpec) -> tuple[list[str], list[Vec]]:
     n = spec.n
-    src, t = spec.source, spec.target
+    t = spec.target
     names, cols = [], []
     for l in range(2, (n - 1) // 2 + 1):
         names.append(f"b{l}")
@@ -321,7 +313,7 @@ def _pi_star_map(spec: AttachMapSpec) -> LinearMap:
         if not (n % 2 == 1 and 2 * l == n - 1):  # the two sides coincide there
             row[_basis_index(t, f"b{n - l}")] += Fraction(1)
         cols.append(tuple(row))
-    return LinearMap(spec, src, t, tuple(names), tuple(cols))
+    return names, cols
 
 
 # --------------------------------------------------------------------------

@@ -141,12 +141,3 @@ def primitive(v: Sequence) -> IntVec:
     ints = [int(x * mult) for x in fv]
     g = gcd(*ints)
     return tuple(x // g for x in ints)
-
-
-def primitive_line(v: Sequence) -> IntVec:
-    """Primitive vector spanning the same line, first nonzero entry positive."""
-    p = primitive(v)
-    lead = next((x for x in p if x != 0), 0)
-    if lead < 0:
-        p = tuple(-x for x in p)
-    return p

@@ -1,4 +1,4 @@
-"""PORTA-style, JSON, and LaTeX serialization of cones and classes.
+"""PORTA-style, JSON, and LaTeX serialization of cones.
 
 The PORTA dialect is deliberately tiny: a ``DIM = d`` header, then either an
 ``INEQUALITIES_SECTION`` (``.ieq``, H-representation --- rows like
@@ -8,15 +8,14 @@ integers only; anything else, and any PORTA keyword outside this dialect, is
 rejected with the offending line number.  Lineality vectors are emitted into
 ``CONE_SECTION`` as opposite ray pairs, which generate the same cone.
 
-JSON carries exact integers for cone data and exact rational *strings*
-("5", "1/2") for class coordinates, so nothing ever moves through floats.
+JSON carries exact integers for cone data, so nothing ever moves through
+floats.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .cones import Cone
@@ -189,36 +188,6 @@ def cone_from_json(obj: dict) -> Cone:
 
 def cone_json_dumps(cone: Cone) -> str:
     return json.dumps(cone_to_json(cone), indent=2, sort_keys=True) + "\n"
-
-
-def class_to_json(n: int, m: int, basis: Sequence[str], coords: Sequence) -> dict:
-    """Divisor/curve class as JSON: exact rational coordinate strings against
-    a named ordered basis."""
-    coords = [Fraction(c) for c in coords]
-    if len(coords) != len(basis):
-        raise ValueError(f"{len(coords)} coordinates against {len(basis)} basis labels")
-    return {
-        "space": {"n": n, "m": m},
-        "basis": list(basis),
-        "coords": [str(c) for c in coords],
-    }
-
-
-def class_from_json(obj: dict) -> tuple[int, int, list[str], tuple[Fraction, ...]]:
-    space = obj["space"]
-    coords = tuple(Fraction(s) for s in obj["coords"])
-    return space["n"], space["m"], list(obj["basis"]), coords
-
-
-def matrix_to_json(rows: Sequence[Sequence], source: str = "", target: str = "") -> dict:
-    """Exact matrix (rational strings), optionally tagged with the coordinate
-    spaces it maps between."""
-    obj: dict = {"matrix": [[str(Fraction(x)) for x in row] for row in rows]}
-    if source:
-        obj["source"] = source
-    if target:
-        obj["target"] = target
-    return obj
 
 
 # --------------------------------------------------------------------------

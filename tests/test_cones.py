@@ -2,15 +2,13 @@ from fractions import Fraction
 
 import pytest
 
+from modulicones import cones
 from modulicones.cones import (
     Cone,
     conic_combination,
     dual_description,
-    facet_description,
-    hrep_to_vrep,
     minimal_hrep,
     separating_functional,
-    vrep_to_hrep,
 )
 from modulicones.linalg import vec
 
@@ -31,8 +29,7 @@ def test_rays_are_primitive_and_sorted_regardless_of_input():
 
 
 def test_hrep_vrep_round_trip():
-    c = hrep_to_vrep(FIRST_QUADRANT)
-    back = vrep_to_hrep(Cone.from_vrep(2, c.rays))
+    back = Cone.from_vrep(2, FIRST_QUADRANT.rays)
     assert Cone.from_hrep(2, back.inequalities).equals(FIRST_QUADRANT)
 
 
@@ -50,6 +47,30 @@ def test_non_membership_certificate_verifies():
     assert not cert
     assert cert.kind == "non-membership"
     assert cert.verify((-1, 1), c.rays)
+
+
+@pytest.mark.parametrize(
+    "make, point, member, solves",
+    [
+        (lambda: Cone.from_vrep(2, [(1, 0), (1, 2)]), (3, 2), True, 1),
+        (lambda: Cone.from_vrep(2, [(1, 0), (1, 2)]), (-1, 1), False, 1),
+        (lambda: Cone.from_vrep(2, [(1, 0)], [(0, 1)]), (2, -3), True, 1),
+        (lambda: Cone.from_vrep(2, [(1, 0)], [(0, 1)]), (-1, 5), False, 1),
+        (lambda: Cone.from_hrep(2, [(2, -1), (0, 1)]), (3, 2), True, 1),
+        # a stored inequality row is already the certificate: no solve at all
+        (lambda: Cone.from_hrep(2, [(2, -1), (0, 1)]), (-1, 1), False, 0),
+    ],
+    ids=["vrep-in", "vrep-out", "lineality-in", "lineality-out", "hrep-in", "hrep-out"],
+)
+def test_contains_solves_at_most_once(monkeypatch, make, point, member, solves):
+    calls = []
+    phase1 = cones._phase1
+    monkeypatch.setattr(cones, "_phase1", lambda *args: calls.append(args) or phase1(*args))
+    cone = make()
+    cert = cone.contains(vec(point))
+    assert bool(cert) is member
+    assert cert.verify(point, cone.rays, cone.lineality)
+    assert len(calls) == solves
 
 
 def test_conic_combination_none_outside():
@@ -122,11 +143,11 @@ def test_dual_description_module_fn():
     assert tuple(lin) == ()
 
 
-def test_facet_description_module_fn():
-    ineqs, eqs = facet_description(2, [(1, 0), (1, 2)])
-    assert len(ineqs) == 2
-    back = Cone.from_hrep(2, ineqs, eqs)
-    assert back.equals(Cone.from_vrep(2, [(1, 0), (1, 2)]))
+def test_facets_from_vrep():
+    c = Cone.from_vrep(2, [(1, 0), (1, 2)])
+    assert len(c.inequalities) == 2
+    back = Cone.from_hrep(2, c.inequalities, c.equations)
+    assert back.equals(c)
 
 
 def test_dimension_mismatch_rejected():

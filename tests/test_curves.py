@@ -1,8 +1,10 @@
+import re
 from fractions import Fraction
 
 import pytest
 
 from modulicones import fixtures
+from modulicones.bridge import hyperelliptic_pushforward, pointed_pushforward
 from modulicones.cones import conic_combination
 from modulicones.curves import (
     AttachMapSpec,
@@ -29,6 +31,7 @@ from modulicones.spaces import (
     enumerate_boundaries,
     fully_pointed,
     picard_number,
+    relations_and_basis,
 )
 
 F = Fraction
@@ -148,7 +151,7 @@ def test_unmarked_attach_images_in_closed_form(n, m):
             _add_b(t, direct, n - l + k, F(l - k + 1))
             if l - k - 1:
                 _add_b(t, direct, n - l + k - 1, F(-(l - k - 1)))
-            assert pushed.coords == tuple(direct), ("q", n, m, l, k)
+            assert pushed == tuple(direct), ("q", n, m, l, k)
 
 
 @pytest.mark.parametrize("n", range(5, 13))
@@ -157,7 +160,7 @@ def test_fibre_images_are_the_simple_rows(n):
     for l in range(3, n - 1):
         q = attach_pushforward(AttachMapSpec("q", n, l, 1))
         fibre = q.push_curve(curve_ck(SpaceId(l + 1, 1), 1))
-        assert fibre.coords == full[(1, 0, l)]
+        assert fibre == full[(1, 0, l)]
 
 
 @pytest.mark.parametrize("n", range(6, 13))
@@ -204,7 +207,30 @@ def test_pushed_curves_are_valid_on_nem(n, m):
         q = attach_pushforward(AttachMapSpec("q", n, l, m))
         for k in range(1, l - 1):
             pushed = q.push_curve(curve_ck(SpaceId(l + 1, 1), k))
-            assert conic_combination(pushed.coords, rows) is not None, (n, m, l, k)
+            assert conic_combination(pushed, rows) is not None, (n, m, l, k)
+
+
+@pytest.mark.parametrize(
+    "linear_map",
+    [
+        attach_pushforward(AttachMapSpec("q", 8, 4, 1)),
+        attach_pushforward(AttachMapSpec("r", 8, 6)),
+        attach_pushforward(AttachMapSpec("s", 8, 5)),
+        attach_pushforward(AttachMapSpec("pi_star", 8)),
+        hyperelliptic_pushforward(3),
+        pointed_pushforward(3, 2, "mg1"),
+    ],
+    ids=["q", "r", "s", "pi_star", "hyperelliptic", "pointed"],
+)
+def test_unknown_basis_name_names_the_source(linear_map):
+    with pytest.raises(KeyError, match=re.escape(str(linear_map.source))):
+        linear_map.column("b*9")
+
+
+def test_attach_map_coordinates_follow_the_target_basis():
+    q = attach_pushforward(AttachMapSpec("q", 8, 4, 1))
+    assert q.target_names == relations_and_basis(SpaceId(8, 1)).ordered_basis
+    assert all(len(col) == len(q.target_names) for col in q.columns)
 
 
 # --- effective cones -----------------------------------------------------------

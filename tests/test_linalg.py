@@ -8,7 +8,6 @@ from modulicones.linalg import (
     kernel_basis,
     mat,
     primitive,
-    primitive_line,
     rank,
     rref,
     scale,
@@ -69,8 +68,6 @@ def test_solve_inconsistent_returns_none():
 def test_primitive_clears_denominators_and_sign():
     assert primitive(vec([F(2, 3), F(4, 3)])) == (1, 2)
     assert primitive(vec([-2, 4, -6])) == (-1, 2, -3)
-    # primitive_line flips so the first nonzero entry is positive
-    assert primitive_line(vec([-2, 4, -6])) == (1, -2, 3)
     assert primitive(vec([0, F(-5, 7)])) == (0, -1)
 
 

@@ -1,5 +1,4 @@
 import json
-from fractions import Fraction
 
 import pytest
 
@@ -7,14 +6,11 @@ from modulicones.cones import Cone
 from modulicones.curves import nem_hrep
 from modulicones.porta import (
     PortaError,
-    class_from_json,
-    class_to_json,
     cone_from_json,
     cone_json_dumps,
     cone_to_json,
     latex_inequalities,
     latex_rays,
-    matrix_to_json,
     porta_read,
     porta_write,
 )
@@ -61,26 +57,6 @@ def test_cone_json_round_trip():
     assert back.inequalities == cone.inequalities
     assert back.rays == cone.rays
     assert cone_json_dumps(back) == cone_json_dumps(cone)
-
-
-def test_class_json_uses_rational_strings():
-    obj = class_to_json(5, 2, ["b3", "b*2", "b*3"], [Fraction(-1, 3), 1, Fraction(5, 3)])
-    assert obj["coords"] == ["-1/3", "1", "5/3"]
-    n, m, basis, coords = class_from_json(obj)
-    assert (n, m) == (5, 2)
-    assert basis == ["b3", "b*2", "b*3"]
-    assert coords == (Fraction(-1, 3), 1, Fraction(5, 3))
-
-
-def test_class_json_length_mismatch():
-    with pytest.raises(ValueError):
-        class_to_json(5, 2, ["b3"], [1, 2])
-
-
-def test_matrix_json_keeps_exact_entries():
-    obj = matrix_to_json([[Fraction(1, 2), 0], [3, Fraction(-7, 5)]], "src", "dst")
-    assert obj["matrix"] == [["1/2", "0"], ["3", "-7/5"]]
-    assert obj["source"] == "src" and obj["target"] == "dst"
 
 
 def test_latex_outputs_mention_every_row():

@@ -72,6 +72,10 @@ def test_membership_dichotomy_both_certify(rays, target):
         separating = separating_functional(t, gens)
         assert separating is not None
         assert separating.verify(t, gens)
+    cone = Cone.from_vrep(3, gens)
+    cert = cone.contains(t)
+    assert bool(cert) == (member is not None)
+    assert cert.verify(t, cone.rays)
 
 
 @given(st.lists(st.lists(small_ints, min_size=3, max_size=3), min_size=1, max_size=4))
