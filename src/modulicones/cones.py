@@ -10,8 +10,8 @@ computed so far:
 Conversions happen only in the lazy `Cone` properties and in
 `Cone.canonical_vrep`, and both run the double description method
 (`dual_description`) in exact integer/rational arithmetic, with the lineality
-space handled by pivoting and adjacency decided through the rank of the common
-tight rows.  Each membership or redundancy query takes one phase-1 simplex
+space handled by pivoting and adjacency decided combinatorially from the tight
+sets of the rays.  Each membership or redundancy query takes one phase-1 simplex
 solve, which produces either explicit nonnegative coefficients or a Farkas
 functional separating the point from the cone.  Every `Certificate` is
 re-verified by direct arithmetic before it is returned, so a bug in the
@@ -225,6 +225,11 @@ def dual_description(
     Equations are imposed first (as pairs of opposite inequalities), then the
     inequality rows in lexicographic order, which makes the whole run -- not
     just the result -- independent of the caller's row order.
+
+    Adjacency of two rays is decided combinatorially from the bitmasks of
+    the processed rows each ray is tight on (Fukuda and Prodon, "Double
+    description method revisited", 1996), and a final rank sweep keeps only
+    the extreme rays.
     """
     rows: list[IntVec] = []
     for e in equations:
@@ -249,7 +254,13 @@ def dual_description(
         if hit is not None:
             # The constraint cuts into the lineality space: the pivot vector
             # becomes an ordinary ray and everything else is projected onto
-            # the hyperplane a @ x == 0 along it.
+            # the hyperplane a @ x == 0 along it.  The list then holds exactly
+            # the extreme rays modulo the new lineality, as the combinatorial
+            # adjacency test below needs.  With H the part of the old cone C
+            # on that hyperplane, C = H + span(l0), so projecting along l0
+            # maps the faces of C one-to-one onto the faces of H.  And l0 is
+            # extreme in the new cone H + R_{>=0} l0, because a @ l0 > 0 while
+            # a vanishes on every projected ray.
             l0, d0 = lin[hit], lin_vals[hit]
             if d0 < 0:
                 l0, d0 = scale(-1, l0), -d0
@@ -275,12 +286,17 @@ def dual_description(
         plus = [i for i, v in enumerate(vals) if v > 0]
         zero = [i for i, v in enumerate(vals) if v == 0]
         minus = [i for i, v in enumerate(vals) if v < 0]
-        adjacency_rank = dim - len(lin) - 2
+        # Two extreme rays are adjacent when the smallest face holding both
+        # is two-dimensional modulo the lineality.  Their common tight rows
+        # cut out that face, so there are at least dim - lin - 2 of them, and
+        # no third extreme ray is tight on all of them.
+        need = dim - len(lin) - 2
         combos: dict[IntVec, None] = {}
         for i, j in itertools.product(plus, minus):
             common = masks[i] & masks[j]
-            tight_rows = [done[t] for t in range(len(done) - 1) if common >> t & 1]
-            if rank(tight_rows) != adjacency_rank:
+            if common.bit_count() < need or any(
+                mk & common == common for k, mk in enumerate(masks) if k != i and k != j
+            ):
                 continue
             combo = tuple(vals[i] * rj - vals[j] * ri for ri, rj in zip(rays[i], rays[j]))
             p = _primitive_or_none(_reduce_mod(lin, lin_pivots, combo))

@@ -3,7 +3,9 @@
 Vectors are tuples of :class:`fractions.Fraction`, matrices are sequences of
 such rows.  Everything here is pure and immutable, and nothing in the package
 ever touches floating point: cone geometry downstream depends on equalities
-like ``a*d - b*c == 0`` holding exactly.
+like ``a*d - b*c == 0`` holding exactly.  `rank` scales each row to integers
+and eliminates on those integer rows, fraction-free; `rref`, `kernel_basis`
+and `solve` eliminate on `Fraction` rows.
 """
 
 from __future__ import annotations
@@ -86,10 +88,42 @@ def _echelon(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int
     return rows[:r], pivots
 
 
+def _int_row(row: Sequence) -> Sequence[int]:
+    """``row`` scaled by the lcm of its denominators, so every entry is an int."""
+    if all(type(x) is int for x in row):
+        return row
+    fr = [Fraction(x) for x in row]
+    d = lcm(*(x.denominator for x in fr))
+    return [x.numerator * (d // x.denominator) for x in fr]
+
+
 def rank(m: Sequence[Sequence]) -> int:
-    rows = [[Fraction(x) for x in row] for row in m]
-    _, pivots = _echelon(rows)
-    return len(pivots)
+    """Rank of ``m`` by fraction-free elimination on integer rows.
+
+    Each step takes a pivot row out, clears its pivot column from the other
+    rows by integer cross-multiplication and divides every changed row by its
+    gcd, which keeps the entries as small as the row's direction allows.
+    """
+    rows = [r for r in map(_int_row, m) if any(r)]
+    r = 0
+    while rows:
+        pivot = rows.pop()
+        c = next(k for k, x in enumerate(pivot) if x)
+        p = pivot[c]
+        rest = []
+        for row in rows:
+            x = row[c]
+            if x:
+                row = [p * a - x * b for a, b in zip(row, pivot)]
+                g = gcd(*row)
+                if g == 0:
+                    continue
+                if g != 1:
+                    row = [a // g for a in row]
+            rest.append(row)
+        rows = rest
+        r += 1
+    return r
 
 
 def kernel_basis(m: Sequence[Sequence]) -> list[Vec]:

@@ -1,3 +1,4 @@
+import hashlib
 import re
 from fractions import Fraction
 
@@ -98,6 +99,21 @@ def test_nem_unpointed_needs_six_points():
 @pytest.mark.parametrize("s", [s for s in fixtures.NEM_RAYS if s.m == 1])
 def test_nem_pointed_frozen_rays(s):
     assert ray_set(nem_hrep(s).rays) == ray_set(fixtures.NEM_RAYS[s])
+
+
+# Counts and digest recorded while double description still decided
+# adjacency through the rank of the common tight rows; they pin the
+# combinatorial test to the same output.
+@pytest.mark.parametrize("n, count", [(8, 34), (9, 80), (10, 289), (11, 864)])
+def test_nem_pointed_ray_counts(n, count):
+    assert len(nem_hrep(SpaceId(n, 1)).rays) == count
+
+
+def test_nem_x10_1_ray_list_digest():
+    rays = nem_hrep(SpaceId(10, 1)).rays
+    assert hashlib.sha256(repr(rays).encode()).hexdigest() == (
+        "e3e73a3a5635c9d2c6b54f02765cd38eca6c2c29a09ce107715772c68cc3f2fd"
+    )
 
 
 @pytest.mark.parametrize("n", range(5, 13))

@@ -1,11 +1,13 @@
 """Property tests: algebraic invariants that should hold for arbitrary input."""
 
+import itertools
 from fractions import Fraction
+from math import gcd, lcm
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from modulicones.cones import Cone, conic_combination, separating_functional
-from modulicones.linalg import kernel_basis, primitive, rank, scale, vec
+from modulicones.cones import Cone, conic_combination, dual_description, separating_functional
+from modulicones.linalg import kernel_basis, primitive, rank, rref, scale, vec
 from modulicones.porta import porta_read, porta_write
 from modulicones.spaces import SpaceId, canonical_label, express_in_basis, fully_pointed, keel_relations, enumerate_boundaries
 
@@ -38,6 +40,136 @@ def test_primitive_scale_invariant(v, q):
 @given(st.lists(st.lists(rationals, min_size=4, max_size=4), min_size=1, max_size=5))
 def test_rank_nullity(rows):
     assert rank(rows) + len(kernel_basis(rows)) == 4
+
+
+@st.composite
+def mixed_matrices(draw):
+    """Rows of ints and Fractions: zero rows, combinations of earlier rows,
+    and rows scaled by powers of ten from 1e-30 to 1e30."""
+    ncols = draw(st.integers(min_value=0, max_value=5))
+    entry = st.one_of(st.integers(min_value=-9, max_value=9), rationals)
+    rows = []
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        kind = draw(st.sampled_from(["zero", "plain", "scaled", "combination"]))
+        if kind == "zero":
+            row = [0] * ncols
+        elif kind == "combination" and rows:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            c = draw(entry)
+            row = [x + c * y for x, y in zip(a, b)]
+        else:
+            row = draw(st.lists(entry, min_size=ncols, max_size=ncols))
+            if kind == "scaled":
+                k = draw(st.integers(min_value=-30, max_value=30))
+                row = [x * (10**k if k >= 0 else Fraction(1, 10**-k)) for x in row]
+        rows.append(row)
+    return rows
+
+
+@example([])
+@example([[0, 0], [0, 0]])
+@example([[10**40, -1], [Fraction(1, 10**40), Fraction(-1, 10**80)]])
+@given(mixed_matrices())
+def test_rank_matches_rref(rows):
+    assert rank(rows) == len(rref(rows)[1])
+
+
+# --------------------------------------------------------------------------
+# double description against a brute-force oracle
+# --------------------------------------------------------------------------
+#
+# The oracle shares no code with `dual_description`: it has its own exact
+# elimination, and it finds the extreme rays as one-dimensional kernels of
+# row subsets instead of by incremental pair combination.
+
+
+def _oracle_rref(rows):
+    rows = [[Fraction(x) for x in r] for r in rows]
+    pivots = []
+    for c in range(len(rows[0]) if rows else 0):
+        k = next((i for i in range(len(pivots), len(rows)) if rows[i][c]), None)
+        if k is None:
+            continue
+        r = len(pivots)
+        rows[r], rows[k] = rows[k], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return rows[: len(pivots)], pivots
+
+
+def _oracle_kernel(rows, dim):
+    red, pivots = _oracle_rref(rows)
+    basis = []
+    for f in (c for c in range(dim) if c not in pivots):
+        v = [Fraction(0)] * dim
+        v[f] = Fraction(1)
+        for row, p in zip(red, pivots):
+            v[p] = -row[f]
+        basis.append(v)
+    return basis
+
+
+def _oracle_primitive(v):
+    d = lcm(*(x.denominator for x in v))
+    ints = [int(x * d) for x in v]
+    g = gcd(*ints)
+    return tuple(x // g for x in ints)
+
+
+def brute_force_vrep(dim, inequalities, equations):
+    """Canonical (extreme rays, lineality basis) of ``{A x >= 0, E x == 0}``."""
+    rows = list(inequalities) + list(equations)
+    lin = _oracle_kernel(rows, dim)
+    lin_red, lin_pivots = _oracle_rref(lin)
+    rays = set()
+    if len(lin) < dim:
+        # Zeroing the pivot coordinates of the lineality basis picks the
+        # canonical representative of every ray modulo the lineality space.
+        pins = [[int(j == p) for j in range(dim)] for p in lin_pivots]
+        for subset in itertools.combinations(rows, dim - len(lin) - 1):
+            ker = _oracle_kernel(list(subset) + list(equations) + pins, dim)
+            if len(ker) != 1:
+                continue
+            for v in (ker[0], [-x for x in ker[0]]):
+                if all(sum(a * x for a, x in zip(row, v)) >= 0 for row in inequalities):
+                    rays.add(_oracle_primitive(v))
+    return sorted(rays), sorted(_oracle_primitive(l) for l in lin_red)
+
+
+@st.composite
+def h_representations(draw):
+    """At most seven rows in dimension at most four: random rows, zero rows,
+    duplicates, and positive or negative multiples of earlier rows."""
+    dim = draw(st.integers(min_value=1, max_value=4))
+    n_eq = draw(st.integers(min_value=0, max_value=2))
+    n_ineq = draw(st.integers(min_value=0, max_value=7 - n_eq))
+    rows = []
+    for _ in range(n_eq + n_ineq):
+        if rows and draw(st.booleans()):
+            k = draw(st.sampled_from([-2, -1, 0, 1, 2, 3]))
+            rows.append([k * x for x in draw(st.sampled_from(rows))])
+        else:
+            rows.append(draw(st.lists(st.integers(min_value=-3, max_value=3), min_size=dim, max_size=dim)))
+    return dim, rows[n_eq:], rows[:n_eq]
+
+
+@example((1, [[1], [-1]], []))
+@example((3, [], [[0, 0, 0]]))
+@example((3, [[1, 0, 0], [0, 1, 0], [2, 0, 0], [1, -1, 0]], [[0, 0, 1]]))
+# Sorted, the rows run (0,1,-1), (0,1,0), (0,1,1), (1,0,0): the third lies in
+# the span of the first two and combines rays, then the last cuts the
+# lineality space.
+@example((3, [[0, 1, 0], [0, 1, 1], [0, 1, -1], [1, 0, 0]], []))
+@settings(max_examples=300)
+@given(h_representations())
+def test_dual_description_matches_brute_force(hrep):
+    dim, inequalities, equations = hrep
+    rays, lin = dual_description(dim, inequalities, equations)
+    assert (rays, lin) == brute_force_vrep(dim, inequalities, equations)
 
 
 @given(
