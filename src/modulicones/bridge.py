@@ -11,11 +11,14 @@ combinations of the standard classes ``lambda``, ``delta_irr``, ``delta_i``
 (and ``omega`` on the pointed side), and inequality systems follow by
 applying the maps row-wise.
 
-Conventions, applied once at vector construction: ``delta_j`` folds to
+Conventions, applied once by the one row builder: ``delta_j`` folds to
 ``delta_{g-j}`` above ``floor(g/2)`` on the unpointed side, ``delta_0`` is
 zero there and ``-omega`` on the pointed side, and for ``g = 2`` the class
 ``lambda`` is not independent — it is eliminated via
-``(1/10) delta_irr + (1/5) delta_1``.
+``(1/10) delta_irr + (1/5) delta_1``.  Inequality rows are integer tuples;
+at ``g = 2`` they are scaled by 10 so that elimination stays integral, which
+changes no cone.  Map columns and curve images, whose entries are genuinely
+rational, stay exact ``Fraction`` vectors, as do the witness rows.
 
 The genus-two pointed space gets special treatment (its own basis
 ``(Delta_irr, Delta_1, W)``): the seven-point one-marked quotient maps onto
@@ -27,11 +30,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from . import fixtures
 from .cones import Cone
-from .linalg import Vec, add, dot, primitive, scale, vec
+from .linalg import IntVec, Vec, dot, primitive, vec
 from .curves import LinearMap, curve_ck, nem_hrep
 from .spaces import CurveClass, DivisorClass, SpaceId, relations_and_basis
 
@@ -72,66 +75,45 @@ def mg1_basis(g: int) -> tuple[str, ...]:
     return ("lambda", "delta_irr") + deltas + ("omega",)
 
 
-def _assemble(
-    names: tuple[str, ...],
-    lam: Fraction,
-    contributions: Mapping[str, Fraction],
-    g: int,
-) -> Vec:
-    acc = {name: Fraction(0) for name in names}
-    for name, coeff in contributions.items():
-        acc[name] += coeff
-    if g == 2:
-        acc["delta_irr"] += lam / 10
-        acc["delta_1"] += lam / 5
-    else:
-        acc["lambda"] += lam
-    return vec(acc[name] for name in names)
+Deltas = Iterable[tuple[int, Fraction | int]]
 
 
-Deltas = Iterable[tuple[int, Fraction]] | Mapping[int, "Fraction | int"] | None
+def _row(target: str, g: int, lam=0, irr=0, deltas: Deltas = ()) -> tuple:
+    """Coordinates in the ``target`` basis, conventions applied, ``g = 2`` ×10.
 
-
-def _delta_items(deltas: Deltas) -> Iterable[tuple[int, Fraction]]:
-    if deltas is None:
-        return ()
-    if isinstance(deltas, Mapping):
-        return tuple((j, Fraction(c)) for j, c in deltas.items())
-    return tuple((j, Fraction(c)) for j, c in deltas)
-
-
-def _mg_vec(g: int, lam=0, irr=0, deltas: Deltas = None) -> Vec:
-    """A dual-coordinate vector on the unpointed side, conventions applied.
-
-    ``deltas`` may repeat an index (pairs accumulate), and indices above the
-    fold are reflected before assembly.
+    ``deltas`` holds ``(j, coefficient)`` pairs; an index may repeat (pairs
+    accumulate).  On ``mg`` an index above the fold is reflected and
+    ``delta_0`` is zero; on ``mg1`` ``delta_0`` is ``-omega``.  At ``g = 2``
+    ``lambda`` is eliminated as ``(1/10) delta_irr + (1/5) delta_1``, and the
+    row is scaled by 10 so that integer arguments give an integer row.
+    Entries keep the type of the arguments: ints give an :data:`IntVec`.
     """
-    out: dict[str, Fraction] = {"delta_irr": Fraction(irr)}
-    for j, coeff in _delta_items(deltas):
+    pointed = target == "mg1"
+    # delta_irr, delta_1..delta_{g-1} and omega on mg1; delta_irr and the
+    # folded delta_1..delta_{g//2} on mg
+    acc = [0] * (g + 1 if pointed else g // 2 + 1)
+    acc[0] = irr
+    for j, coeff in deltas:
         if j == 0:
-            continue  # delta_0 is zero here
-        if not 0 < j < g:
-            raise ValueError(f"delta index {j} out of range for genus {g}")
-        jj = g - j if j > g // 2 else j
-        out[f"delta_{jj}"] = out.get(f"delta_{jj}", Fraction(0)) + coeff
-    return _assemble(mg_basis(g), Fraction(lam), out, g)
-
-
-def _mg1_vec(g: int, lam=0, irr=0, omega=0, deltas: Deltas = None) -> Vec:
-    """A dual-coordinate vector on the pointed side (``delta_0 = -omega``)."""
-    out: dict[str, Fraction] = {"delta_irr": Fraction(irr), "omega": Fraction(omega)}
-    for j, coeff in _delta_items(deltas):
-        if j == 0:
-            out["omega"] -= coeff
+            if pointed:
+                acc[-1] -= coeff
             continue
         if not 0 < j < g:
             raise ValueError(f"delta index {j} out of range for genus {g}")
-        out[f"delta_{j}"] = out.get(f"delta_{j}", Fraction(0)) + coeff
-    return _assemble(mg1_basis(g), Fraction(lam), out, g)
+        acc[j if pointed or j <= g // 2 else g - j] += coeff
+    if g == 2:
+        return (10 * acc[0] + lam, 10 * acc[1] + 2 * lam, *(10 * x for x in acc[2:]))
+    return (lam, *acc)
 
 
-def _target_vec(target: str, g: int, **kw) -> Vec:
-    return _mg_vec(g, **kw) if target == "mg" else _mg1_vec(g, **kw)
+def _as_vec(g: int, row: Sequence) -> Vec:
+    """The exact ``Fraction`` coordinates of a :func:`_row` result."""
+    return vec(row) if g > 2 else tuple(Fraction(x, 10) for x in row)
+
+
+def _vec(target: str, g: int, **kw) -> Vec:
+    """:func:`_row` at the ``Fraction`` edge: map columns and curve images."""
+    return _as_vec(g, _row(target, g, **kw))
 
 
 # --------------------------------------------------------------------------
@@ -156,14 +138,15 @@ def hyperelliptic_pushforward(g: int) -> LinearMap:
         i = int(name[1:])
         if i % 2 == 0:
             j = i // 2
-            cols.append(_mg_vec(g, lam=Fraction(j * (g + 1 - j), 4 * g + 2), irr=2))
+            cols.append(_vec("mg", g, lam=Fraction(j * (g + 1 - j), 4 * g + 2), irr=2))
         else:
             j = (i - 1) // 2
             cols.append(
-                _mg_vec(
+                _vec(
+                    "mg",
                     g,
                     lam=Fraction(j * (g - j), 4 * g + 2),
-                    deltas={j: Fraction(1, 2)},
+                    deltas=((j, Fraction(1, 2)),),
                 )
             )
     return LinearMap(src, names, mg_basis(g), tuple(cols))
@@ -182,14 +165,15 @@ def hyperelliptic_curve_image(g: int, k: int) -> Vec:
         raise ValueError(f"k must lie in 1..{2 * g - 1}, got {k}")
     if k % 2:
         j = (k - 1) // 2
-        return _mg_vec(
+        return _vec(
+            "mg",
             g,
             lam=Fraction(g - j, 2),
             irr=2 * (2 * g + 1 - 2 * j),
-            deltas={j: Fraction(2 * j + 1 - 2 * g, 2)},
+            deltas=((j, Fraction(2 * j + 1 - 2 * g, 2)),),
         )
     j = k // 2
-    return _mg_vec(g, irr=4 * (j - g), deltas={j: Fraction(g + 1 - j)})
+    return _vec("mg", g, irr=4 * (j - g), deltas=((j, g + 1 - j),))
 
 
 def hyperelliptic_pullback_cone(g: int) -> Cone:
@@ -197,16 +181,14 @@ def hyperelliptic_pullback_cone(g: int) -> Cone:
 
     The ``2(g-1)`` inequalities pair a lower and an upper slope condition per
     index; each row is the image of the corresponding unpointed-cone row
-    under :func:`hyperelliptic_pushforward`.
+    under :func:`hyperelliptic_pushforward`, built as an integer row.
     """
     if g < 2:
         raise ValueError(f"need g >= 2, got {g}")
     rows = []
     for i in range(1, g):
-        rows.append(
-            _mg_vec(g, lam=i, irr=4 * (2 * i + 1), deltas={i: Fraction(-(2 * i - 1))})
-        )
-        rows.append(_mg_vec(g, irr=-4 * i, deltas={i: Fraction(i + 1)}))
+        rows.append(_row("mg", g, lam=i, irr=4 * (2 * i + 1), deltas=((i, -(2 * i - 1)),)))
+        rows.append(_row("mg", g, irr=-4 * i, deltas=((i, i + 1),)))
     return Cone.from_hrep(len(mg_basis(g)), tuple(rows))
 
 
@@ -241,7 +223,7 @@ def pointed_pushforward(g: int, n: int, target: str = "mg") -> LinearMap:
         if i % 2 == 0:
             j = (i - 2) // 2
             cols.append(
-                _target_vec(
+                _vec(
                     target,
                     g,
                     lam=Fraction(j * (n - j), 2 * (2 * n + 1)),
@@ -254,7 +236,7 @@ def pointed_pushforward(g: int, n: int, target: str = "mg") -> LinearMap:
         else:
             j = (i - 1) // 2
             cols.append(
-                _target_vec(
+                _vec(
                     target,
                     g,
                     lam=Fraction(j * (n + 1 - j), 2 * (2 * n + 1)),
@@ -278,22 +260,22 @@ def pointed_curve_image(g: int, n: int, k: int, target: str = "mg") -> Vec:
     if not 1 <= k <= 2 * n:
         raise ValueError(f"k must lie in 1..{2 * n}, got {k}")
     if k == 1:
-        return _target_vec(target, g, deltas={g - n: Fraction(-(n - 1))})
+        return _vec(target, g, deltas=((g - n, -(n - 1)),))
     if k % 2:
         j = (k - 1) // 2
-        return _target_vec(
+        return _vec(
             target,
             g,
             irr=-4 * (n - j),
-            deltas={g - n + j: Fraction(n + 1 - j)},
+            deltas=((g - n + j, n + 1 - j),),
         )
     j = k // 2
-    return _target_vec(
+    return _vec(
         target,
         g,
         lam=Fraction(n + 1 - j, 2),
         irr=2 * (2 * n + 3 - 2 * j),
-        deltas={g - n + j - 1: Fraction(-(2 * n + 1 - 2 * j), 2)},
+        deltas=((g - n + j - 1, Fraction(-(2 * n + 1 - 2 * j), 2)),),
     )
 
 
@@ -315,47 +297,45 @@ class ComboWitness:
     row: Vec
 
 
-def _mg1_rows(g: int, n: int, target: str) -> dict[tuple, Vec]:
-    rows: dict[tuple, Vec] = {}
+def _mg1_rows(g: int, n: int, target: str) -> dict[tuple, IntVec]:
+    rows: dict[tuple, IntVec] = {}
     for k in range(1, n):
-        rows[("a", k)] = _target_vec(
-            target, g, irr=-4 * k, deltas={g - k: Fraction(k + 1)}
-        )
-        rows[("b", k)] = _target_vec(
-            target, g, lam=k, irr=4 * (2 * k + 1), deltas={g - k: Fraction(-(2 * k - 1))}
+        rows[("a", k)] = _row(target, g, irr=-4 * k, deltas=((g - k, k + 1),))
+        rows[("b", k)] = _row(
+            target, g, lam=k, irr=4 * (2 * k + 1), deltas=((g - k, -(2 * k - 1)),)
         )
         for m in range(0, k):
-            rows[("c", k, m)] = _target_vec(
+            rows[("c", k, m)] = _row(
                 target,
                 g,
                 lam=k * m * (k - m),
                 deltas=(
-                    (g - k, Fraction((2 * m + 1) * (k - m))),
-                    (g - n + m, Fraction(k * (2 * k + 1))),
-                    (g - n + k, Fraction(-k * (2 * m + 1))),
-                    (g - n, Fraction(-4 * k * (k - m))),
+                    (g - k, (2 * m + 1) * (k - m)),
+                    (g - n + m, k * (2 * k + 1)),
+                    (g - n + k, -k * (2 * m + 1)),
+                    (g - n, -4 * k * (k - m)),
                 ),
             )
-            rows[("e", k, m)] = _target_vec(
+            rows[("e", k, m)] = _row(
                 target,
                 g,
                 lam=k * (m + 1) * (k - m),
                 irr=4 * k * (2 * k + 1),
                 deltas=(
-                    (g - k, Fraction((m + 1) * (2 * (k - m) - 1))),
-                    (g - n, Fraction(-2 * k * (2 * (k - m) - 1))),
-                    (g - n + k, Fraction(-2 * k * (m + 1))),
+                    (g - k, (m + 1) * (2 * (k - m) - 1)),
+                    (g - n, -2 * k * (2 * (k - m) - 1)),
+                    (g - n + k, -2 * k * (m + 1)),
                 ),
             )
         for m in range(0, k + 1):
-            rows[("d", k, m)] = _target_vec(
+            rows[("d", k, m)] = _row(
                 target,
                 g,
                 lam=m * (k + 1) * (k - m),
                 irr=-4 * m * (2 * m + 1),
                 deltas=(
-                    (g - n + m, Fraction((k + 1) * (2 * k + 1))),
-                    (g - n, Fraction(-(2 * k + 1) * (2 * (k - m) + 1))),
+                    (g - n + m, (k + 1) * (2 * k + 1)),
+                    (g - n, -(2 * k + 1) * (2 * (k - m) + 1)),
                 ),
             )
     return rows
@@ -370,7 +350,8 @@ def mg1_inequality_family(
     exact multiplier pair certifying that the combined slope rows dominate
     the positivity row ``4(2(k+m)+3) delta_irr + (k+1)(m+1) lambda``.  A
     failed identity raises :class:`ArithmeticError`; it would mean the rows
-    were transcribed inconsistently.
+    were transcribed inconsistently.  The rows and the identities are
+    integer (scaled by 10 at ``g = 2``); the witnesses are exact fractions.
     """
     _check_pointed_params(g, n, target)
     if n < 2:
@@ -379,36 +360,27 @@ def mg1_inequality_family(
     dim = len(mg_basis(g) if target == "mg" else mg1_basis(g))
     cone = Cone.from_hrep(dim, tuple(rows.values()))
 
+    # the two slope combinations the multipliers act on; neither depends on (k, m)
+    low = [a + 2 * b for a, b in zip(rows[("a", 1)], rows[("b", 1)])]
+    high = [(2 * n - 3) * a + n * b for a, b in zip(rows[("a", n - 1)], rows[("b", n - 1)])]
+    constant = 3 if n == 2 else 2 * (5 * n * n - 13 * n + 6)
     witnesses: dict[tuple[int, int], ComboWitness] = {}
     for k in range(1, n):
         for m in range(0, k):
             if n == 2:
-                c1, c2 = Fraction(1), Fraction(2)
+                c1, c2 = 1, 2
             else:
-                c1 = Fraction(
+                c1 = (
                     2 * n * (n - 1) * (2 * (k + m) + 3)
                     - 2 * (4 * n - 3) * (k + 1) * (m + 1)
                 )
-                c2 = Fraction(10 * (k + 1) * (m + 1) - 4 * (2 * (k + m) + 3))
+                c2 = 10 * (k + 1) * (m + 1) - 4 * (2 * (k + m) + 3)
             if c1 < 0 or c2 < 0:
                 raise ArithmeticError(f"negative multiplier at (k, m) = {(k, m)}")
-            combo = add(
-                scale(c1, add(rows[("a", 1)], scale(Fraction(2), rows[("b", 1)]))),
-                scale(
-                    c2,
-                    add(
-                        scale(Fraction(2 * n - 3), rows[("a", n - 1)]),
-                        scale(Fraction(n), rows[("b", n - 1)]),
-                    ),
-                ),
-            )
-            row = _target_vec(
-                target, g, lam=(k + 1) * (m + 1), irr=4 * (2 * (k + m) + 3)
-            )
-            constant = Fraction(3) if n == 2 else Fraction(2 * (5 * n * n - 13 * n + 6))
-            if combo != scale(constant, row):
+            row = _row(target, g, lam=(k + 1) * (m + 1), irr=4 * (2 * (k + m) + 3))
+            if any(c1 * x + c2 * y != constant * r for x, y, r in zip(low, high, row)):
                 raise ArithmeticError(f"multiplier identity fails at (k, m) = {(k, m)}")
-            witnesses[(k, m)] = ComboWitness(c1, c2, row)
+            witnesses[(k, m)] = ComboWitness(Fraction(c1), Fraction(c2), _as_vec(g, row))
     return cone, witnesses
 
 

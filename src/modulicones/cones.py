@@ -39,8 +39,7 @@ from .linalg import (
 
 
 def _primitive_or_none(v: Sequence) -> Optional[IntVec]:
-    w = vec(v)
-    return primitive(w) if any(w) else None
+    return primitive(v) if any(v) else None
 
 
 def _int_dot(u: Sequence[int], v: Sequence[int]) -> int:

@@ -3,9 +3,10 @@
 Vectors are tuples of :class:`fractions.Fraction`, matrices are sequences of
 such rows.  Everything here is pure and immutable, and nothing in the package
 ever touches floating point: cone geometry downstream depends on equalities
-like ``a*d - b*c == 0`` holding exactly.  `rank` scales each row to integers
-and eliminates on those integer rows, fraction-free; `rref`, `kernel_basis`
-and `solve` eliminate on `Fraction` rows.
+like ``a*d - b*c == 0`` holding exactly.  `rank` and `primitive` scale each
+row to integers (an all-int row passes through as it is); `rank` then
+eliminates on those integer rows, fraction-free.  `rref`, `kernel_basis` and
+`solve` eliminate on `Fraction` rows.
 """
 
 from __future__ import annotations
@@ -16,15 +17,10 @@ from typing import Iterable, Optional, Sequence
 
 Vec = tuple[Fraction, ...]
 IntVec = tuple[int, ...]
-Mat = tuple[Vec, ...]
 
 
 def vec(entries: Iterable) -> Vec:
     return tuple(Fraction(x) for x in entries)
-
-
-def mat(rows: Iterable[Iterable]) -> Mat:
-    return tuple(vec(r) for r in rows)
 
 
 def zero_vec(dim: int) -> Vec:
@@ -167,11 +163,10 @@ def primitive(v: Sequence) -> IntVec:
     """Shortest integer vector positively proportional to ``v``.
 
     Direction is preserved: ``(-1/3, 0, -4/3)`` becomes ``(-1, 0, -4)``.
+    An all-int row is divided by its gcd without building a `Fraction`.
     """
-    fv = [Fraction(x) for x in v]
-    if all(x == 0 for x in fv):
-        raise ValueError("zero vector has no primitive form")
-    mult = lcm(*(x.denominator for x in fv))
-    ints = [int(x * mult) for x in fv]
+    ints = _int_row(v)
     g = gcd(*ints)
+    if g == 0:
+        raise ValueError("zero vector has no primitive form")
     return tuple(x // g for x in ints)

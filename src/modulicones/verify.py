@@ -101,11 +101,14 @@ def check_counterexample() -> None:
     """The pushed fibre class escapes the boundary cone, with certificates.
 
     The separating functionals are re-verified for n = 6, 7, 8; the recorded
-    coordinates are then asserted: the six-point class
-    ``(2, 0, 0, 2, -6, -2, -2, 2)`` and the first four coordinates
-    ``(4, 0, 0, 6)`` and ``(12, 0, 0, 24)`` of its seven- and eight-point
-    transports.  An F-curve oracle on the fully pointed space, which shares no
-    code with `spaces`, confirms all three (``tests/test_fcurve_oracle.py``).
+    classes are then asserted in full: the six-point class
+    ``(2, 0, 0, 2, -6, -2, -2, 2)`` and its seven- and eight-point transports
+    ``(4, 0, 0, 6, 0, -4, -4, 8, 6, -6, -6, -24)`` and
+    ``(12, 0, 0, 24, 12, -12, -12, 36, 24, -24, -24, -120, -24, -24, -24, 36)``.
+    An F-curve oracle on the fully pointed space, which shares no code with
+    `spaces`, confirms all three (``tests/test_fcurve_oracle.py``).  The
+    coordinates after the first four depend on the ramification factor of
+    the forgetful pullback, so the check sees that factor too.
 
     They replace earlier recorded values that the oracle refutes: the
     six-point class ``(0, 0, 0, 2, -6, -2, -2, 2)`` and vanishing first four
@@ -131,8 +134,11 @@ def check_counterexample() -> None:
 
     recorded = {
         "six-point pushdown": (vec((2, 0, 0, 2, -6, -2, -2, 2)), coords[6]),
-        "7-point transport, first four coordinates": (vec((4, 0, 0, 6)), coords[7][:4]),
-        "8-point transport, first four coordinates": (vec((12, 0, 0, 24)), coords[8][:4]),
+        "7-point transport": (vec((4, 0, 0, 6, 0, -4, -4, 8, 6, -6, -6, -24)), coords[7]),
+        "8-point transport": (
+            vec((12, 0, 0, 24, 12, -12, -12, 36, 24, -24, -24, -120, -24, -24, -24, 36)),
+            coords[8],
+        ),
     }
     problems = [
         f"{what}: recorded {_fmt(want)}, computed {_fmt(got)}"

@@ -5,9 +5,9 @@ Each test delegates to the matching numbered check in
 report can never drift apart.  All comparisons are exact rational
 arithmetic; there are no tolerances anywhere.
 
-The second check asserts the pushed six-point class and the first four
-coordinates of its seven- and eight-point transports, as confirmed by the
-F-curve oracle in ``tests/test_fcurve_oracle.py``; on a mismatch its message
+The second check asserts the pushed six-point class and its seven- and
+eight-point transports in full, as confirmed by the F-curve oracle in
+``tests/test_fcurve_oracle.py``; on a mismatch its message
 prints the computed vectors next to the recorded ones.  The values recorded
 before that oracle, and why they were replaced, are quoted in
 :func:`modulicones.verify.check_counterexample` and the package README.

@@ -1,8 +1,9 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
 
-from modulicones import fixtures
+from modulicones import bridge, fixtures
 from modulicones.bridge import (
     hyperelliptic_curve_image,
     hyperelliptic_pullback_cone,
@@ -18,6 +19,7 @@ from modulicones.bridge import (
 )
 from modulicones.curves import curve_ck, nem_hrep
 from modulicones.linalg import add, dot, primitive, scale, vec
+from modulicones.porta import porta_write
 from modulicones.spaces import SpaceId
 
 F = Fraction
@@ -161,3 +163,100 @@ def test_extremal_contraction_data():
 def test_parameter_validation(call):
     with pytest.raises(ValueError):
         call()
+
+
+# SHA-256 of the PORTA H-representation, recorded before the rows became
+# integer: the integer row builder must cut out byte-identical cones.
+FAMILY_HREP_SHA256 = {
+    (2, 2, "mg1"): "494834aa7112b7c858d3ce57cfd7ca7d39c2fcb17339ebf5ab9c3212037fbb70",
+    (3, 2, "mg"): "de404f1575eb2ac9623400051259fabb58a1593a9baa5087b0e418b9b72a9647",
+    (3, 3, "mg1"): "a89906679cb809cb5918d3e3e911876169498f4f01ed413a1f5aa73ade33ed56",
+    (8, 7, "mg"): "2bd090686a7833159c4c7936602da69f4765eb8c58bb36505c2f4c179630a2e4",
+    (8, 8, "mg1"): "adcb5b49a809d1093ec5f366f9ef54d6fc21368761dd0437ae31039bd593ccde",
+    (14, 13, "mg"): "2f1f16d91b6d426b0410c4cba80bc3ed7a3227e8f4036886b6790212e165ef67",
+}
+
+HYPERELLIPTIC_HREP_SHA256 = {
+    2: "1307f26bbdc29675e1823ee51a974e9a3e9d408aa356ca16f60d9d38bd9a4917",
+    3: "25668ef45967fb45e1f365d852eb07b49912f9372d9ec4914e601af83e5e41ba",
+    4: "eedf2c9db1451a073d36004ab4ad1514e4f2522b93ccca36d342fcd0a74cc19a",
+    5: "7f8aa09e841a4a73235764c028f1baec294b893543e4f9074ecd71e28ad980fc",
+    6: "f943dd03096ce831492bbdfe7dd1be85e18e02696c5230f2e1c62257302e2e76",
+    7: "32ecf12dcf17d45dd3367af0b923843a07053b71be88aafc325af30601e51557",
+    8: "288bddc77d4560c056c48794dc3ad46daff506e45418fb95c46a19e7d7c8ed74",
+    9: "db8a5493f19ba9d8c26327b4758cac67c05270520ce5fcd02752c1dc8fc838f0",
+    10: "6f3272e9f581e1b3cd7f3674bef4f16d902b335af99224bc58be928dbb66e51d",
+    11: "30755bc5fe4807e4ff45259f37f52f6494406d4450f7737a4c37a440e0cbe979",
+    12: "a7de6f87bd9aa3b209457a4575321515fda896e9a1d19df49b5bd888c201f818",
+}
+
+
+def _hrep_sha256(cone):
+    return hashlib.sha256(porta_write(cone, "hrep").encode()).hexdigest()
+
+
+@pytest.mark.parametrize("key", sorted(FAMILY_HREP_SHA256))
+def test_inequality_family_hrep_digest(key):
+    cone, _ = mg1_inequality_family(*key)
+    assert _hrep_sha256(cone) == FAMILY_HREP_SHA256[key]
+
+
+@pytest.mark.parametrize("g", sorted(HYPERELLIPTIC_HREP_SHA256))
+def test_pullback_cone_hrep_digest(g):
+    assert _hrep_sha256(hyperelliptic_pullback_cone(g)) == HYPERELLIPTIC_HREP_SHA256[g]
+
+
+def test_witness_values_at_genus_two():
+    # g = 2 is the one target where lambda is eliminated: the row keeps its
+    # exact fractions (1/10 and 1/5 of lambda on delta_irr and delta_1)
+    _, witnesses = mg1_inequality_family(2, 2, "mg1")
+    assert {k: (w.c1, w.c2, w.row) for k, w in witnesses.items()} == {
+        (1, 0): (1, 2, (F(101, 5), F(2, 5), F(0))),
+    }
+    for w in witnesses.values():
+        assert all(type(x) is F for x in (w.c1, w.c2, *w.row))
+
+
+def test_witness_values_at_genus_five():
+    _, witnesses = mg1_inequality_family(5, 4, "mg1")
+    tail = (0,) * 5
+    assert {k: (w.c1, w.c2, w.row) for k, w in witnesses.items()} == {
+        (1, 0): (68, 0, (2, 20) + tail),
+        (2, 0): (90, 2, (3, 28) + tail),
+        (2, 1): (60, 24, (6, 36) + tail),
+        (3, 0): (112, 4, (4, 36) + tail),
+        (3, 1): (56, 36, (8, 44) + tail),
+        (3, 2): (0, 68, (12, 52) + tail),
+    }
+    for w in witnesses.values():
+        assert all(type(x) is F for x in (w.c1, w.c2, *w.row))
+
+
+def test_failed_multiplier_identity_raises(monkeypatch):
+    real_rows = bridge._mg1_rows
+
+    def perturbed(g, n, target):
+        rows = dict(real_rows(g, n, target))
+        row = rows[("a", 1)]
+        rows[("a", 1)] = (row[0] + 1,) + tuple(row[1:])
+        return rows
+
+    monkeypatch.setattr(bridge, "_mg1_rows", perturbed)
+    for g, n, target in ((2, 2, "mg1"), (5, 4, "mg1"), (6, 3, "mg")):
+        with pytest.raises(ArithmeticError):
+            mg1_inequality_family(g, n, target)
+
+
+@pytest.mark.parametrize("g", [2, 3, 8])
+def test_inequality_rows_are_machine_integers(g, monkeypatch):
+    built = []
+    monkeypatch.setattr(
+        bridge.Cone, "from_hrep", classmethod(lambda cls, dim, rows: built.append(rows))
+    )
+    hyperelliptic_pullback_cone(g)
+    for target in ("mg", "mg1"):
+        for n in range(2, (g - 1 if target == "mg" else g) + 1):
+            built.append(tuple(bridge._mg1_rows(g, n, target).values()))
+    assert built
+    for rows in built:
+        assert all(type(x) is int for row in rows for x in row)

@@ -6,7 +6,6 @@ from modulicones.linalg import (
     add,
     dot,
     kernel_basis,
-    mat,
     primitive,
     rank,
     rref,
@@ -38,7 +37,7 @@ def test_vector_arithmetic():
 
 
 def test_rref_identity_and_rank():
-    m = mat([[1, 2], [3, 4]])
+    m = (vec([1, 2]), vec([3, 4]))
     r, pivots = rref(m)
     assert r == [(1, 0), (0, 1)]
     assert pivots == [0, 1]
@@ -46,7 +45,7 @@ def test_rref_identity_and_rank():
 
 
 def test_rref_dependent_rows():
-    m = mat([[1, 2, 3], [2, 4, 6], [1, 1, 1]])
+    m = (vec([1, 2, 3]), vec([2, 4, 6]), vec([1, 1, 1]))
     assert rank(m) == 2
     k = kernel_basis(m)
     assert len(k) == 1
@@ -55,13 +54,13 @@ def test_rref_dependent_rows():
 
 
 def test_solve_exact():
-    m = mat([[2, 1], [1, 3]])
+    m = (vec([2, 1]), vec([1, 3]))
     x = solve(m, vec([5, 10]))
     assert x == (1, 3)
 
 
 def test_solve_inconsistent_returns_none():
-    m = mat([[1, 1], [2, 2]])
+    m = (vec([1, 1]), vec([2, 2]))
     assert solve(m, vec([1, 3])) is None
 
 

@@ -4,6 +4,7 @@ import itertools
 from fractions import Fraction
 from math import gcd, lcm
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from modulicones.cones import Cone, conic_combination, dual_description, separating_functional
@@ -35,6 +36,36 @@ def test_primitive_idempotent(v):
 @given(nonzero_vectors(), st.fractions(min_value=Fraction(1, 8), max_value=Fraction(40), max_denominator=8))
 def test_primitive_scale_invariant(v, q):
     assert primitive(scale(q, v)) == primitive(v)
+
+
+big_ints = st.one_of(st.just(0), st.integers(min_value=-10**30, max_value=10**30))
+
+
+@st.composite
+def nonzero_int_rows(draw):
+    v = draw(st.lists(big_ints, min_size=1, max_size=6))
+    if not any(v):
+        v[draw(st.integers(min_value=0, max_value=len(v) - 1))] = draw(
+            st.integers(min_value=1, max_value=10**30) | st.integers(min_value=-10**30, max_value=-1)
+        )
+    return tuple(v)
+
+
+@given(nonzero_int_rows(), st.integers(min_value=1, max_value=10**12))
+@example((0, -6, 4), 3)
+@example((-(10**30), 0, 10**30), 7)
+def test_primitive_int_fast_path_matches_fraction_path(v, c):
+    p = primitive(v)
+    assert all(type(x) is int for x in p)
+    assert p == primitive(vec(v))
+    assert p == primitive(tuple(c * x for x in v))
+
+
+@given(st.integers(min_value=1, max_value=6))
+def test_primitive_rejects_the_zero_row_on_both_paths(d):
+    for zero in ((0,) * d, vec((0,) * d)):
+        with pytest.raises(ValueError):
+            primitive(zero)
 
 
 @given(st.lists(st.lists(rationals, min_size=4, max_size=4), min_size=1, max_size=5))
