@@ -12,9 +12,10 @@ Seven verbs::
 
 Every invocation is deterministic: identical flags produce byte-identical
 output.  Exit codes: 0 when everything requested passed, 1 when a check or
-membership query failed, 2 for unusable arguments or unsupported
-combinations.  ``export`` resolves relative output paths against the
-``MODULICONES_OUTDIR`` environment variable when it is set.
+membership query failed, 2 for unusable arguments, unsupported
+combinations or an output file that cannot be written.  ``export`` resolves
+relative output paths against the ``MODULICONES_OUTDIR`` environment variable
+when it is set.
 """
 
 from __future__ import annotations
@@ -232,8 +233,12 @@ def _run_export(args: argparse.Namespace) -> int:
     name = args.out if args.out is not None else slug + extension
     if not os.path.isabs(name):
         name = os.path.join(os.environ.get("MODULICONES_OUTDIR", "."), name)
-    with open(name, "w", encoding="ascii") as handle:
-        handle.write(text)
+    try:
+        with open(name, "w", encoding="ascii") as handle:
+            handle.write(text)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     print(name)
     return EXIT_OK
 

@@ -9,13 +9,15 @@ computed so far:
 
 Conversions happen only in the lazy `Cone` properties and in
 `Cone.canonical_vrep`, and both run the double description method
-(`dual_description`) in exact integer/rational arithmetic, with the lineality
-space handled by pivoting and adjacency decided combinatorially from the tight
-sets of the rays.  Each membership or redundancy query takes one phase-1 simplex
-solve, which produces either explicit nonnegative coefficients or a Farkas
-functional separating the point from the cone.  Every `Certificate` is
-re-verified by direct arithmetic before it is returned, so a bug in the
-pivoting can only surface as an exception, never as a wrong answer.
+(`dual_description`) on integer rows from end to end: the lineality basis is
+kept as the integer rows of `linalg.rref`, the package's one elimination,
+rays are projected and reduced by integer cross-multiplication, and adjacency
+is decided combinatorially from the tight sets of the rays.  Each membership
+or redundancy query takes one phase-1 simplex solve, which produces either
+explicit nonnegative coefficients or a Farkas functional separating the point
+from the cone.  Every `Certificate` is re-verified by direct arithmetic before
+it is returned, so a bug in the pivoting can only surface as an exception,
+never as a wrong answer.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from .linalg import (
     rank,
     rref,
     scale,
-    sub,
     vec,
 )
 
@@ -46,13 +47,17 @@ def _int_dot(u: Sequence[int], v: Sequence[int]) -> int:
     return sum(a * b for a, b in zip(u, v, strict=True))
 
 
-def _reduce_mod(lin_rref: Sequence[Vec], pivots: Sequence[int], v: Sequence[Fraction]) -> Vec:
-    """Canonical representative of ``v`` modulo the row space of ``lin_rref``."""
-    w = vec(v)
+def _reduce_mod(
+    lin_rref: Sequence[IntVec], pivots: Sequence[int], v: Sequence[int]
+) -> Sequence[int]:
+    """A positive multiple of the canonical representative of ``v`` modulo
+    the row space of the integer `rref` rows ``lin_rref``."""
     for row, p in zip(lin_rref, pivots):
-        if w[p] != 0:
-            w = sub(w, scale(w[p], row))
-    return w
+        x = v[p]
+        if x:
+            q = row[p]
+            v = [q * a - x * b for a, b in zip(v, row)]
+    return v
 
 
 # --------------------------------------------------------------------------
@@ -239,7 +244,8 @@ def dual_description(
     ineq_rows = {p for a in inequalities if (p := _primitive_or_none(a)) is not None}
     rows.extend(sorted(ineq_rows))
 
-    lin, lin_pivots = rref([[1 if j == i else 0 for j in range(dim)] for i in range(dim)])
+    lin = [tuple(int(j == i) for j in range(dim)) for i in range(dim)]
+    lin_pivots = list(range(dim))
     rays: list[IntVec] = []
     done: list[IntVec] = []
     masks: list[int] = []
@@ -248,7 +254,7 @@ def dual_description(
         return sum(1 << t for t, row in enumerate(done) if _int_dot(row, r) == 0)
 
     for a in rows:
-        lin_vals = [dot(a, l) for l in lin]
+        lin_vals = [_int_dot(a, l) for l in lin]
         hit = next((i for i, v in enumerate(lin_vals) if v != 0), None)
         if hit is not None:
             # The constraint cuts into the lineality space: the pivot vector
@@ -259,14 +265,14 @@ def dual_description(
             # on that hyperplane, C = H + span(l0), so projecting along l0
             # maps the faces of C one-to-one onto the faces of H.  And l0 is
             # extreme in the new cone H + R_{>=0} l0, because a @ l0 > 0 while
-            # a vanishes on every projected ray.
+            # a vanishes on every projected ray.  Each projection is scaled
+            # by d0 > 0 to stay integral; only its direction matters.
             l0, d0 = lin[hit], lin_vals[hit]
             if d0 < 0:
-                l0, d0 = scale(-1, l0), -d0
-            lin, lin_pivots = rref(
-                [sub(l, scale(dot(a, l) / d0, l0)) for i, l in enumerate(lin) if i != hit]
-            )
-            new_rays = [sub(vec(r), scale(dot(a, r) / d0, l0)) for r in rays] + [l0]
+                l0, d0 = tuple(-x for x in l0), -d0
+            rest = [(l, v) for i, (l, v) in enumerate(zip(lin, lin_vals)) if i != hit]
+            lin, lin_pivots = rref([[d0 * x - v * y for x, y in zip(l, l0)] for l, v in rest])
+            new_rays = [[d0 * x - _int_dot(a, r) * y for x, y in zip(r, l0)] for r in rays] + [l0]
             done.append(a)
             seen: dict[IntVec, None] = {}
             for r in new_rays:
@@ -311,13 +317,13 @@ def dual_description(
     extreme_rank = dim - len(lin) - 1
     final: set[IntVec] = set()
     for r in rays:
-        p = _primitive_or_none(_reduce_mod(lin, lin_pivots, vec(r)))
+        p = _primitive_or_none(_reduce_mod(lin, lin_pivots, r))
         if p is None:
             continue
         tight = [row for row in done if _int_dot(row, p) == 0]
         if rank(tight) == extreme_rank:
             final.add(p)
-    return sorted(final), sorted(primitive(l) for l in lin)
+    return sorted(final), sorted(lin)
 
 
 # --------------------------------------------------------------------------
@@ -444,9 +450,6 @@ class Cone:
     def dim(self) -> int:
         rays, lin = self.canonical_vrep()
         return rank(rays + lin)
-
-    def is_full_dimensional(self) -> bool:
-        return self.dim() == self.ambient_dim
 
     def is_simplicial(self) -> bool:
         """True when the stored generating rays are linearly independent (and

@@ -3,10 +3,11 @@
 Vectors are tuples of :class:`fractions.Fraction`, matrices are sequences of
 such rows.  Everything here is pure and immutable, and nothing in the package
 ever touches floating point: cone geometry downstream depends on equalities
-like ``a*d - b*c == 0`` holding exactly.  `rank` and `primitive` scale each
-row to integers (an all-int row passes through as it is); `rank` then
-eliminates on those integer rows, fraction-free.  `rref`, `kernel_basis` and
-`solve` eliminate on `Fraction` rows.
+like ``a*d - b*c == 0`` holding exactly.  There is one elimination, `rref`,
+and it works on integer rows: each row is scaled to integers first (an
+all-int row passes through as it is) and eliminated fraction-free, so `rref`
+returns integer rows.  `rank` counts its pivots, and `solve` reads its
+`Fraction` solution off the reduced augmented matrix.
 """
 
 from __future__ import annotations
@@ -35,10 +36,6 @@ def add(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vec:
     return tuple(a + b for a, b in zip(u, v, strict=True))
 
 
-def sub(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vec:
-    return tuple(a - b for a, b in zip(u, v, strict=True))
-
-
 def scale(c, v: Sequence[Fraction]) -> Vec:
     c = Fraction(c)
     return tuple(c * a for a in v)
@@ -46,42 +43,6 @@ def scale(c, v: Sequence[Fraction]) -> Vec:
 
 def dot(u: Sequence, v: Sequence) -> Fraction:
     return sum((Fraction(a) * Fraction(b) for a, b in zip(u, v, strict=True)), Fraction(0))
-
-
-def is_zero_vec(v: Sequence) -> bool:
-    return all(x == 0 for x in v)
-
-
-def rref(m: Sequence[Sequence]) -> tuple[list[Vec], list[int]]:
-    """Reduced row echelon form of ``m``: (nonzero rows, pivot columns)."""
-    rows = [[Fraction(x) for x in row] for row in m]
-    red, pivots = _echelon(rows)
-    return [tuple(r) for r in red], pivots
-
-
-def _echelon(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form (in place); returns the nonzero rows and pivot columns."""
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows[:r], pivots
 
 
 def _int_row(row: Sequence) -> Sequence[int]:
@@ -93,69 +54,63 @@ def _int_row(row: Sequence) -> Sequence[int]:
     return [x.numerator * (d // x.denominator) for x in fr]
 
 
-def rank(m: Sequence[Sequence]) -> int:
-    """Rank of ``m`` by fraction-free elimination on integer rows.
+def rref(m: Sequence[Sequence]) -> tuple[list[IntVec], list[int]]:
+    """Integer reduced row echelon form of ``m``: (nonzero rows, pivot columns).
 
-    Each step takes a pivot row out, clears its pivot column from the other
-    rows by integer cross-multiplication and divides every changed row by its
-    gcd, which keeps the entries as small as the row's direction allows.
+    Each row is primitive, positive at its pivot and zero in every other
+    pivot column, so it is a positive multiple of the rational RREF row with
+    the same pivot.  The elimination is fraction-free: a pivot row clears its
+    column from every other row by integer cross-multiplication, and each
+    changed row is divided by its gcd.  The pivot of a row is its first
+    nonzero entry once the earlier pivots are cleared from it, and clearing
+    a later pivot never touches the columns before it, so the result is the
+    reduced echelon form whichever row is taken first.
     """
     rows = [r for r in map(_int_row, m) if any(r)]
-    r = 0
+    red: list[tuple[int, Sequence[int]]] = []
     while rows:
         pivot = rows.pop()
         c = next(k for k, x in enumerate(pivot) if x)
+        g = gcd(*pivot) if pivot[c] > 0 else -gcd(*pivot)
+        if g != 1:
+            pivot = [a // g for a in pivot]
         p = pivot[c]
-        rest = []
-        for row in rows:
+
+        def clear(row: Sequence[int]) -> Optional[list[int]]:
             x = row[c]
-            if x:
-                row = [p * a - x * b for a, b in zip(row, pivot)]
-                g = gcd(*row)
-                if g == 0:
-                    continue
-                if g != 1:
-                    row = [a // g for a in row]
-            rest.append(row)
-        rows = rest
-        r += 1
-    return r
+            if not x:
+                return row
+            row = [p * a - x * b for a, b in zip(row, pivot)]
+            g = gcd(*row)
+            if g == 0:
+                return None
+            return row if g == 1 else [a // g for a in row]
+
+        red = [(k, clear(row)) for k, row in red]
+        rows = [row for row in map(clear, rows) if row is not None]
+        red.append((c, pivot))
+    red.sort()
+    return [tuple(row) for _, row in red], [k for k, _ in red]
 
 
-def kernel_basis(m: Sequence[Sequence]) -> list[Vec]:
-    """Basis of the right kernel ``{x : m @ x = 0}``, one vector per free column."""
-    rows = [[Fraction(x) for x in row] for row in m]
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    red, pivots = _echelon(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            v[p] = -red[r][f]
-        basis.append(tuple(v))
-    return basis
+def rank(m: Sequence[Sequence]) -> int:
+    """Rank of ``m``: the number of pivots of its `rref`."""
+    return len(rref(m)[1])
 
 
 def solve(m: Sequence[Sequence], target: Sequence) -> Optional[Vec]:
     """One solution of ``m @ x = target`` (free variables set to zero), or None."""
-    rows = [[Fraction(x) for x in row] for row in m]
-    t = [Fraction(x) for x in target]
-    if len(rows) != len(t):
+    if len(m) != len(target):
         raise ValueError("matrix/target size mismatch")
-    if not rows:
+    if not m:
         return ()
-    ncols = len(rows[0])
-    aug = [row + [ti] for row, ti in zip(rows, t)]
-    red, pivots = _echelon(aug)
+    ncols = len(m[0])
+    red, pivots = rref([list(row) + [t] for row, t in zip(m, target)])
     if ncols in pivots:
         return None  # inconsistent system
     x = [Fraction(0)] * ncols
-    for r, p in enumerate(pivots):
-        x[p] = red[r][ncols]
+    for row, p in zip(red, pivots):
+        x[p] = Fraction(row[-1], row[p])
     return tuple(x)
 
 

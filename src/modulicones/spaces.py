@@ -430,22 +430,13 @@ def boundary_class(s: SpaceId, label: BoundaryLabel) -> DivisorClass:
 def b_normalize(s: SpaceId, coords: Sequence) -> Vec:
     """Coordinates against {B_i} -> coordinates against {b_i} (double the
     index n-2 entry; no-op where no unstarred family exists)."""
-    return _renormalize(s, coords, 2)
-
-
-def b_denormalize(s: SpaceId, coords: Sequence) -> Vec:
-    """Inverse of `b_normalize` (halve the index n-2 entry)."""
-    return _renormalize(s, coords, Fraction(1, 2))
-
-
-def _renormalize(s: SpaceId, coords: Sequence, factor) -> Vec:
     row = list(vec(coords))
     if len(row) != picard_number(s):
         raise ValueError(f"expected {picard_number(s)} coordinates")
     if s.m > 3 or (s.n == 4 and s.m >= 2):
         return tuple(row)
     pos = {0: 0, 1: s.n - 4, 2: s.n - 5, 3: 0}[s.m]
-    row[pos] *= factor
+    row[pos] *= 2
     return tuple(row)
 
 

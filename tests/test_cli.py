@@ -265,6 +265,19 @@ def test_export_latex_rays(capsys, tmp_path, monkeypatch):
     assert text.count("(") == 4
 
 
+def test_export_to_an_unwritable_path_is_a_usage_error(capsys, tmp_path):
+    target = tmp_path / "no" / "such" / "dir" / "x.ieq"
+    code, out, err = run_cli(
+        capsys, "export", "--which", "nem", "--n", "7", "--m", "1",
+        "--format", "porta", "--out", str(target),
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert str(target) in err
+    assert "Traceback" not in err
+
+
 # --- installed entry point ------------------------------------------------------
 
 

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from modulicones import cones
+from modulicones import cones, linalg
 from modulicones.cones import (
     Cone,
     conic_combination,
@@ -10,7 +10,9 @@ from modulicones.cones import (
     minimal_hrep,
     separating_functional,
 )
+from modulicones.curves import eff_cone, nem_hrep
 from modulicones.linalg import vec
+from modulicones.spaces import SpaceId
 
 F = Fraction
 
@@ -153,3 +155,26 @@ def test_facets_from_vrep():
 def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
         Cone.from_hrep(3, [(1, 0)])
+
+
+def test_dual_description_builds_no_fraction(monkeypatch):
+    nem = nem_hrep(SpaceId(9, 1))
+    eff = eff_cone(SpaceId(8, 2))
+    # Sorted, the inequalities run (0,1,-1,0), (0,1,0,0), (0,1,1,0),
+    # (1,0,0,0): the third combines rays, then the last cuts the lineality.
+    cut = (4, [(0, 1, 0, 0), (0, 1, 1, 0), (0, 1, -1, 0), (1, 0, 0, 0)], [(0, 0, 1, 1)])
+    cases = [
+        (nem.ambient_dim, nem.inequalities, nem.equations),
+        (eff.ambient_dim, eff.rays, eff.lineality),
+        cut,
+    ]
+    expected = [dual_description(*case) for case in cases]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("double description built a Fraction")
+
+    for module, name in [(cones, "vec"), (cones, "dot"), (cones, "scale"), (cones, "Fraction"), (linalg, "Fraction")]:
+        monkeypatch.setattr(module, name, forbidden)
+    assert [dual_description(*case) for case in cases] == expected
+    assert len(expected[0][0]) == 80
+    assert expected[2] == ([(0, 1, -1, 1), (0, 1, 1, -1), (1, 0, 0, 0)], [])

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from modulicones.cones import Cone, conic_combination, dual_description, separating_functional
-from modulicones.linalg import kernel_basis, primitive, rank, rref, scale, vec
+from modulicones.linalg import primitive, rank, rref, scale, solve, vec
 from modulicones.porta import porta_read, porta_write
 from modulicones.spaces import SpaceId, canonical_label, express_in_basis, fully_pointed, keel_relations, enumerate_boundaries
 
@@ -70,7 +70,7 @@ def test_primitive_rejects_the_zero_row_on_both_paths(d):
 
 @given(st.lists(st.lists(rationals, min_size=4, max_size=4), min_size=1, max_size=5))
 def test_rank_nullity(rows):
-    assert rank(rows) + len(kernel_basis(rows)) == 4
+    assert rank(rows) + len(_oracle_kernel(rows, 4)) == 4
 
 
 @st.composite
@@ -102,7 +102,64 @@ def mixed_matrices(draw):
 @example([[10**40, -1], [Fraction(1, 10**40), Fraction(-1, 10**80)]])
 @given(mixed_matrices())
 def test_rank_matches_rref(rows):
-    assert rank(rows) == len(rref(rows)[1])
+    assert rank(rows) == len(_oracle_rref(rows)[1])
+
+
+@example([[10**40, -1], [Fraction(1, 10**40), Fraction(-1, 10**80)]])
+@example([[0, -2, 4], [0, -1, 2], [3, 0, 0]])
+@example([[2, 3, 5], [4, 6, 11]])  # rational RREF row (1, 3/2, 0)
+@given(mixed_matrices())
+def test_rref_is_the_primitive_integer_form_of_the_rational_rref(rows):
+    red, pivots = rref(rows)
+    oracle_red, oracle_pivots = _oracle_rref(rows)
+    assert pivots == oracle_pivots
+    assert len(red) == len(oracle_red)
+    for row, orow, p in zip(red, oracle_red, pivots):
+        assert all(type(x) is int for x in row)
+        assert gcd(*row) == 1
+        assert row[p] > 0
+        # the oracle row is 1 at its pivot, so row[p] is the multiplier
+        assert list(row) == [row[p] * x for x in orow]
+
+
+@st.composite
+def linear_systems(draw):
+    """A `mixed_matrices` matrix and a Fraction target: either the image of a
+    rational point, which makes the system consistent, or drawn freely."""
+    rows = draw(mixed_matrices())
+    ncols = len(rows[0]) if rows else 0
+    if draw(st.booleans()):
+        x = draw(st.lists(rationals, min_size=ncols, max_size=ncols))
+        target = [sum((Fraction(a) * b for a, b in zip(row, x)), Fraction(0)) for row in rows]
+    else:
+        target = draw(st.lists(rationals, min_size=len(rows), max_size=len(rows)))
+    return rows, target
+
+
+def _oracle_solve(rows, target):
+    if not rows:
+        return ()
+    ncols = len(rows[0])
+    red, pivots = _oracle_rref([list(r) + [t] for r, t in zip(rows, target)])
+    if ncols in pivots:
+        return None
+    x = [Fraction(0)] * ncols
+    for row, p in zip(red, pivots):
+        x[p] = row[-1]
+    return tuple(x)
+
+
+@example(([[1, 1], [2, 2]], [Fraction(1), Fraction(3)]))
+@example(([[0, 0]], [Fraction(1, 2)]))
+@example(([[], []], [Fraction(0), Fraction(0)]))
+@given(linear_systems())
+def test_solve_matches_the_oracle(system):
+    rows, target = system
+    x = solve(rows, target)
+    assert x == _oracle_solve(rows, target)
+    if x is not None:
+        assert all(type(c) is Fraction for c in x)
+        assert [sum((Fraction(a) * c for a, c in zip(row, x)), Fraction(0)) for row in rows] == target
 
 
 # --------------------------------------------------------------------------
