@@ -15,9 +15,12 @@ rays are projected and reduced by integer cross-multiplication, and adjacency
 is decided combinatorially from the tight sets of the rays.  Each membership
 or redundancy query takes one phase-1 simplex solve, which produces either
 explicit nonnegative coefficients or a Farkas functional separating the point
-from the cone.  Every `Certificate` is re-verified by direct arithmetic before
-it is returned, so a bug in the pivoting can only surface as an exception,
-never as a wrong answer.
+from the cone.  The simplex pivots an integer tableau over one common
+denominator ``D``, the absolute determinant of the current basis, so every
+division in a pivot is exact (`_phase1`); `Fraction` appears only in the
+coefficients a membership certificate returns.  Every `Certificate` is
+re-verified by direct integer arithmetic before it is returned, so a bug in
+the pivoting can only surface as an exception, never as a wrong answer.
 """
 
 from __future__ import annotations
@@ -25,18 +28,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
 
-from .linalg import (
-    IntVec,
-    Vec,
-    dot,
-    primitive,
-    rank,
-    rref,
-    scale,
-    vec,
-)
+from .linalg import IntVec, _int_row, primitive, rank, rref
 
 
 def _primitive_or_none(v: Sequence) -> Optional[IntVec]:
@@ -85,43 +80,45 @@ class Certificate:
         return self.kind != "non-membership"
 
     def verify(self, target: Sequence, generators: Sequence[Sequence], lineality: Sequence[Sequence] = ()) -> bool:
-        """Re-check the certificate against the query it came from."""
-        t = vec(target)
+        """Re-check the certificate against the query it came from, in ints:
+        the coefficients are brought to their common denominator ``den`` and
+        the integer combination is compared with ``den * target``."""
         if self.kind == "non-membership":
             phi = self.functional
             return (
-                all(dot(phi, g) >= 0 for g in generators)
-                and all(dot(phi, l) == 0 for l in lineality)
-                and dot(phi, t) < 0
+                all(_int_dot(phi, g) >= 0 for g in generators)
+                and all(_int_dot(phi, l) == 0 for l in lineality)
+                and _int_dot(phi, target) < 0
             )
-        acc = [Fraction(0)] * len(t)
-        for i, c in self.coefficients:
-            if c < 0:
-                return False
-            acc = [a + c * b for a, b in zip(acc, vec(generators[i]))]
-        for i, c in self.lineality_coefficients:
-            acc = [a + c * b for a, b in zip(acc, vec(lineality[i]))]
-        return tuple(acc) == t
+        if any(c < 0 for _, c in self.coefficients):
+            return False
+        terms = [(c, generators[i]) for i, c in self.coefficients]
+        terms += [(c, lineality[i]) for i, c in self.lineality_coefficients]
+        den = lcm(*(c.denominator for c, _ in terms))
+        acc = [0] * len(target)
+        for c, g in terms:
+            q = c.numerator * (den // c.denominator)
+            acc = [a + q * b for a, b in zip(acc, g)]
+        return acc == [den * x for x in target]
 
 
 def _certificate(target: Sequence, generators: Sequence[Sequence], lineality: Sequence[Sequence]) -> Certificate:
     """One phase-1 solve: a membership certificate when ``target`` lies in
     the generated cone, a non-membership certificate otherwise, verified
     before it is returned."""
-    t, gens, lin = vec(target), [vec(g) for g in generators], [vec(l) for l in lineality]
-    x, w = _phase1(gens + [col for l in lin for col in (l, scale(-1, l))], t)
+    x, w = _phase1([*generators, *(col for l in lineality for col in (l, tuple(-a for a in l)))], target)
     if x is None:
-        cert = Certificate("non-membership", functional=primitive(scale(-1, w)))
+        cert = Certificate("non-membership", functional=primitive(tuple(-a for a in w)))
     else:
-        k = len(gens)
+        k = len(generators)
         cert = Certificate(
             "membership",
             coefficients=tuple((i, c) for i, c in enumerate(x[:k]) if c != 0),
             lineality_coefficients=tuple(
-                (j, c) for j in range(len(lin)) if (c := x[k + 2 * j] - x[k + 2 * j + 1]) != 0
+                (j, c) for j in range(len(lineality)) if (c := x[k + 2 * j] - x[k + 2 * j + 1]) != 0
             ),
         )
-    if not cert.verify(t, gens, lin):
+    if not cert.verify(target, generators, lineality):
         raise AssertionError(f"simplex produced an invalid {cert.kind} certificate")
     return cert
 
@@ -153,63 +150,80 @@ def separating_functional(
 # --------------------------------------------------------------------------
 
 
-def _phase1(columns: list[Vec], target: Vec) -> tuple[Optional[list[Fraction]], Optional[Vec]]:
+def _phase1(columns: Sequence[Sequence], target: Sequence) -> tuple[Optional[list[Fraction]], Optional[IntVec]]:
     """Solve ``target = sum x_j * columns[j]`` with ``x >= 0``.
 
     Returns ``(x, None)`` when feasible.  When infeasible, returns
     ``(None, w)`` with ``w @ columns[j] <= 0`` for all j and ``w @ target > 0``
-    (a Farkas certificate of infeasibility).
+    (a Farkas certificate of infeasibility), as a vector of ints.
+
+    The tableau ``[A | I | b]`` and its reduced-cost row are integers over a
+    common denominator ``D > 0``, starting from ``D = 1``: the true tableau
+    is ``M / D``.  A pivot on ``p = M[leave][enter] > 0`` keeps the pivot
+    row, replaces every other row (the reduced-cost row included) by
+    ``(p*row - row[enter]*pivot_row) // D``, and sets ``D = p`` (integer
+    pivoting; Edmonds 1967, Bareiss 1968).  Up to sign, ``D`` is the
+    determinant of the current basis and every entry is a minor of the
+    initial tableau with the cost row on top, so each division is exact.
+    Bland's rule reads only signs and the ratio test compares
+    ``rhs_i / a_i`` by cross-multiplication, so the pivots are those of the
+    rational tableau ``M / D``.  A column or target with `Fraction` entries
+    is first scaled by the lcm of its denominators, which changes none of
+    the pivots, and the scaling is undone on ``x``.
     """
     m = len(target)
     k = len(columns)
-    signs = [-1 if t < 0 else 1 for t in target]
-    tableau: list[list[Fraction]] = []
+    cols, col_scales = zip(*map(_int_row, columns)) if columns else ((), ())
+    rhs, t_scale = _int_row(target)
+    signs = [-1 if t < 0 else 1 for t in rhs]
+    tableau: list[list[int]] = []
     for i in range(m):
-        row = [signs[i] * c[i] for c in columns]
-        row += [Fraction(1) if j == i else Fraction(0) for j in range(m)]
-        row.append(signs[i] * target[i])
+        row = [signs[i] * c[i] for c in cols]
+        row += [int(j == i) for j in range(m)]
+        row.append(signs[i] * rhs[i])
         tableau.append(row)
     basis = list(range(k, k + m))
     # Reduced-cost row for "minimize the sum of slacks"; every basic variable
     # is a slack with cost 1, so the initial reduced cost of column j is its
     # cost minus the column sum.  The last entry tracks minus the objective.
-    obj = [
-        (Fraction(1) if k <= j < k + m else Fraction(0)) - sum(tableau[i][j] for i in range(m))
-        for j in range(k + m + 1)
-    ]
+    # It is pivoted as one more row, tableau[m], but never chosen as one.
+    tableau.append([int(k <= j < k + m) - sum(row[j] for row in tableau) for j in range(k + m + 1)])
+    d = 1
     while True:
-        enter = next((j for j in range(k + m) if obj[j] < 0), None)  # Bland's rule
+        enter = next((j for j in range(k + m) if tableau[m][j] < 0), None)  # Bland's rule
         if enter is None:
             break
         leave = None
-        best: Optional[Fraction] = None
         for i in range(m):
-            if tableau[i][enter] > 0:
-                ratio = tableau[i][-1] / tableau[i][enter]
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best, leave = ratio, i
+            a = tableau[i][enter]
+            if a > 0:
+                if leave is None:
+                    leave = i
+                    continue
+                # rhs_i / a_i against rhs_leave / a_leave, both a > 0
+                here, best = tableau[i][-1] * tableau[leave][enter], tableau[leave][-1] * a
+                if here < best or (here == best and basis[i] < basis[leave]):
+                    leave = i
         if leave is None:
             raise AssertionError("phase-1 objective is bounded below; no pivot row found")
-        piv = tableau[leave][enter]
-        tableau[leave] = [x / piv for x in tableau[leave]]
         pivot_row = tableau[leave]
-        for i in range(m):
-            if i != leave and tableau[i][enter] != 0:
-                f = tableau[i][enter]
-                tableau[i] = [x - f * y for x, y in zip(tableau[i], pivot_row)]
-        if obj[enter] != 0:
-            f = obj[enter]
-            obj = [x - f * y for x, y in zip(obj, pivot_row)]
+        p = pivot_row[enter]
+        for i, row in enumerate(tableau):
+            f = row[enter]
+            if i != leave and (f or p != d):
+                tableau[i] = [(p * x - f * y) // d for x, y in zip(row, pivot_row)]
+        d = p
         basis[leave] = enter
+    obj = tableau[m]
     if obj[-1] == 0:  # objective value is zero: the system is feasible
-        x = [Fraction(0)] * k
+        x: list[Fraction | int] = [0] * k
         for i, b in enumerate(basis):
-            if b < k:
-                x[b] = tableau[i][-1]
+            if b < k and tableau[i][-1]:
+                x[b] = Fraction(tableau[i][-1] * col_scales[b], d * t_scale)
         return x, None
-    # Dual solution read off the slack reduced costs, unflipped row by row.
-    w = tuple(signs[i] * (Fraction(1) - obj[k + i]) for i in range(m))
-    return None, w
+    # Dual solution read off the slack reduced costs, unflipped row by row:
+    # d times the rational w_i = signs[i] * (1 - obj[k + i] / d).
+    return None, tuple(signs[i] * (d - obj[k + i]) for i in range(m))
 
 
 # --------------------------------------------------------------------------
@@ -459,23 +473,24 @@ class Cone:
     def contains(self, point: Sequence) -> Certificate:
         """Membership certificate (nonnegative combination of the stored rays)
         or non-membership certificate (separating functional)."""
-        v = vec(point)
-        if len(v) != self.ambient_dim:
-            raise ValueError(f"expected a vector of length {self.ambient_dim}, got {len(v)}")
+        point = tuple(point)
+        if len(point) != self.ambient_dim:
+            raise ValueError(f"expected a vector of length {self.ambient_dim}, got {len(point)}")
         if self.has_hrep:
+            v, _ = _int_row(point)  # a positive multiple: every sign below is kept
             for e in self._eqs:
-                val = dot(e, v)
+                val = _int_dot(e, v)
                 if val != 0:
-                    phi = primitive(e if val < 0 else scale(-1, e))
+                    phi = primitive(e if val < 0 else tuple(-x for x in e))
                     return Certificate("non-membership", functional=phi)
             for a in self._ineqs:
-                if dot(a, v) < 0:
+                if _int_dot(a, v) < 0:
                     return Certificate("non-membership", functional=a)
-            cert = conic_combination(v, self.rays, self.lineality)
+            cert = conic_combination(point, self.rays, self.lineality)
             if cert is None:
                 raise AssertionError("H-representation and V-representation disagree")
             return cert
-        return _certificate(v, self._rays, self._lineality)
+        return _certificate(point, self._rays, self._lineality)
 
     def _generators(self) -> list[IntVec]:
         return list(self.rays) + [g for l in self.lineality for g in (l, tuple(-x for x in l))]
@@ -512,14 +527,14 @@ class Cone:
     def face(self, functional: Sequence) -> "Cone":
         """The face cut out by a supporting functional (nonnegative on the
         whole cone): the subcone of rays the functional annihilates."""
-        f = vec(functional)
+        f = tuple(functional)
         for l in self.lineality:
-            if dot(f, l) != 0:
+            if _int_dot(f, l) != 0:
                 raise ValueError(f"functional is nonzero on lineality vector {l}")
         for r in self.rays:
-            if dot(f, r) < 0:
+            if _int_dot(f, r) < 0:
                 raise ValueError(f"functional is negative on ray {r}")
-        kept = tuple(r for r in self.rays if dot(f, r) == 0)
+        kept = tuple(r for r in self.rays if _int_dot(f, r) == 0)
         return Cone(self.ambient_dim, _rays=kept, _lineality=self._lineality)
 
     def __repr__(self) -> str:  # pragma: no cover
@@ -544,7 +559,7 @@ def minimal_hrep(
     certificates are recomputed at the end so they never reference a row that
     was itself removed later.
     """
-    eqs = [vec(e) for e in equations]
+    eqs = [tuple(e) for e in equations]
     kept: list[IntVec] = []
     seen: set[IntVec] = set()
     for row in inequalities:

@@ -45,13 +45,14 @@ def dot(u: Sequence, v: Sequence) -> Fraction:
     return sum((Fraction(a) * Fraction(b) for a, b in zip(u, v, strict=True)), Fraction(0))
 
 
-def _int_row(row: Sequence) -> Sequence[int]:
-    """``row`` scaled by the lcm of its denominators, so every entry is an int."""
+def _int_row(row: Sequence) -> tuple[Sequence[int], int]:
+    """``(d * row, d)`` with ``d`` the lcm of the denominators of ``row``, so
+    every entry of ``d * row`` is an int; an all-int row comes back as it is."""
     if all(type(x) is int for x in row):
-        return row
+        return row, 1
     fr = [Fraction(x) for x in row]
     d = lcm(*(x.denominator for x in fr))
-    return [x.numerator * (d // x.denominator) for x in fr]
+    return [x.numerator * (d // x.denominator) for x in fr], d
 
 
 def rref(m: Sequence[Sequence]) -> tuple[list[IntVec], list[int]]:
@@ -66,7 +67,7 @@ def rref(m: Sequence[Sequence]) -> tuple[list[IntVec], list[int]]:
     a later pivot never touches the columns before it, so the result is the
     reduced echelon form whichever row is taken first.
     """
-    rows = [r for r in map(_int_row, m) if any(r)]
+    rows = [r for r, _ in map(_int_row, m) if any(r)]
     red: list[tuple[int, Sequence[int]]] = []
     while rows:
         pivot = rows.pop()
@@ -120,7 +121,7 @@ def primitive(v: Sequence) -> IntVec:
     Direction is preserved: ``(-1/3, 0, -4/3)`` becomes ``(-1, 0, -4)``.
     An all-int row is divided by its gcd without building a `Fraction`.
     """
-    ints = _int_row(v)
+    ints, _ = _int_row(v)
     g = gcd(*ints)
     if g == 0:
         raise ValueError("zero vector has no primitive form")

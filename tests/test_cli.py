@@ -289,3 +289,14 @@ def test_console_script_smoke():
     )
     assert proc.returncode == 0
     assert "picard number: 2" in proc.stdout
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    proc = subprocess.run(
+        [sys.executable, "-m", "modulicones", "space", "--n", "6", "--m", "1"],
+        capture_output=True,
+        text=True,
+    )
+    code, out, _ = run_cli(capsys, "space", "--n", "6", "--m", "1")
+    assert proc.returncode == code == 0
+    assert proc.stdout == out

@@ -173,8 +173,38 @@ def test_dual_description_builds_no_fraction(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("double description built a Fraction")
 
-    for module, name in [(cones, "vec"), (cones, "dot"), (cones, "scale"), (cones, "Fraction"), (linalg, "Fraction")]:
+    for module, name in [(linalg, "vec"), (linalg, "dot"), (linalg, "scale"), (cones, "Fraction"), (linalg, "Fraction")]:
         monkeypatch.setattr(module, name, forbidden)
     assert [dual_description(*case) for case in cases] == expected
     assert len(expected[0][0]) == 80
     assert expected[2] == ([(0, 1, -1, 1), (0, 1, 1, -1), (1, 0, 0, 0)], [])
+
+
+def test_certificates_build_no_fraction_in_the_pivot_loop(monkeypatch):
+    eff = eff_cone(SpaceId(10, 2))
+    lined = Cone.from_vrep(4, [(1, 0, 0, 0), (1, 2, 0, 0), (0, 1, 3, 0)], [(0, 0, 1, 1)])
+    r = eff.rays
+    facet = eff_cone(SpaceId(10, 2)).inequalities[0]  # a separate cone: eff stays V-only
+    queries = [
+        (eff, tuple(3 * a + 2 * b + c for a, b, c in zip(r[0], r[5], r[-1])), True),
+        (eff, tuple(-x for x in r[3]), False),
+        (eff, tuple(-x for x in facet), False),
+        (lined, (2, 5, -1, -4), True),
+        (lined, (-1, 0, 0, 0), False),
+    ]
+    built = []
+
+    class Counted(Fraction):
+        def __new__(cls, *args):
+            built.append(args)
+            return Fraction(*args)
+
+    monkeypatch.setattr(cones, "Fraction", Counted)
+    monkeypatch.setattr(linalg, "Fraction", Counted)
+    for cone, point, member in queries:
+        built.clear()
+        cert = cone.contains(point)
+        assert bool(cert) is member
+        # one Fraction per returned coefficient at most: none in the tableau,
+        # the ratio test, the Farkas functional or the re-verification
+        assert len(built) <= len(cert.coefficients) + len(cert.lineality_coefficients)

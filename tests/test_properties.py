@@ -7,7 +7,8 @@ from math import gcd, lcm
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from modulicones.cones import Cone, conic_combination, dual_description, separating_functional
+from modulicones import cones
+from modulicones.cones import Certificate, Cone, conic_combination, dual_description, separating_functional
 from modulicones.linalg import primitive, rank, rref, scale, solve, vec
 from modulicones.porta import porta_read, porta_write
 from modulicones.spaces import SpaceId, canonical_label, express_in_basis, fully_pointed, keel_relations, enumerate_boundaries
@@ -160,6 +161,124 @@ def test_solve_matches_the_oracle(system):
     if x is not None:
         assert all(type(c) is Fraction for c in x)
         assert [sum((Fraction(a) * c for a, c in zip(row, x)), Fraction(0)) for row in rows] == target
+
+
+# --------------------------------------------------------------------------
+# the phase-1 simplex against a Fraction-tableau oracle
+# --------------------------------------------------------------------------
+#
+# `_oracle_phase1` is the rational-tableau simplex the integer one replaced:
+# the same Bland rule and ratio test, pivoted in `Fraction`.  It imports
+# nothing from `cones`, so the property pins the integer pivoting to the
+# rational pivot sequence, solution and Farkas functional.
+
+
+def _oracle_phase1(columns, target):
+    columns = [[Fraction(x) for x in c] for c in columns]
+    target = [Fraction(x) for x in target]
+    m = len(target)
+    k = len(columns)
+    signs = [-1 if t < 0 else 1 for t in target]
+    tableau = []
+    for i in range(m):
+        row = [signs[i] * c[i] for c in columns]
+        row += [Fraction(1) if j == i else Fraction(0) for j in range(m)]
+        row.append(signs[i] * target[i])
+        tableau.append(row)
+    basis = list(range(k, k + m))
+    obj = [
+        (Fraction(1) if k <= j < k + m else Fraction(0)) - sum(tableau[i][j] for i in range(m))
+        for j in range(k + m + 1)
+    ]
+    while True:
+        enter = next((j for j in range(k + m) if obj[j] < 0), None)
+        if enter is None:
+            break
+        leave = None
+        best = None
+        for i in range(m):
+            if tableau[i][enter] > 0:
+                ratio = tableau[i][-1] / tableau[i][enter]
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best, leave = ratio, i
+        piv = tableau[leave][enter]
+        tableau[leave] = [x / piv for x in tableau[leave]]
+        pivot_row = tableau[leave]
+        for i in range(m):
+            if i != leave and tableau[i][enter] != 0:
+                f = tableau[i][enter]
+                tableau[i] = [x - f * y for x, y in zip(tableau[i], pivot_row)]
+        if obj[enter] != 0:
+            f = obj[enter]
+            obj = [x - f * y for x, y in zip(obj, pivot_row)]
+        basis[leave] = enter
+    if obj[-1] == 0:
+        x = [Fraction(0)] * k
+        for i, b in enumerate(basis):
+            if b < k:
+                x[b] = tableau[i][-1]
+        return x, None
+    return None, tuple(signs[i] * (Fraction(1) - obj[k + i]) for i in range(m))
+
+
+def _oracle_certificate(target, generators, lineality):
+    columns = list(generators) + [col for l in lineality for col in (l, [-x for x in l])]
+    x, w = _oracle_phase1(columns, target)
+    if x is None:
+        return Certificate("non-membership", functional=primitive([-a for a in w]))
+    k = len(generators)
+    return Certificate(
+        "membership",
+        coefficients=tuple((i, c) for i, c in enumerate(x[:k]) if c != 0),
+        lineality_coefficients=tuple(
+            (j, x[k + 2 * j] - x[k + 2 * j + 1])
+            for j in range(len(lineality))
+            if x[k + 2 * j] != x[k + 2 * j + 1]
+        ),
+    )
+
+
+@st.composite
+def simplex_systems(draw):
+    """1-6 rows and 0-9 columns of ints and Fractions -- zero, duplicate and
+    negated columns among them -- plus at most two lineality vectors and a
+    target.  About half the targets are nonnegative combinations of the
+    columns with some zero weights, so many feasible cases are degenerate."""
+    m = draw(st.integers(min_value=1, max_value=6))
+    entry = st.one_of(st.integers(min_value=-5, max_value=5), rationals)
+    vector = st.lists(entry, min_size=m, max_size=m)
+    columns = []
+    for _ in range(draw(st.integers(min_value=0, max_value=9))):
+        kind = draw(st.sampled_from(["plain", "plain", "zero", "duplicate", "negated"]))
+        if kind == "zero":
+            columns.append([0] * m)
+        elif kind in ("duplicate", "negated") and columns:
+            c = draw(st.sampled_from(columns))
+            columns.append(list(c) if kind == "duplicate" else [-x for x in c])
+        else:
+            columns.append(draw(vector))
+    lineality = draw(st.lists(vector, max_size=2))
+    if columns and draw(st.booleans()):
+        weights = [draw(st.sampled_from([0, 0, 1, 2, Fraction(1, 3)])) for _ in columns]
+        target = [sum((w * c[i] for w, c in zip(weights, columns)), Fraction(0)) for i in range(m)]
+        target = [int(t) if t.denominator == 1 and draw(st.booleans()) else t for t in target]
+    else:
+        target = draw(vector)
+    return columns, lineality, target
+
+
+@example(([], [], [0]))
+@example(([[1, 0], [1, 0], [0, 0]], [], [2, 0]))
+@example(([[Fraction(1, 2), 1], [-1, -2]], [[0, 1]], [Fraction(3, 2), Fraction(7, 3)]))
+@settings(max_examples=200)
+@given(simplex_systems())
+def test_phase1_and_certificate_match_the_fraction_oracle(system):
+    columns, lineality, target = system
+    x, _ = cones._phase1(columns, target)
+    oracle_x, _ = _oracle_phase1(columns, target)
+    assert x == oracle_x
+    cert = cones._certificate(target, columns, lineality)
+    assert cert == _oracle_certificate(target, columns, lineality)
 
 
 # --------------------------------------------------------------------------
