@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .cones import Certificate, Cone, conic_combination, separating_functional
-from .linalg import Vec, add, primitive, scale, zero_vec
+from .linalg import IntVec, Vec, add, primitive, scale, zero_vec
 from .spaces import (
     BoundaryLabel,
     CurveClass,
@@ -331,10 +331,16 @@ def eff_cone(s: SpaceId) -> Cone:
         raise ValueError(
             f"the boundary classes of {s} do not span its effective cone"
         )
-    rays = []
-    for label in enumerate_boundaries(s):
-        rays.append(primitive(boundary_class(s, label).coords))
-    return Cone.from_vrep(picard_number(s), tuple(dict.fromkeys(rays)))
+    return Cone.from_vrep(picard_number(s), _boundary_rays(s))
+
+
+def _boundary_rays(s: SpaceId) -> tuple[IntVec, ...]:
+    """The primitive boundary classes of ``s``, one per label in label order.
+
+    Duplicates are kept: the order of the generators fixes the simplex's
+    pivots, and so the separating functionals it returns.
+    """
+    return tuple(primitive(boundary_class(s, label).coords) for label in enumerate_boundaries(s))
 
 
 def eff_xn2_derivation(n: int) -> tuple[dict[str, tuple[Vec, ...]], tuple[Certificate, ...]]:
@@ -656,10 +662,7 @@ def counterexample_ftau(n: int) -> tuple[DivisorClass, Certificate]:
         terms = quotient_pushforward_sum(SpaceId(n, n - 3), lifted, SpaceId(n, 3))
     s = SpaceId(n, 3)
     cls = express_in_basis(s, terms)
-    gens = tuple(
-        primitive(boundary_class(s, label).coords) for label in enumerate_boundaries(s)
-    )
-    cert = separating_functional(cls.coords, gens)
+    cert = separating_functional(cls.coords, _boundary_rays(s))
     if cert is None:
         raise ArithmeticError(
             f"the transported class unexpectedly lies in the boundary cone of {s}"

@@ -17,10 +17,13 @@ coordinate vectors match the ordered bases used throughout.
 
 The divisor-class spaces are handled through `relations_and_basis`: for
 ``m <= 1`` the boundary classes are a basis; ``m = 2`` has one relation and
-``m = 3`` has three, and `express_in_basis` reduces any formal boundary sum
-modulo those relations.  Classes are kept in the "b" normalization, where the
-class of index ``n - 2`` --- the branch divisor of the quotient map, over
-which the symmetrization is simply ramified --- absorbs a factor of one half.
+``m = 3`` has three.  Classes are kept in the "b" normalization: the basis
+class of a label along which the symmetrization is ramified (`_is_ramified`,
+one side is exactly two undistinguished points) is half its divisor.
+`express_in_basis` reduces a formal boundary sum through a table built once
+per space: each label's class in the ordered basis, a basis label's own class
+(doubled where it is ramified) or, for the labels left out of the basis, the
+combination of basis labels the stored relations equate it with.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from functools import lru_cache
 from math import factorial
 from typing import Iterable, Mapping, Sequence
 
-from .linalg import Vec, solve, vec
+from .linalg import Vec, rref
 
 FormalSum = Mapping["BoundaryLabel", Fraction]
 
@@ -178,52 +181,47 @@ def _sub_sums(s: SpaceId, a: FormalSum, b: FormalSum) -> Vec:
     return sum_to_vector(s, out)
 
 
-def _m2_relation_raw(n: int) -> Vec:
-    """The single relation of an m = 2 space over its raw label list.
+def _is_ramified(s: SpaceId, label: BoundaryLabel) -> bool:
+    """Whether the symmetrization is ramified along the label's divisor:
+    one side consists of exactly two undistinguished points, whose
+    transposition fixes the divisor pointwise."""
+    return (label.size == 2 and not label.marks) or (
+        s.n - label.size == 2 and len(label.marks) == s.m
+    )
 
-    In b-normalized coordinates it reads
-    ``sum (n-i)(n-i-1) b_i == sum (i-1)(n-i-1) b*_i``; the raw vector halves
-    the index n-2 coefficient of the unstarred family accordingly.
-    """
-    s = SpaceId(n, 2)
+
+def _relation(s: SpaceId, terms: Iterable[tuple[int, Iterable[int], int]]) -> Vec:
+    """A relation over the raw label list, from ``(size, marks, coefficient)``
+    terms against the b-normalized classes: the class of a ramified label is
+    half its divisor, so its raw coefficient is halved."""
     acc: dict[BoundaryLabel, Fraction] = defaultdict(Fraction)
-    for i in range(2, n - 1):
-        wt = Fraction((n - i) * (n - i - 1))
-        if i == n - 2:
-            wt /= 2
-        acc[canonical_label(s, i, {1, 2})] += wt
-        acc[canonical_label(s, i, {1})] -= (i - 1) * (n - i - 1)
+    for size, marks, coeff in terms:
+        label = canonical_label(s, size, marks)
+        acc[label] += Fraction(coeff, 2) if _is_ramified(s, label) else coeff
     return sum_to_vector(s, acc)
+
+
+def _m2_relation_raw(n: int) -> Vec:
+    """The single relation of an m = 2 space over its raw label list:
+    ``sum (n-i)(n-i-1) b_i == sum (i-1)(n-i-1) b*_i``."""
+    terms = []
+    for i in range(2, n - 1):
+        terms.append((i, {1, 2}, (n - i) * (n - i - 1)))
+        terms.append((i, {1}, -(i - 1) * (n - i - 1)))
+    return _relation(SpaceId(n, 2), terms)
 
 
 def _m3_relations_raw(n: int) -> list[Vec]:
     """The three relations of an m = 3 space over its raw label list."""
-    s = SpaceId(n, 3)
-
-    def add(acc, size, marks, coeff):
-        acc[canonical_label(s, size, marks)] += coeff
-
-    r1: dict[BoundaryLabel, Fraction] = defaultdict(Fraction)
-    r2: dict[BoundaryLabel, Fraction] = defaultdict(Fraction)
+    r1, r2, r3 = [], [], []
     for i in range(2, n - 1):
-        add(r1, i, {1, 2}, n - i - 1)
-        add(r1, i, {1, 3}, -(n - i - 1))
-        add(r2, i, {1, 3}, n - i - 1)
-        add(r2, i, {2, 3}, -(n - i - 1))
-    r3: dict[BoundaryLabel, Fraction] = defaultdict(Fraction)
+        r1 += [(i, {1, 2}, n - i - 1), (i, {1, 3}, -(n - i - 1))]
+        r2 += [(i, {1, 3}, n - i - 1), (i, {2, 3}, -(n - i - 1))]
     for i in range(3, n - 1):
-        wt = Fraction((n - i) * (n - i - 1))
-        if i == n - 2:
-            # The fully marked label of index n-2 mirrors to the locus where
-            # the two remaining points collide, a half class as in the m = 2
-            # relation.
-            wt /= 2
-        add(r3, i, {1, 2, 3}, wt)
-        add(r3, i, {1, 3}, -(i - 2) * (n - i - 1))
+        r3 += [(i, {1, 2, 3}, (n - i) * (n - i - 1)), (i, {1, 3}, -(i - 2) * (n - i - 1))]
     for i in range(2, n - 2):
-        add(r3, i, {1, 2}, (n - i - 1) * (n - i - 2))
-        add(r3, i, {1}, -(i - 1) * (n - i - 2))
-    return [sum_to_vector(s, r) for r in (r1, r2, r3)]
+        r3 += [(i, {1, 2}, (n - i - 1) * (n - i - 2)), (i, {1}, -(i - 1) * (n - i - 2))]
+    return [_relation(SpaceId(n, 3), r) for r in (r1, r2, r3)]
 
 
 _M3_EXCLUDED_MARKS = ({1, 2}, {1, 3}, {2, 3})
@@ -343,101 +341,75 @@ def pair(divisor: DivisorClass, curve: CurveClass) -> Fraction:
 # --------------------------------------------------------------------------
 
 
-def _class_slot(s: SpaceId, label: BoundaryLabel) -> tuple[str, int]:
-    """Which named class family a canonical label belongs to.
+def _basis_name(s: SpaceId, label: BoundaryLabel) -> str:
+    """The name of a canonical label's class in the basis vocabulary.
 
-    For m <= 1 every label is some ``B_k``; for m = 2 the labels split into
-    the ``B_k`` family (marks {1,2} or, mirrored, the empty set) and the
-    starred family ``b*_k`` (marks {1} or, mirrored, {2}).
+    For m <= 2, ``b{k}`` names the divisor whose side holding every
+    distinguished point (for m = 0, its smaller side) has k points, and
+    ``b*{k}`` (m = 2) the one whose side holding point 1 but not point 2 has
+    k points.  For m = 3 a class is named by its label.
     """
-    if s.m == 0:
-        return "b", label.size
-    if s.m == 1:
-        return "b", label.size if label.marks else s.n - label.size
-    if s.m == 2:
-        if label.marks == frozenset({1, 2}):
-            return "b", label.size
-        if not label.marks:
-            return "b", s.n - label.size
-        if label.marks == frozenset({1}):
-            return "b*", label.size
-        return "b*", s.n - label.size
-    raise AssertionError(f"no class families on {s}")
+    if s.m == 3:
+        return str(label)
+    if label.marks == s.distinguished:
+        return f"b{label.size}"
+    if not label.marks:
+        return f"b{s.n - label.size}"
+    if label.marks == {1}:
+        return f"b*{label.size}"
+    return f"b*{s.n - label.size}"
+
+
+@lru_cache(maxsize=None)
+def _columns(s: SpaceId) -> dict[BoundaryLabel, tuple[tuple[int, Fraction], ...]]:
+    """Per canonical label of ``s``: its class as sparse ``(position,
+    coefficient)`` pairs in the ordered basis.
+
+    A label whose name is in the ordered basis is that basis class, doubled
+    where the label is ramified: there the basis class is half the divisor.
+    Every other label is cleared with the stored relations.  Their reduced
+    echelon form, with the cleared labels' columns first, has one row
+    ``p*e + sum c_l * l`` per cleared label ``e`` over basis labels ``l``, so
+    ``e == -sum c_l * l / p``.
+    """
+    spec = relations_and_basis(s)
+    slot = {name: j for j, name in enumerate(spec.ordered_basis)}
+    names = [_basis_name(s, label) for label in spec.boundaries]
+    kept = [i for i, name in enumerate(names) if name in slot]
+    cleared = [i for i, name in enumerate(names) if name not in slot]
+    weight = [2 if _is_ramified(s, label) else 1 for label in spec.boundaries]
+    columns = {spec.boundaries[i]: ((slot[names[i]], Fraction(weight[i])),) for i in kept}
+    rows, pivots = rref([[rel[i] for i in cleared + kept] for rel in spec.relations])
+    if pivots != list(range(len(cleared))):
+        raise AssertionError(f"the relations of {s} do not clear its non-basis labels")
+    for k, (e, row) in enumerate(zip(cleared, rows)):
+        tail = row[len(cleared):]
+        columns[spec.boundaries[e]] = tuple(
+            (slot[names[i]], Fraction(-c * weight[i], row[k])) for i, c in zip(kept, tail) if c
+        )
+    return columns
 
 
 def express_in_basis(s: SpaceId, formal: FormalSum) -> DivisorClass:
     """Reduce a formal sum of boundary labels to basis coordinates.
 
-    The sum is first b-normalized (index n-2 carries the half), then the
-    relations are used to eliminate the non-basis classes: b_2 for m = 2, the
-    three two-mark size-2 labels for m = 3.
+    Each label is made canonical (a label that is not a boundary divisor of
+    ``s`` raises ValueError) and contributes its cached column: the label's
+    class in the ordered basis, with the relations already applied.
     """
-    n = s.n
-    if s.m > 3:
-        raise ValueError(f"no boundary basis for {s}")
-    spec = relations_and_basis(s)
-    if s.m <= 1:
-        hi = n // 2 if s.m == 0 else n - 2
-        coords = [Fraction(0)] * (hi - 1)
-        for label, coeff in formal.items():
-            _, k = _class_slot(s, label)
-            coords[k - 2] += Fraction(coeff)
-        # b-normalization: the branch-divisor index is n-2, which for m = 0
-        # folds to index 2.
-        coords[0 if s.m == 0 else n - 4] *= 2
-        return DivisorClass(s, tuple(coords))
-    if s.m == 2:
-        b = [Fraction(0)] * (n - 3)  # b_2 .. b_{n-2}
-        star = [Fraction(0)] * (n - 3)  # b*_2 .. b*_{n-2}
-        for label, coeff in formal.items():
-            family, k = _class_slot(s, label)
-            (b if family == "b" else star)[k - 2] += Fraction(coeff)
-        b[n - 4] *= 2
-        # Eliminate b_2 through the single relation.
-        t = b[0] / ((n - 2) * (n - 3))
-        for i in range(3, n - 1):
-            b[i - 2] -= t * (n - i) * (n - i - 1)
-            star[i - 2] += t * (i - 1) * (n - i - 1)
-        star[0] += t * 1 * (n - 3)
-        return DivisorClass(s, tuple(b[1:] + star))
-    # m == 3: solve for the multiples of the three relations that clear the
-    # excluded labels, then read off the remaining coordinates.
-    if n == 4:
-        return DivisorClass(s, (sum(Fraction(c) for c in formal.values()),))
-    boundaries = spec.boundaries
-    idx = _boundary_index(s)
-    row = list(sum_to_vector(s, formal))
-    excluded = [idx[canonical_label(s, 2, marks)] for marks in _M3_EXCLUDED_MARKS]
-    matrix = [[rel[e] for rel in spec.relations] for e in excluded]
-    target = [-row[e] for e in excluded]
-    t = solve(matrix, target)
-    if t is None:
-        raise AssertionError("relation rows no longer clear the excluded labels")
-    for coeff, rel in zip(t, spec.relations):
-        row = [x + coeff * y for x, y in zip(row, rel)]
-    assert all(row[e] == 0 for e in excluded)
-    # The double-undistinguished label is carried as a half class, as for
-    # smaller m; its coordinate doubles when read against that basis vector.
-    row[idx[canonical_label(s, 2, ())]] *= 2
-    keep = [i for i in range(len(boundaries)) if i not in excluded]
-    return DivisorClass(s, tuple(row[i] for i in keep))
+    columns = _columns(s)
+    coords = [Fraction(0)] * picard_number(s)
+    for label, coeff in formal.items():
+        if label not in columns:
+            label = canonical_label(s, label.size, label.marks)
+        coeff = Fraction(coeff)
+        for j, c in columns[label]:
+            coords[j] += c * coeff
+    return DivisorClass(s, tuple(coords))
 
 
 def boundary_class(s: SpaceId, label: BoundaryLabel) -> DivisorClass:
     return express_in_basis(s, {label: Fraction(1)})
-
-
-def b_normalize(s: SpaceId, coords: Sequence) -> Vec:
-    """Coordinates against {B_i} -> coordinates against {b_i} (double the
-    index n-2 entry; no-op where no unstarred family exists)."""
-    row = list(vec(coords))
-    if len(row) != picard_number(s):
-        raise ValueError(f"expected {picard_number(s)} coordinates")
-    if s.m > 3 or (s.n == 4 and s.m >= 2):
-        return tuple(row)
-    pos = {0: 0, 1: s.n - 4, 2: s.n - 5, 3: 0}[s.m]
-    row[pos] *= 2
-    return tuple(row)
 
 
 # --------------------------------------------------------------------------
@@ -494,15 +466,6 @@ def quotient_pushforward_sum(src: SpaceId, formal: FormalSum, dst: SpaceId) -> d
 
 def quotient_pushforward(src: SpaceId, formal: FormalSum, dst: SpaceId) -> DivisorClass:
     return express_in_basis(dst, quotient_pushforward_sum(src, formal, dst))
-
-
-def _is_ramified(s: SpaceId, label: BoundaryLabel) -> bool:
-    """Whether the symmetrization is ramified along the label's divisor:
-    one side consists of exactly two undistinguished points, whose
-    transposition fixes the divisor pointwise."""
-    return (label.size == 2 and not label.marks) or (
-        s.n - label.size == 2 and len(label.marks) == s.m
-    )
 
 
 def forgetful_pullback_sum(src: SpaceId, formal: FormalSum, dst: SpaceId) -> dict[BoundaryLabel, Fraction]:

@@ -34,6 +34,7 @@ from .bridge import (
 )
 from .cones import Cone, conic_combination, dual_description
 from .curves import (
+    _boundary_rays,
     class_l7,
     counterexample_ftau,
     curve_ck,
@@ -125,11 +126,7 @@ def check_counterexample() -> None:
     for n in (6, 7, 8):
         s = SpaceId(n, 3)
         cls, cert = counterexample_ftau(n)
-        gens = [
-            primitive(boundary_class(s, lbl).coords)
-            for lbl in enumerate_boundaries(s)
-        ]
-        assert cert.kind == "non-membership" and cert.verify(cls.coords, gens), n
+        assert cert.kind == "non-membership" and cert.verify(cls.coords, _boundary_rays(s)), n
         coords[n] = cls.coords
 
     recorded = {
@@ -154,15 +151,9 @@ def check_counterexample() -> None:
 
 def check_unpointed_ray_sets() -> None:
     """Unpointed nem rays for n = 6..9 equal the recorded primitive sets."""
-    recorded = {
-        6: ((2, 1), (1, 3)),
-        7: ((5, 3), (1, 3)),
-        8: ((3, 2, 4), (1, 3, 6), (5, 15, 9), (15, 10, 6)),
-        9: ((1, 3, 2), (1, 3, 6), (7, 5, 10), (21, 15, 10)),
-    }
-    for n, rows in recorded.items():
+    for n in range(6, 10):
         got = _ray_set(nem_hrep(SpaceId(n, 0)).rays)
-        want = _ray_set(rows)
+        want = _ray_set(fixtures.NEM_RAYS[SpaceId(n, 0)])
         assert got == want, f"n = {n}: computed {got}, recorded {want}"
 
 

@@ -17,8 +17,11 @@ exactly when their F-vectors agree.
 A class on ``X(n, m)`` is pulled back along the quotient map ``q`` from the
 fully pointed space.  The reduced divisor of a label pulls back to the sum
 over its orbit, with coefficient 2 on members where one side is exactly two
-undistinguished points (the quotient is ramified there).  In the ordered
-basis of an ``m = 3`` space the vector named ``D2`` is half its divisor.
+undistinguished points (the quotient is ramified there).  The ordered basis
+names are read with the oracle's own naming: ``b{k}`` is the label ``(k,
+{1..min(m, 2)})``, ``b*{k}`` is ``(k, {1})`` and ``D{k}_{marks}`` is ``(k,
+marks)``; a basis vector is half its divisor when one of its sides is exactly
+two undistinguished points.
 For a quotient, ``q^* q_* D == sum_g g^* D`` over the symmetric group, which
 gives each transported class an independent expected value.
 """
@@ -28,14 +31,19 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from modulicones.curves import counterexample_ftau, named_class
+from modulicones.linalg import rank
 from modulicones.spaces import (
     BoundaryLabel,
     SpaceId,
     enumerate_boundaries,
     express_in_basis,
     forgetful_pullback_sum,
+    fully_pointed,
+    keel_relations,
+    picard_number,
     quotient_pushforward_sum,
     relations_and_basis,
 )
@@ -137,16 +145,30 @@ def pull_formal(n, m, formal):
     return out
 
 
+def _named_label(m, name):
+    """(size, marks) of an ordered basis name on X(n, m)."""
+    if name.startswith("b*"):
+        return int(name[2:]), frozenset({1})
+    if name.startswith("b"):
+        return int(name[1:]), frozenset(range(1, min(m, 2) + 1))
+    size, _, digits = name[1:].partition("_")
+    return int(size), frozenset(int(d) for d in digits)
+
+
+def _is_half(n, m, size, marks):
+    """Whether a side of the label is exactly two undistinguished points."""
+    return (size == 2 and not marks) or (n - size == 2 and len(marks) == m)
+
+
 def pull_coords(n, m, coords):
-    """q^* of a class given in the ordered basis of X(n, m), m = 3."""
+    """q^* of a class given in the ordered basis of X(n, m), m <= 3."""
     names = relations_and_basis(SpaceId(n, m)).ordered_basis
     assert len(names) == len(coords)
     out = {}
     for name, coeff in zip(names, coords):
-        size, _, digits = name[1:].partition("_")
-        marks = {int(d) for d in digits}
-        half = F(1, 2) if name == "D2" else 1
-        _add(out, _orbit(n, m, int(size), marks), F(coeff) * half)
+        size, marks = _named_label(m, name)
+        half = F(1, 2) if _is_half(n, m, size, marks) else 1
+        _add(out, _orbit(n, m, size, marks), F(coeff) * half)
     return out
 
 
@@ -263,3 +285,59 @@ def test_forgetful_pullback_of_every_label(n):
     for label in enumerate_boundaries(SpaceId(6, 3)):
         got, want = _pullback_f_vectors(n, label)
         assert got == want, label
+
+
+@st.composite
+def formal_sums(draw):
+    """A space X(n, m), n <= 8, m <= 3, and a formal sum of its boundary
+    labels, each label drawn as it is or as its mirror."""
+    n = draw(st.integers(min_value=4, max_value=8))
+    m = draw(st.integers(min_value=0, max_value=3))
+    s = SpaceId(n, m)
+    labels = draw(st.lists(st.sampled_from(enumerate_boundaries(s)), min_size=1, max_size=6))
+    formal = {}
+    for label in labels:
+        if draw(st.booleans()):
+            label = BoundaryLabel(n - label.size, s.distinguished - label.marks)
+        coeff = draw(st.fractions(min_value=-6, max_value=6, max_denominator=4))
+        formal[label] = formal.get(label, 0) + coeff
+    return s, formal
+
+
+@settings(max_examples=60, deadline=None)
+@given(formal_sums())
+def test_express_in_basis_pulls_back_like_the_formal_sum(case):
+    s, formal = case
+    cls = express_in_basis(s, formal)
+    got = f_vector(s.n, pull_coords(s.n, s.m, cls.coords))
+    assert got == f_vector(s.n, pull_formal(s.n, s.m, formal))
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+@pytest.mark.parametrize("m", [2, 3])
+def test_stored_relations_pull_back_to_zero(n, m):
+    spec = relations_and_basis(SpaceId(n, m))
+    assert spec.relations
+    for relation in spec.relations:
+        formal = {label: c for label, c in zip(spec.boundaries, relation) if c}
+        assert not any(f_vector(n, pull_formal(n, m, formal))), relation
+
+
+@pytest.mark.parametrize("n", range(5, 9))
+def test_keel_relations_cut_the_boundary_down_to_the_picard_number(n):
+    full = fully_pointed(n)
+    labels = enumerate_boundaries(full)
+    relations = keel_relations(n)
+    assert len(labels) - rank(relations) == picard_number(full)
+    for relation in relations:
+        formal = {label: c for label, c in zip(labels, relation) if c}
+        assert not any(f_vector(n, pull_formal(n, n, formal)))
+
+
+@pytest.mark.parametrize("n", range(5, 8))
+def test_boundary_f_vectors_span_the_picard_number(n):
+    """Boundary divisors span the divisor classes and F-curves the curve
+    classes, so their intersection matrix has rank the Picard number."""
+    full = fully_pointed(n)
+    rows = [f_vector(n, pull_formal(n, n, {label: 1})) for label in enumerate_boundaries(full)]
+    assert rank(rows) == picard_number(full)

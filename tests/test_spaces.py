@@ -5,8 +5,8 @@ import pytest
 
 from modulicones.linalg import primitive, rank
 from modulicones.spaces import (
+    BoundaryLabel,
     SpaceId,
-    b_normalize,
     boundary_class,
     canonical_label,
     enumerate_boundaries,
@@ -140,11 +140,6 @@ def test_cotangent_class_symmetrization():
     assert primitive(cls.coords) == (10, 6, 3, 1)
 
 
-def test_b_normalization_factor_position():
-    # only the top class carries the halving; normalization doubles it back
-    assert b_normalize(SpaceId(7, 1), (1, 1, 1, 1)) == (1, 1, 1, 2)
-
-
 def test_boundary_classes_against_the_ordered_basis():
     s = SpaceId(7, 1)
     assert relations_and_basis(s).ordered_basis == ("b2", "b3", "b4", "b5")
@@ -173,3 +168,25 @@ def test_space_id_validation():
         SpaceId(3, 0)
     with pytest.raises(ValueError):
         SpaceId(6, 7)
+
+
+@pytest.mark.parametrize(
+    "s, label",
+    [
+        (SpaceId(7, 1), BoundaryLabel(6, frozenset())),
+        (SpaceId(7, 2), BoundaryLabel(2, frozenset({3}))),
+        (SpaceId(7, 0), BoundaryLabel(6, frozenset())),
+        (SpaceId(7, 3), BoundaryLabel(1, frozenset({1}))),
+    ],
+)
+def test_express_in_basis_rejects_foreign_labels(s, label):
+    with pytest.raises(ValueError):
+        express_in_basis(s, {label: F(1)})
+
+
+@pytest.mark.parametrize("m", range(4))
+def test_express_in_basis_accepts_mirror_labels(m):
+    s = SpaceId(7, m)
+    for label in enumerate_boundaries(s):
+        mirror = BoundaryLabel(s.n - label.size, s.distinguished - label.marks)
+        assert express_in_basis(s, {mirror: F(1)}) == boundary_class(s, label)
