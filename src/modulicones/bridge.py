@@ -34,7 +34,7 @@ from typing import Iterable, Sequence
 
 from . import fixtures
 from .cones import Cone
-from .linalg import IntVec, Vec, dot, primitive, vec
+from .linalg import IntVec, Vec, primitive, vec
 from .curves import LinearMap, curve_ck, nem_hrep
 from .spaces import CurveClass, DivisorClass, SpaceId, relations_and_basis
 
@@ -417,7 +417,7 @@ def m21_cones() -> dict[str, Cone]:
     pushed_nem = tuple(primitive(m21_pushforward(r)) for r in nem_hrep(s).rays)
     pushed_nef = tuple(primitive(m21_pushforward(r)) for r in fixtures.NEF_RAYS[s])
     return {
-        "eff": Cone.from_vrep(3, (vec((1, 0, 0)), vec((0, 1, 0)), vec((0, 0, 1)))),
+        "eff": Cone.from_vrep(3, ((1, 0, 0), (0, 1, 0), (0, 0, 1))),
         "push_nem": Cone.from_vrep(3, pushed_nem),
         "push_nef": Cone.from_vrep(3, pushed_nef),
         "nef": Cone.from_vrep(3, (fixtures.M21_A, fixtures.M21_B, fixtures.M21_C)),
@@ -439,15 +439,15 @@ class MoriData:
     canonical: Vec
     contracted_curve: CurveClass
     extremal_curve: CurveClass
-    nef_face_rays: tuple[Vec, ...]
+    nef_face_rays: tuple[IntVec, ...]
 
 
 def x71_mori_data() -> MoriData:
     s = SpaceId(7, 1)
     canonical = vec((Fraction(-1, 3), 0, 0, Fraction(-4, 3)))
-    contracted = CurveClass(s, vec((2, -1, 0, 1)))
+    contracted = CurveClass(s, (2, -1, 0, 1))
     extremal = curve_ck(s, 3)
     face = tuple(
-        sorted(r for r in fixtures.NEF_RAYS[s] if dot(r, extremal.coords) == 0)
+        sorted(r for r in fixtures.NEF_RAYS[s] if sum(a * x for a, x in zip(r, extremal.coords)) == 0)
     )
     return MoriData(s, canonical, contracted, extremal, face)

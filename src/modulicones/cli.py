@@ -21,6 +21,7 @@ when it is set.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from fractions import Fraction
@@ -261,7 +262,9 @@ def _add_cone_flags(sub: argparse.ArgumentParser, whiches: tuple[str, ...]) -> N
 _CONE_WHICHES = ("eff", "nem", "nef-fixture", "hyperelliptic", "mg1", "m21-mov")
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: parse_args leaves the parser as it found it
     parser = argparse.ArgumentParser(
         prog="modulicones",
         description="Exact cones of divisors on symmetrized genus-zero moduli.",

@@ -15,7 +15,11 @@ rays even admit a closed-form branching construction.
 Everything here works in the coordinates fixed by
 :func:`modulicones.spaces.relations_and_basis`: divisor classes as
 coefficient vectors over the ``b``-basis, curve classes as vectors of
-intersection numbers against it.
+intersection numbers against it.  Every such row is built by one builder,
+`_row`, and keeps the type of its coefficients: the nem and two-marked
+inequality rows, the ``C_k``/``C*_i`` classes and the ``pi_star`` columns
+have integer closed forms and are int tuples, and only the genuinely
+rational ``q``/``r``/``s`` map columns are ``Fraction`` vectors.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .cones import Certificate, Cone, conic_combination, separating_functional
-from .linalg import IntVec, Vec, add, primitive, scale, zero_vec
+from .linalg import IntVec, Vec, primitive, vec
 from .spaces import (
     BoundaryLabel,
     CurveClass,
@@ -77,12 +81,6 @@ def _basis_index(s: SpaceId, name: str) -> int:
         raise ValueError(f"{s} has no basis class {name!r}") from None
 
 
-def _unit(s: SpaceId, name: str, coeff: Fraction | int = 1) -> Vec:
-    row = [Fraction(0)] * picard_number(s)
-    row[_basis_index(s, name)] = Fraction(coeff)
-    return tuple(row)
-
-
 def _b_slot(s: SpaceId, i: int) -> str | None:
     """Basis name holding the class ``b_i``, after folding and zeroing.
 
@@ -96,10 +94,22 @@ def _b_slot(s: SpaceId, i: int) -> str | None:
     return f"b{i}"
 
 
-def _add_b(s: SpaceId, row: list[Fraction], i: int, coeff: Fraction) -> None:
-    name = _b_slot(s, i)
-    if name is not None:
+def _row(s: SpaceId, *terms: tuple[str | int, Fraction | int]) -> tuple:
+    """A row over the ordered basis of ``s``, from ``(name, coeff)`` terms.
+
+    Terms accumulate.  An int name ``i`` stands for ``b_i`` and goes through
+    `_b_slot`, so it is folded for ``m = 0`` and dropped for ``b_2`` at
+    ``m = 2``; a str name is a basis name as it is.  Entries keep the type
+    of the coefficients: int coefficients give an :data:`IntVec`.
+    """
+    row = [0] * picard_number(s)
+    for name, coeff in terms:
+        if isinstance(name, int):
+            name = _b_slot(s, name)
+            if name is None:
+                continue
         row[_basis_index(s, name)] += coeff
+    return tuple(row)
 
 
 # --------------------------------------------------------------------------
@@ -116,11 +126,10 @@ def curve_ck(s: SpaceId, k: int) -> CurveClass:
         raise ValueError(f"curve C_k is defined for m <= 1, not {s}")
     if not 1 <= k <= s.n - 3:
         raise ValueError(f"k must lie in 1..{s.n - 3}, got {k}")
-    row = [Fraction(0)] * picard_number(s)
-    _add_b(s, row, k + 1, Fraction(s.n - k))
+    terms = [(k + 1, s.n - k)]
     if k >= 2:  # the pairing against b_1 is identically zero
-        _add_b(s, row, k, Fraction(2 - s.n + k))
-    return CurveClass(s, tuple(row))
+        terms.append((k, 2 - s.n + k))
+    return CurveClass(s, _row(s, *terms))
 
 
 def curve_ck_star(l: int, i: int) -> CurveClass:
@@ -130,12 +139,10 @@ def curve_ck_star(l: int, i: int) -> CurveClass:
     if not 1 <= i <= l - 2:
         raise ValueError(f"i must lie in 1..{l - 2}, got {i}")
     s = SpaceId(l + 1, 2)
-    row = [Fraction(0)] * picard_number(s)
-    _add_b(s, row, i + 1, Fraction(1))  # b_1 = b_2 = 0 handled by the slot map
-    row[_basis_index(s, f"b*{i + 1}")] += Fraction(l - i)
+    terms = [(i + 1, 1), (f"b*{i + 1}", l - i)]  # b_2 = 0 handled by the slot map
     if i >= 2:  # b*_1 pairs to zero
-        row[_basis_index(s, f"b*{i}")] += Fraction(1 - l + i)
-    return CurveClass(s, tuple(row))
+        terms.append((f"b*{i}", 1 - l + i))
+    return CurveClass(s, _row(s, *terms))
 
 
 # --------------------------------------------------------------------------
@@ -210,27 +217,26 @@ class LinearMap:
     source: SpaceId
     source_names: tuple[str, ...]
     target_names: tuple[str, ...]
-    columns: tuple[Vec, ...]
+    columns: tuple[tuple, ...]
 
-    def __call__(self, coefficients: Sequence[Fraction | int]) -> Vec:
+    def __call__(self, coefficients: Sequence[Fraction | int]) -> tuple:
         if len(coefficients) != len(self.source_names):
             raise ValueError(
                 f"expected {len(self.source_names)} coefficients, "
                 f"got {len(coefficients)}"
             )
-        out = zero_vec(len(self.target_names))
-        for c, col in zip(coefficients, self.columns):
-            if c:
-                out = add(out, scale(Fraction(c), col))
-        return out
+        return tuple(
+            sum(c * col[j] for c, col in zip(coefficients, self.columns))
+            for j in range(len(self.target_names))
+        )
 
-    def column(self, name: str) -> Vec:
+    def column(self, name: str) -> tuple:
         try:
             return self.columns[self.source_names.index(name)]
         except ValueError:
             raise KeyError(f"{name!r} is not a dual-basis name of {self.source}") from None
 
-    def push_curve(self, curve: CurveClass) -> Vec:
+    def push_curve(self, curve: CurveClass) -> tuple:
         if curve.space != self.source:
             raise ValueError(f"curve lives on {curve.space}, map starts at {self.source}")
         if len(self.source_names) != picard_number(self.source):
@@ -259,10 +265,8 @@ def _q_columns(spec: AttachMapSpec) -> tuple[list[str], list[Vec]]:
     names, cols = [], []
     for k in range(1, l - 1):
         names.append(f"b{k + 1}")
-        row = [Fraction(0)] * picard_number(t)
-        _add_b(t, row, n - l + k, Fraction(1))
-        _add_b(t, row, n - l, -Fraction((l - k - 1) * (l - k), l * (l - 1)))
-        cols.append(tuple(row))
+        w = Fraction((l - k - 1) * (l - k), l * (l - 1))
+        cols.append(vec(_row(t, (n - l + k, 1), (n - l, -w))))
     return names, cols
 
 
@@ -273,11 +277,8 @@ def _r_columns(spec: AttachMapSpec) -> tuple[list[str], list[Vec]]:
     names, cols = [], []
     for i in range(1, l - 1):
         names.append(f"b*{i + 1}")
-        row = [Fraction(0)] * picard_number(t)
-        row[_basis_index(t, f"b*{i + 1}")] += Fraction(1)
-        _add_b(t, row, n - l + 1, Fraction(i * (l - i - 1), (l - 2) * (l - 1)))
-        row[_basis_index(t, f"b*{l}")] -= Fraction(i, l - 1)
-        cols.append(tuple(row))
+        w = Fraction(i * (l - i - 1), (l - 2) * (l - 1))
+        cols.append(vec(_row(t, (f"b*{i + 1}", 1), (n - l + 1, w), (f"b*{l}", -Fraction(i, l - 1)))))
     return names, cols
 
 
@@ -288,31 +289,24 @@ def _s_columns(spec: AttachMapSpec) -> tuple[list[str], list[Vec]]:
     names, cols = [], []
     for i in range(2, l - 1):
         names.append(f"b{i + 1}")
-        row = [Fraction(0)] * picard_number(t)
-        _add_b(t, row, n - l + i, Fraction(1))
-        _add_b(t, row, n - l + 1, -Fraction((l - i - 1) * (l - i), (l - 2) * (l - 1)))
-        cols.append(tuple(row))
+        w = Fraction((l - i - 1) * (l - i), (l - 2) * (l - 1))
+        cols.append(vec(_row(t, (n - l + i, 1), (n - l + 1, -w))))
     for i in range(1, l - 1):
         names.append(f"b*{i + 1}")
-        row = [Fraction(0)] * picard_number(t)
-        _add_b(t, row, i + 1, Fraction(1))
-        _add_b(t, row, n - l + 1, Fraction(i * (l - i - 1), (l - 2) * (l - 1)))
-        _add_b(t, row, l, -Fraction(i, l - 1))
-        cols.append(tuple(row))
+        w = Fraction(i * (l - i - 1), (l - 2) * (l - 1))
+        cols.append(vec(_row(t, (i + 1, 1), (n - l + 1, w), (l, -Fraction(i, l - 1)))))
     return names, cols
 
 
-def _pi_star_columns(spec: AttachMapSpec) -> tuple[list[str], list[Vec]]:
+def _pi_star_columns(spec: AttachMapSpec) -> tuple[list[str], list[IntVec]]:
     n = spec.n
     t = spec.target
     names, cols = [], []
     for l in range(2, (n - 1) // 2 + 1):
         names.append(f"b{l}")
-        row = [Fraction(0)] * picard_number(t)
-        row[_basis_index(t, f"b{l + 1}")] += Fraction(1)
-        if not (n % 2 == 1 and 2 * l == n - 1):  # the two sides coincide there
-            row[_basis_index(t, f"b{n - l}")] += Fraction(1)
-        cols.append(tuple(row))
+        # the pullback of b_l is b_{l+1} + b_{n-l}; the two sides coincide
+        # when 2l = n - 1, and the class is counted once there
+        cols.append(_row(t, *((i, 1) for i in {l + 1, n - l})))
     return names, cols
 
 
@@ -343,7 +337,7 @@ def _boundary_rays(s: SpaceId) -> tuple[IntVec, ...]:
     return tuple(primitive(boundary_class(s, label).coords) for label in enumerate_boundaries(s))
 
 
-def eff_xn2_derivation(n: int) -> tuple[dict[str, tuple[Vec, ...]], tuple[Certificate, ...]]:
+def eff_xn2_derivation(n: int) -> tuple[dict[str, tuple[IntVec, ...]], tuple[Certificate, ...]]:
     """Inequality families certifying ``b*_j >= 0`` over the two-marked cone.
 
     Returns the four families of valid inequalities (as functionals on
@@ -354,35 +348,19 @@ def eff_xn2_derivation(n: int) -> tuple[dict[str, tuple[Vec, ...]], tuple[Certif
     if n < 5:
         raise ValueError(f"need n >= 5, got {n}")
     s = SpaceId(n, 2)
-    dim = picard_number(s)
 
-    def e(name: str, c: Fraction | int = 1) -> Vec:
-        return _unit(s, name, c)
-
+    c = (n - 4) * (n - 3)
     fam1, fam2, fam3 = [], [], []
     for j in range(2, n - 1):
-        row1 = add(
-            add(e(f"b*{j}", (n - 4) * (n - 3)), e("b3", (j - 1) * (n - j - 2))),
-            e(f"b*{n - 2}", -(n - 4) * (j - 1)),
-        )
-        row2 = add(
-            add(e(f"b*{n - j}", (n - 4) * (n - 3)), e("b3", (j - 1) * (n - j - 2))),
-            e("b*2", -(n - 4) * (j - 1)),
-        )
-        row3 = add(
-            add(e(f"b*{j}", (n - 4) * (n - 3)), e("b3", (n - j - 1) * (j - 2))),
-            e("b*2", -(n - 4) * (n - j - 1)),
-        )
-        fam1.append(row1)
-        fam2.append(row2)
-        fam3.append(row3)
-    ineq4 = add(add(e("b*2"), e(f"b*{n - 2}")), e("b3", -1))
+        fam1.append(_row(s, (f"b*{j}", c), (3, (j - 1) * (n - j - 2)), (f"b*{n - 2}", -(n - 4) * (j - 1))))
+        fam2.append(_row(s, (f"b*{n - j}", c), (3, (j - 1) * (n - j - 2)), ("b*2", -(n - 4) * (j - 1))))
+        fam3.append(_row(s, (f"b*{j}", c), (3, (n - j - 1) * (j - 2)), ("b*2", -(n - 4) * (n - j - 1))))
+    ineq4 = _row(s, ("b*2", 1), (f"b*{n - 2}", 1), (3, -1))
 
     certs = []
     for idx, j in enumerate(range(2, n - 1)):
         gens = (fam1[idx], fam3[idx], ineq4)
-        target = e(f"b*{j}")
-        cert = conic_combination(target, gens)
+        cert = conic_combination(_row(s, (f"b*{j}", 1)), gens)
         if cert is None:
             raise ArithmeticError(
                 f"b*_{j} is not a conic combination of the derived inequalities"
@@ -413,8 +391,8 @@ def nem_hrep(s: SpaceId) -> Cone:
             raise ValueError(f"need n >= 6 for the unpointed cone, got {s.n}")
         rows = []
         for i in range(2, s.n // 2):
-            rows.append(add(_unit(s, f"b{i + 1}", s.n - i), _unit(s, f"b{i}", -(s.n - i - 2))))
-            rows.append(add(_unit(s, f"b{i}", i + 1), _unit(s, f"b{i + 1}", -(i - 1))))
+            rows.append(_row(s, (i + 1, s.n - i), (i, -(s.n - i - 2))))
+            rows.append(_row(s, (i, i + 1), (i + 1, -(i - 1))))
         return Cone.from_hrep(picard_number(s), tuple(rows))
     if s.m == 1:
         if s.n < 5:
@@ -423,25 +401,20 @@ def nem_hrep(s: SpaceId) -> Cone:
     raise ValueError(f"no inequality description implemented for {s}")
 
 
-def _nem_xn1_reduced_rows(n: int) -> tuple[Vec, ...]:
+def _nem_xn1_reduced_rows(n: int) -> tuple[IntVec, ...]:
     """The (n-1)(n-4)/2 inequalities cutting out the pointed nem cone."""
     s = SpaceId(n, 1)
     rows = []
     for l in range(3, n - 1):
-        rows.append(add(_unit(s, f"b{n - l + 1}", l), _unit(s, f"b{n - l}", -(l - 2))))
+        rows.append(_row(s, (n - l + 1, l), (n - l, -(l - 2))))
         for j in range(2, l):
-            row = add(
-                add(
-                    _unit(s, f"b{n - l + 1}", (j - 1) * (l - j)),
-                    _unit(s, f"b{j}", (l - 1) * (l - 2)),
-                ),
-                _unit(s, f"b{l}", -(j - 1) * (l - 2)),
+            rows.append(
+                _row(s, (n - l + 1, (j - 1) * (l - j)), (j, (l - 1) * (l - 2)), (l, -(j - 1) * (l - 2)))
             )
-            rows.append(row)
     return tuple(rows)
 
 
-def nem_xn1_full_rows(n: int) -> dict[tuple[int, int, int], Vec]:
+def nem_xn1_full_rows(n: int) -> dict[tuple[int, int, int], IntVec]:
     """The unreduced two-index family, keyed by ``(i, j, l)``.
 
     ``i = 1`` rows are the single-index family; ``i >= 2`` rows come from
@@ -450,21 +423,17 @@ def nem_xn1_full_rows(n: int) -> dict[tuple[int, int, int], Vec]:
     if n < 5:
         raise ValueError(f"need n >= 5, got {n}")
     s = SpaceId(n, 1)
-    rows: dict[tuple[int, int, int], Vec] = {}
+    rows: dict[tuple[int, int, int], IntVec] = {}
     for l in range(3, n - 1):
-        rows[(1, 0, l)] = add(
-            _unit(s, f"b{n - l + 1}", l), _unit(s, f"b{n - l}", -(l - 2))
-        )
+        rows[(1, 0, l)] = _row(s, (n - l + 1, l), (n - l, -(l - 2)))
         for i in range(2, l):
             for j in range(2, l):
-                row = add(
-                    add(
-                        _unit(s, f"b{n - l + i - 1}", (l - 1) * (j - 1) * (l - j)),
-                        _unit(s, f"b{j}", (l - 1) * (l - i) * (l - i + 1)),
-                    ),
-                    _unit(s, f"b{l}", -(j - 1) * (l - i) * (l - i + 1)),
+                rows[(i, j, l)] = _row(
+                    s,
+                    (n - l + i - 1, (l - 1) * (j - 1) * (l - j)),
+                    (j, (l - 1) * (l - i) * (l - i + 1)),
+                    (l, -(j - 1) * (l - i) * (l - i + 1)),
                 )
-                rows[(i, j, l)] = row
     return rows
 
 
@@ -473,22 +442,19 @@ def nem_xn1_subsumption(n: int) -> dict[tuple[int, int, int], tuple[tuple[Fracti
 
     Each value lists ``(coefficient, key)`` pairs whose combination equals
     the keyed row, verifying that the reduced system loses nothing.  The
-    coefficients are the closed-form ones used in the curve analysis.
+    coefficients are the closed-form ones used in the curve analysis; the
+    identity is checked in integers, cleared of their common denominator.
     """
     rows = nem_xn1_full_rows(n)
     out: dict[tuple[int, int, int], tuple[tuple[Fraction, tuple[int, int, int]], ...]] = {}
     for (i, j, l), row in rows.items():
         if i < 3:
             continue
-        a = Fraction((l - 1) * (j - 1) * (l - j), l - i + 2)
-        b = Fraction(l - i, l - i + 2)
-        combo = ((a, (1, 0, l - i + 2)), (b, (i - 1, j, l)))
-        total = zero_vec(len(row))
-        for coeff, key in combo:
-            total = add(total, scale(coeff, rows[key]))
-        if total != row:
+        d, a, b = l - i + 2, (l - 1) * (j - 1) * (l - j), l - i
+        low, prev = (1, 0, l - i + 2), (i - 1, j, l)
+        if any(d * r != a * x + b * y for r, x, y in zip(row, rows[low], rows[prev])):
             raise ArithmeticError(f"rewriting of row {(i, j, l)} failed")
-        out[(i, j, l)] = combo
+        out[(i, j, l)] = ((Fraction(a, d), low), (Fraction(b, d), prev))
     return out
 
 
@@ -496,7 +462,7 @@ def nem_xn1_subsumption(n: int) -> dict[tuple[int, int, int], tuple[tuple[Fracti
 # nem cones: extremal rays for m = 0
 
 
-def nem_rays_inductive(n: int) -> tuple[Vec, ...]:
+def nem_rays_inductive(n: int) -> tuple[IntVec, ...]:
     """All extremal rays of the unpointed cone, by the branching rule.
 
     Starting from first entry 1, each next entry is the current one scaled
@@ -517,7 +483,7 @@ def nem_rays_inductive(n: int) -> tuple[Vec, ...]:
     return tuple(sorted(set(rays)))
 
 
-def extremal_ray_ri(n: int, i: int) -> Vec:
+def extremal_ray_ri(n: int, i: int) -> IntVec:
     """The distinguished ray with a break at position ``i``.
 
     Entries to the right of the ``i``-th are forced by the lower bounds as
@@ -551,9 +517,9 @@ class DecompositionReport:
     """
 
     space: SpaceId
-    face_rays: tuple[Vec, ...]
-    pulled_rays: tuple[Vec, ...]
-    off_face_rays: tuple[Vec, ...]
+    face_rays: tuple[IntVec, ...]
+    pulled_rays: tuple[IntVec, ...]
+    off_face_rays: tuple[IntVec, ...]
     face_matches: bool
     constraint_holds: bool
     off_face_positive: bool

@@ -7,7 +7,8 @@ face checks against the cones we do compute.  The expected extremal rays of
 the computed cones are frozen alongside them as regression data, so a
 refactoring that silently changes a cone fails loudly.
 
-All vectors are primitive integer rays in the coordinates fixed by
+All vectors are primitive integer rays, stored as plain int tuples (the
+package's one row type), in the coordinates fixed by
 :func:`modulicones.spaces.relations_and_basis` for the quotients, and in the
 ordered basis (``Delta_irr``, ``Delta_1``, ``W``) for the genus-two pointed
 moduli space (``W`` is the Weierstrass divisor).
@@ -15,7 +16,7 @@ moduli space (``W`` is the Weierstrass divisor).
 
 from __future__ import annotations
 
-from .linalg import Vec, vec
+from .linalg import IntVec
 from .spaces import SpaceId
 
 __all__ = [
@@ -32,32 +33,28 @@ __all__ = [
 ]
 
 
-def _rays(*rows: tuple[int, ...]) -> tuple[Vec, ...]:
-    return tuple(vec(row) for row in rows)
-
-
 #: Nef cones, recorded — never computed here.
-NEF_RAYS: dict[SpaceId, tuple[Vec, ...]] = {
-    SpaceId(6, 0): _rays((2, 1), (1, 3)),
-    SpaceId(7, 0): _rays((1, 3), (1, 1)),
-    SpaceId(8, 0): _rays((3, 2, 4), (1, 3, 6), (6, 11, 8), (2, 6, 5)),
-    SpaceId(9, 0): _rays((1, 3, 2), (1, 3, 6), (1, 1, 2), (3, 3, 4)),
-    SpaceId(5, 1): _rays((0, 1), (3, 1)),
-    SpaceId(6, 1): _rays((6, 3, 1), (1, 3, 1), (0, 1, 1), (2, 1, 2)),
-    SpaceId(7, 1): _rays(
+NEF_RAYS: dict[SpaceId, tuple[IntVec, ...]] = {
+    SpaceId(6, 0): ((2, 1), (1, 3)),
+    SpaceId(7, 0): ((1, 3), (1, 1)),
+    SpaceId(8, 0): ((3, 2, 4), (1, 3, 6), (6, 11, 8), (2, 6, 5)),
+    SpaceId(9, 0): ((1, 3, 2), (1, 3, 6), (1, 1, 2), (3, 3, 4)),
+    SpaceId(5, 1): ((0, 1), (3, 1)),
+    SpaceId(6, 1): ((6, 3, 1), (1, 3, 1), (0, 1, 1), (2, 1, 2)),
+    SpaceId(7, 1): (
         (10, 6, 3, 1), (5, 3, 4, 3), (5, 12, 6, 2), (0, 1, 3, 1), (0, 2, 1, 2)
     ),
 }
 
 #: Expected extremal rays of the computed nem cones (regression goldens).
-NEM_RAYS: dict[SpaceId, tuple[Vec, ...]] = {
-    SpaceId(6, 0): _rays((2, 1), (1, 3)),
-    SpaceId(7, 0): _rays((5, 3), (1, 3)),
-    SpaceId(8, 0): _rays((3, 2, 4), (1, 3, 6), (5, 15, 9), (15, 10, 6)),
-    SpaceId(9, 0): _rays((1, 3, 2), (1, 3, 6), (7, 5, 10), (21, 15, 10)),
-    SpaceId(5, 1): _rays((0, 1), (3, 1)),
-    SpaceId(6, 1): _rays((6, 3, 1), (1, 3, 1), (0, 1, 1), (1, 3, 6), (2, 1, 2)),
-    SpaceId(7, 1): _rays(
+NEM_RAYS: dict[SpaceId, tuple[IntVec, ...]] = {
+    SpaceId(6, 0): ((2, 1), (1, 3)),
+    SpaceId(7, 0): ((5, 3), (1, 3)),
+    SpaceId(8, 0): ((3, 2, 4), (1, 3, 6), (5, 15, 9), (15, 10, 6)),
+    SpaceId(9, 0): ((1, 3, 2), (1, 3, 6), (7, 5, 10), (21, 15, 10)),
+    SpaceId(5, 1): ((0, 1), (3, 1)),
+    SpaceId(6, 1): ((6, 3, 1), (1, 3, 1), (0, 1, 1), (1, 3, 6), (2, 1, 2)),
+    SpaceId(7, 1): (
         (5, 12, 36, 32),
         (10, 6, 3, 6),
         (5, 3, 9, 8),
@@ -73,18 +70,18 @@ NEM_RAYS: dict[SpaceId, tuple[Vec, ...]] = {
 
 #: Expected generators of the effective cone of the five-point two-marked
 #: quotient, where boundary classes stop being independent.
-EFF_X52_RAYS: tuple[Vec, ...] = _rays((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, 1, 1))
+EFF_X52_RAYS: tuple[IntVec, ...] = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, 1, 1))
 
 #: Dual generators of :data:`EFF_X52_RAYS`.  On this surface the dual of the
 #: effective cone is the nef cone, so these four rays double as the frozen
 #: nef description of the five-point two-marked quotient.
-NEF_X52_RAYS: tuple[Vec, ...] = _rays((0, 0, 1), (0, 1, 0), (1, 0, 1), (1, 1, 0))
+NEF_X52_RAYS: tuple[IntVec, ...] = ((0, 0, 1), (0, 1, 0), (1, 0, 1), (1, 1, 0))
 
 #: Ordered divisor basis used for the genus-two pointed moduli space.
 M21_BASIS: tuple[str, ...] = ("Delta_irr", "Delta_1", "W")
 
-M21_A: Vec = vec((1, 1, 0))
-M21_B: Vec = vec((1, 6, 0))
-M21_C: Vec = vec((1, 6, 5))
-M21_D: Vec = vec((1, 6, 20))
-M21_E: Vec = vec((3, 3, 10))
+M21_A: IntVec = (1, 1, 0)
+M21_B: IntVec = (1, 6, 0)
+M21_C: IntVec = (1, 6, 5)
+M21_D: IntVec = (1, 6, 20)
+M21_E: IntVec = (3, 3, 10)

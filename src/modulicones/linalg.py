@@ -1,13 +1,14 @@
-"""Exact linear algebra over the rationals.
+"""Exact integer linear algebra.
 
-Vectors are tuples of :class:`fractions.Fraction`, matrices are sequences of
-such rows.  Everything here is pure and immutable, and nothing in the package
-ever touches floating point: cone geometry downstream depends on equalities
-like ``a*d - b*c == 0`` holding exactly.  There is one elimination, `rref`,
-and it works on integer rows: each row is scaled to integers first (an
-all-int row passes through as it is) and eliminated fraction-free, so `rref`
-returns integer rows.  `rank` counts its pivots, and `solve` reads its
-`Fraction` solution off the reduced augmented matrix.
+Rows inside the package are tuples of machine ints; `vec` builds the
+:class:`fractions.Fraction` tuples that callers hand in at the API edge, and
+every routine here accepts either.  Nothing in the package ever touches
+floating point: cone geometry downstream depends on equalities like
+``a*d - b*c == 0`` holding exactly.  There is one elimination, `rref`, and
+it works on integer rows: each row is scaled to integers first (an all-int
+row passes through as it is) and eliminated fraction-free, so `rref` returns
+integer rows.  `rank` counts its pivots, and `primitive` scales a row to the
+shortest integer row in its direction.
 """
 
 from __future__ import annotations
@@ -22,27 +23,6 @@ IntVec = tuple[int, ...]
 
 def vec(entries: Iterable) -> Vec:
     return tuple(Fraction(x) for x in entries)
-
-
-def zero_vec(dim: int) -> Vec:
-    return (Fraction(0),) * dim
-
-
-def unit_vec(dim: int, k: int) -> Vec:
-    return tuple(Fraction(1) if j == k else Fraction(0) for j in range(dim))
-
-
-def add(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vec:
-    return tuple(a + b for a, b in zip(u, v, strict=True))
-
-
-def scale(c, v: Sequence[Fraction]) -> Vec:
-    c = Fraction(c)
-    return tuple(c * a for a in v)
-
-
-def dot(u: Sequence, v: Sequence) -> Fraction:
-    return sum((Fraction(a) * Fraction(b) for a, b in zip(u, v, strict=True)), Fraction(0))
 
 
 def _int_row(row: Sequence) -> tuple[Sequence[int], int]:
@@ -97,22 +77,6 @@ def rref(m: Sequence[Sequence]) -> tuple[list[IntVec], list[int]]:
 def rank(m: Sequence[Sequence]) -> int:
     """Rank of ``m``: the number of pivots of its `rref`."""
     return len(rref(m)[1])
-
-
-def solve(m: Sequence[Sequence], target: Sequence) -> Optional[Vec]:
-    """One solution of ``m @ x = target`` (free variables set to zero), or None."""
-    if len(m) != len(target):
-        raise ValueError("matrix/target size mismatch")
-    if not m:
-        return ()
-    ncols = len(m[0])
-    red, pivots = rref([list(row) + [t] for row, t in zip(m, target)])
-    if ncols in pivots:
-        return None  # inconsistent system
-    x = [Fraction(0)] * ncols
-    for row, p in zip(red, pivots):
-        x[p] = Fraction(row[-1], row[p])
-    return tuple(x)
 
 
 def primitive(v: Sequence) -> IntVec:

@@ -130,9 +130,17 @@ def _boundary_index(s: SpaceId) -> dict[BoundaryLabel, int]:
 
 
 def sum_to_vector(s: SpaceId, formal: FormalSum) -> Vec:
+    """A formal boundary sum as a vector over the label list of ``s``.
+
+    Each label is made canonical first, so a mirror label counts as its
+    canonical twin; a label that is not a boundary divisor of ``s`` raises
+    ValueError.
+    """
     idx = _boundary_index(s)
     row = [Fraction(0)] * len(idx)
     for label, coeff in formal.items():
+        if label not in idx:
+            label = canonical_label(s, label.size, label.marks)
         row[idx[label]] += Fraction(coeff)
     return tuple(row)
 
@@ -329,13 +337,6 @@ class CurveClass:
             )
 
 
-def pair(divisor: DivisorClass, curve: CurveClass) -> Fraction:
-    """Intersection number, read off coordinatewise in dual bases."""
-    if divisor.space != curve.space:
-        raise ValueError("classes live on different spaces")
-    return sum(a * b for a, b in zip(divisor.coords, curve.coords))
-
-
 # --------------------------------------------------------------------------
 # expressing boundary sums in a basis
 # --------------------------------------------------------------------------
@@ -478,7 +479,9 @@ def forgetful_pullback_sum(src: SpaceId, formal: FormalSum, dst: SpaceId) -> dic
     divisor over its own: a side of exactly two undistinguished points is
     ramified (index 2), and once the new distinguished point joins that side
     the preimage is not, so that preimage carries coefficient 2.  The other
-    preimage keeps the two-point side and carries 1.
+    preimage keeps the two-point side and carries 1.  When the source has
+    no distinguished point and the label splits the points evenly, both
+    preimages are the same divisor, and it is counted once.
     """
     if dst.n - src.n != dst.m - src.m or dst.n < src.n:
         raise ValueError(f"no point-forgetting map {dst} -> {src}")
@@ -489,10 +492,10 @@ def forgetful_pullback_sum(src: SpaceId, formal: FormalSum, dst: SpaceId) -> dic
         out: dict[BoundaryLabel, Fraction] = defaultdict(Fraction)
         for label, coeff in cur.items():
             ramified = _is_ramified(cur_space, label)
-            for image in (
+            for image in dict.fromkeys((
                 canonical_label(bigger, label.size, label.marks),
                 canonical_label(bigger, label.size + 1, label.marks | {new_point}),
-            ):
+            )):
                 factor = 2 if ramified and not _is_ramified(bigger, image) else 1
                 out[image] += coeff * factor
         cur_space, cur = bigger, dict(out)

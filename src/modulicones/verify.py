@@ -45,7 +45,7 @@ from .curves import (
     nem_xn1_full_rows,
     nem_xn1_subsumption,
 )
-from .linalg import add, dot, primitive, scale, unit_vec, vec
+from .linalg import primitive
 from .porta import cone_from_json, cone_json_dumps, porta_read, porta_write
 from .spaces import (
     SpaceId,
@@ -119,8 +119,8 @@ def check_counterexample() -> None:
     contradict each other whichever six-point class was meant.
     """
     s6 = SpaceId(6, 3)
-    tripled = scale(3, boundary_class(s6, canonical_label(s6, 2, {1, 2})).coords)
-    assert tripled == vec((-1, 1, 1, 0, -3, 1, 1, -1)), _fmt(tripled)
+    tripled = tuple(3 * c for c in boundary_class(s6, canonical_label(s6, 2, {1, 2})).coords)
+    assert tripled == (-1, 1, 1, 0, -3, 1, 1, -1), _fmt(tripled)
 
     coords = {}
     for n in (6, 7, 8):
@@ -130,10 +130,10 @@ def check_counterexample() -> None:
         coords[n] = cls.coords
 
     recorded = {
-        "six-point pushdown": (vec((2, 0, 0, 2, -6, -2, -2, 2)), coords[6]),
-        "7-point transport": (vec((4, 0, 0, 6, 0, -4, -4, 8, 6, -6, -6, -24)), coords[7]),
+        "six-point pushdown": ((2, 0, 0, 2, -6, -2, -2, 2), coords[6]),
+        "7-point transport": ((4, 0, 0, 6, 0, -4, -4, 8, 6, -6, -6, -24), coords[7]),
         "8-point transport": (
-            vec((12, 0, 0, 24, 12, -12, -12, 36, 24, -24, -24, -120, -24, -24, -24, 36)),
+            (12, 0, 0, 24, 12, -12, -12, 36, 24, -24, -24, -120, -24, -24, -24, 36),
             coords[8],
         ),
     }
@@ -195,20 +195,15 @@ def check_redundancy_identities() -> None:
             assert any(primitive(row) == r for row in full.values()), (n, r)
 
         # the system itself pins the second basis coordinate nonnegative
-        e2 = unit_vec(picard_number(SpaceId(n, 1)), 0)
+        e2 = (1,) + (0,) * (picard_number(SpaceId(n, 1)) - 1)
         if n % 2 == 1:
             low = full[(2, 2, (n + 1) // 2)]
-            assert primitive(low) == primitive(e2), (n, low)
+            assert primitive(low) == e2, (n, low)
         else:
             h = n // 2
-            combo = add(
-                scale(Fraction(h), full[(2, 2, h)]),
-                scale(Fraction(h - 2), full[(2, 2, h + 1)]),
-            )
-            assert combo == scale(Fraction(h * (h - 1) * (h - 2) * (n - 1)), e2), (
-                n,
-                combo,
-            )
+            combo = tuple(h * a + (h - 2) * b for a, b in zip(full[(2, 2, h)], full[(2, 2, h + 1)]))
+            want = tuple(h * (h - 1) * (h - 2) * (n - 1) * x for x in e2)
+            assert combo == want, (n, combo)
 
 
 def check_surface_effective_cone() -> None:
@@ -236,14 +231,11 @@ def check_two_marked_derivation() -> None:
         last = families["ineq4"][0]
         constant = (n - 2) * (n - 3) * (n - 4)
         for j in range(2, n - 1):
-            combo = add(
-                add(
-                    scale(n - j - 1, families["ineq1"][j - 2]),
-                    scale(j - 1, families["ineq3"][j - 2]),
-                ),
-                scale((n - j - 1) * (j - 1) * (n - 4), last),
+            combo = tuple(
+                (n - j - 1) * a + (j - 1) * b + (n - j - 1) * (j - 1) * (n - 4) * c
+                for a, b, c in zip(families["ineq1"][j - 2], families["ineq3"][j - 2], last)
             )
-            want = scale(constant, unit_vec(dim, (n - 4) + (j - 2)))
+            want = tuple(constant if k == (n - 4) + (j - 2) else 0 for k in range(dim))
             assert combo == want, (n, j, _fmt(combo))
 
 
@@ -289,11 +281,11 @@ def check_genus_two_pointed() -> None:
     assert got_nem == {a, b, d, e}, got_nem
     got_nef = set(cones["push_nef"].extreme_rays())
     assert got_nef == {a, b, d}, got_nef
-    assert m21_pushforward((5, 12, 6, 2)) == vec((1, 6, 5))
-    assert add(scale(Fraction(3, 4), b), scale(Fraction(1, 4), d)) == c
+    assert m21_pushforward((5, 12, 6, 2)) == (1, 6, 5)
+    assert tuple(3 * x + y for x, y in zip(b, d)) == tuple(4 * z for z in c)
 
     md = x71_mori_data()
-    assert dot(md.canonical, md.extremal_curve.coords) == 0
+    assert sum(a * x for a, x in zip(md.canonical, md.extremal_curve.coords)) == 0
     face = set(md.nef_face_rays)
     assert face == {(0, 2, 1, 2), (5, 12, 6, 2), (10, 6, 3, 1)}, face
 
@@ -301,7 +293,7 @@ def check_genus_two_pointed() -> None:
 def check_symmetrized_cotangent_class() -> None:
     """The fifteen-term class pushes to the primitive ray (10, 6, 3, 1)."""
     _, pushed = class_l7()
-    assert pushed.coords == vec((10, 6, 3, 1)), _fmt(pushed.coords)
+    assert pushed.coords == (10, 6, 3, 1), _fmt(pushed.coords)
 
 
 def check_containment_chain() -> None:

@@ -24,12 +24,14 @@ from modulicones.curves import (
     nem_xn1_full_rows,
     nem_xn1_subsumption,
 )
-from modulicones.curves import _add_b
-from modulicones.linalg import add, primitive, scale, vec
+from modulicones.curves import _row
+from modulicones.linalg import primitive, vec
 from modulicones.spaces import (
     SpaceId,
     boundary_class,
+    canonical_label,
     enumerate_boundaries,
+    forgetful_pullback,
     fully_pointed,
     picard_number,
     relations_and_basis,
@@ -145,8 +147,8 @@ def test_nonnegativity_of_low_coordinate(n):
         assert row[0] == (l - 1) ** 2 * (l - 2)
     else:
         h = n // 2
-        combo = add(scale(F(h), full[(2, 2, h)]), scale(F(h - 2), full[(2, 2, h + 1)]))
-        assert combo == scale(F(h * (h - 1) * (h - 2) * (n - 1)), vec(e2))
+        combo = tuple(h * a + (h - 2) * b for a, b in zip(full[(2, 2, h)], full[(2, 2, h + 1)]))
+        assert combo == tuple(h * (h - 1) * (h - 2) * (n - 1) * x for x in e2)
 
 
 # --- attachment pushforwards --------------------------------------------------
@@ -163,11 +165,8 @@ def test_unmarked_attach_images_in_closed_form(n, m):
         src = SpaceId(l + 1, 1)
         for k in range(1, l - 1):
             pushed = q.push_curve(curve_ck(src, k))
-            direct = [F(0)] * picard_number(t)
-            _add_b(t, direct, n - l + k, F(l - k + 1))
-            if l - k - 1:
-                _add_b(t, direct, n - l + k - 1, F(-(l - k - 1)))
-            assert pushed == tuple(direct), ("q", n, m, l, k)
+            direct = _row(t, (n - l + k, l - k + 1), (n - l + k - 1, -(l - k - 1)))
+            assert pushed == direct, ("q", n, m, l, k)
 
 
 @pytest.mark.parametrize("n", range(5, 13))
@@ -187,14 +186,14 @@ def test_marked_attach_images_match_the_full_rows(n):
         names = smap.source_names
         for j in range(2, l):
             col = smap.column(f"b*{j}")
-            assert scale(F((l - 1) ** 2 * (l - 2)), col) == vec(full[(2, j, l)])
+            assert tuple((l - 1) ** 2 * (l - 2) * x for x in col) == full[(2, j, l)]
         for i in range(3, l):
             for j in range(2, l):
                 coeffs = {name: F(0) for name in names}
                 coeffs[f"b{i}"] = F((j - 1) * (l - j))
                 coeffs[f"b*{j}"] = F((l - i + 1) * (l - i))
                 img = smap([coeffs[name] for name in names])
-                assert scale(F(l - 1), img) == vec(full[(i, j, l)]), (n, l, i, j)
+                assert tuple((l - 1) * x for x in img) == full[(i, j, l)], (n, l, i, j)
         # the unstarred i = 2 column agrees with the k = 1 column one level
         # down on the unmarked side: same glued geometry
         qprev = attach_pushforward(AttachMapSpec("q", n, l - 1, 1))
@@ -207,7 +206,7 @@ def test_two_marked_attach_derives_the_effective_system(n):
     rmap = attach_pushforward(AttachMapSpec("r", n, n - 2))
     for j in range(2, n - 2):
         col = rmap.column(f"b*{j}")
-        assert scale(F((n - 4) * (n - 3)), col) == vec(fams["ineq1"][j - 2])
+        assert tuple((n - 4) * (n - 3) * x for x in col) == fams["ineq1"][j - 2]
     for cert in certs:
         assert bool(cert)
 
@@ -241,6 +240,17 @@ def test_pushed_curves_are_valid_on_nem(n, m):
 def test_unknown_basis_name_names_the_source(linear_map):
     with pytest.raises(KeyError, match=re.escape(str(linear_map.source))):
         linear_map.column("b*9")
+
+
+@pytest.mark.parametrize("n", range(5, 12))
+def test_pi_star_columns_are_the_forgetful_pullbacks(n):
+    src = SpaceId(n - 1, 0)
+    pi = attach_pushforward(AttachMapSpec("pi_star", n))
+    for name in pi.source_names:
+        l = int(name[1:])
+        pulled = forgetful_pullback(src, {canonical_label(src, l, ()): F(1)}, SpaceId(n, 1))
+        half = F(1, 2) if l == 2 else 1  # b_2 is half of D_2
+        assert tuple(half * c for c in pulled.coords) == pi.column(name), (n, name)
 
 
 def test_attach_map_coordinates_follow_the_target_basis():
@@ -333,3 +343,29 @@ def test_nef_fixture_inside_computed_nem(s):
     for ray in fixtures.NEF_RAYS[s]:
         cert = conic_combination(vec(ray), nem.rays)
         assert cert is not None and cert.verify(ray, nem.rays), (s, ray)
+
+
+# --- integer rows ----------------------------------------------------------------
+
+
+def _all_ints(rows):
+    return all(type(x) is int for row in rows for x in row)
+
+
+@pytest.mark.parametrize("n", range(5, 11))
+def test_integral_rows_are_built_as_ints(n):
+    assert _all_ints(nem_xn1_full_rows(n).values())
+    families, _ = eff_xn2_derivation(n)
+    assert _all_ints(row for family in families.values() for row in family)
+    for m in (0, 1):
+        s = SpaceId(n + 1, m)
+        assert _all_ints(curve_ck(s, k).coords for k in range(1, s.n - 2))
+
+
+def test_fixture_rays_are_int_tuples():
+    rays = [r for family in fixtures.NEF_RAYS.values() for r in family]
+    rays += [r for family in fixtures.NEM_RAYS.values() for r in family]
+    rays += [*fixtures.EFF_X52_RAYS, *fixtures.NEF_X52_RAYS]
+    rays += [fixtures.M21_A, fixtures.M21_B, fixtures.M21_C, fixtures.M21_D, fixtures.M21_E]
+    assert all(type(r) is tuple for r in rays)
+    assert _all_ints(rays)

@@ -29,9 +29,10 @@ gives each transported class an independent expected value.
 import itertools
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from modulicones.curves import counterexample_ftau, named_class
 from modulicones.linalg import rank
@@ -186,12 +187,18 @@ def forget(n, kept, divisor):
 
 
 def symmetrize(n, movable, divisor):
-    """sum over g in Sym(movable) of g^* divisor."""
+    """sum over g in Sym(movable) of g^* divisor.
+
+    A permutation sends a side ``S`` to ``(S - movable) | T`` with ``|T| ==
+    |S & movable|``, and each such ``T`` is reached by ``j! (|movable| - j)!``
+    permutations, ``j = |S & movable|``; the sum runs over the ``T``."""
+    movable = frozenset(movable)
     terms = []
-    for perm in itertools.permutations(movable):
-        g = dict(zip(movable, perm))
-        for side, coeff in divisor.items():
-            terms.append((frozenset(g.get(x, x) for x in side), coeff))
+    for side, coeff in divisor.items():
+        fixed, j = side - movable, len(side & movable)
+        weight = factorial(j) * factorial(len(movable) - j)
+        for t in itertools.combinations(sorted(movable), j):
+            terms.append((fixed | frozenset(t), coeff * weight))
     return _accumulate(n, terms)
 
 
@@ -287,21 +294,26 @@ def test_forgetful_pullback_of_every_label(n):
         assert got == want, label
 
 
-@st.composite
-def formal_sums(draw):
-    """A space X(n, m), n <= 8, m <= 3, and a formal sum of its boundary
-    labels, each label drawn as it is or as its mirror."""
-    n = draw(st.integers(min_value=4, max_value=8))
-    m = draw(st.integers(min_value=0, max_value=3))
-    s = SpaceId(n, m)
+def _draw_sum(draw, s):
+    """A formal sum of boundary labels of ``s``, each label drawn as it is
+    or as its mirror."""
     labels = draw(st.lists(st.sampled_from(enumerate_boundaries(s)), min_size=1, max_size=6))
     formal = {}
     for label in labels:
         if draw(st.booleans()):
-            label = BoundaryLabel(n - label.size, s.distinguished - label.marks)
+            label = BoundaryLabel(s.n - label.size, s.distinguished - label.marks)
         coeff = draw(st.fractions(min_value=-6, max_value=6, max_denominator=4))
         formal[label] = formal.get(label, 0) + coeff
-    return s, formal
+    return formal
+
+
+@st.composite
+def formal_sums(draw):
+    """A space X(n, m), n <= 8, m <= 3, and a formal sum on it."""
+    n = draw(st.integers(min_value=4, max_value=8))
+    m = draw(st.integers(min_value=0, max_value=3))
+    s = SpaceId(n, m)
+    return s, _draw_sum(draw, s)
 
 
 @settings(max_examples=60, deadline=None)
@@ -341,3 +353,70 @@ def test_boundary_f_vectors_span_the_picard_number(n):
     full = fully_pointed(n)
     rows = [f_vector(n, pull_formal(n, n, {label: 1})) for label in enumerate_boundaries(full)]
     assert rank(rows) == picard_number(full)
+
+
+@st.composite
+def pullback_cases(draw):
+    """A point-forgetting map X(n, m0 + k) -> X(n - k, m0), n <= 7, m0 <= 3,
+    as (source of the pullback, its target), and a formal sum on the source."""
+    n = draw(st.integers(min_value=5, max_value=7))
+    n0 = draw(st.integers(min_value=4, max_value=n - 1))
+    src = SpaceId(n0, draw(st.integers(min_value=0, max_value=3)))
+    return src, SpaceId(n, src.m + n - n0), _draw_sum(draw, src)
+
+
+@settings(max_examples=40, deadline=None)
+@given(pullback_cases())
+@example((SpaceId(6, 0), SpaceId(7, 1), {BoundaryLabel(3, frozenset()): F(1)}))
+@example((SpaceId(4, 0), SpaceId(7, 3), {BoundaryLabel(2, frozenset()): F(1)}))
+def test_forgetful_pullback_agrees_with_the_oracle(case):
+    """The package's pullback along X(n, m0 + k) -> X(n - k, m0) against pi^* q^*.
+
+    The k new distinguished points are m0+1..m0+k, so source point i is
+    point i for i <= m0 and point i + k otherwise."""
+    src, dst, formal = case
+    k = dst.n - src.n
+    kept = tuple(range(1, src.m + 1)) + tuple(range(src.m + k + 1, dst.n + 1))
+    pulled = forgetful_pullback_sum(src, formal, dst)
+    want = forget(dst.n, kept, pull_formal(src.n, src.m, formal))
+    assert f_vector(dst.n, pull_formal(dst.n, dst.m, pulled)) == f_vector(dst.n, want)
+
+
+@st.composite
+def pushforward_cases(draw):
+    """A symmetrization map X(n, m1) -> X(n, m2), n <= 7, and a formal sum
+    on its source.
+
+    The target X(4, 0) is left out.  There the Klein four-group, which lies
+    in Sym(1..4), acts trivially on M_{0,4}: q has degree 6, not 24, so
+    q^* q_* D is the sum over Sym(1..4) / V_4 alone, a quarter of the
+    symmetrized sum below."""
+    n = draw(st.integers(min_value=4, max_value=7))
+    m2 = draw(st.integers(min_value=0 if n >= 5 else 1, max_value=n - 1))
+    src = SpaceId(n, draw(st.integers(min_value=m2 + 1, max_value=n)))
+    return src, SpaceId(n, m2), _draw_sum(draw, src)
+
+
+def _pushforward_f_vectors(src, dst, formal):
+    """F-vectors of q^* q_* of the formal sum, and of the symmetrized q^*
+    over Sym(m2+1..n) divided by the order (n - m1)! of the source group."""
+    n = src.n
+    pushed = quotient_pushforward_sum(src, formal, dst)
+    symmetrized = symmetrize(n, range(dst.m + 1, n + 1), pull_formal(n, src.m, formal))
+    want = {side: c / factorial(n - src.m) for side, c in symmetrized.items()}
+    return f_vector(n, pull_formal(n, dst.m, pushed)), f_vector(n, want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(pushforward_cases())
+def test_quotient_pushforward_agrees_with_the_oracle(case):
+    got, want = _pushforward_f_vectors(*case)
+    assert got == want
+
+
+@pytest.mark.parametrize("m1", [1, 2, 3, 4])
+def test_pushforward_to_the_four_point_quotient_is_off_by_the_klein_group(m1):
+    src = SpaceId(4, m1)
+    for label in enumerate_boundaries(src):
+        got, want = _pushforward_f_vectors(src, SpaceId(4, 0), {label: F(1)})
+        assert tuple(4 * x for x in got) == want, label

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from modulicones import cones
 from modulicones.cones import Certificate, Cone, conic_combination, dual_description, separating_functional
-from modulicones.linalg import primitive, rank, rref, scale, solve, vec
+from modulicones.linalg import primitive, rank, rref, vec
 from modulicones.porta import porta_read, porta_write
 from modulicones.spaces import SpaceId, canonical_label, express_in_basis, fully_pointed, keel_relations, enumerate_boundaries
 
@@ -36,7 +36,7 @@ def test_primitive_idempotent(v):
 
 @given(nonzero_vectors(), st.fractions(min_value=Fraction(1, 8), max_value=Fraction(40), max_denominator=8))
 def test_primitive_scale_invariant(v, q):
-    assert primitive(scale(q, v)) == primitive(v)
+    assert primitive(tuple(q * x for x in v)) == primitive(v)
 
 
 big_ints = st.one_of(st.just(0), st.integers(min_value=-10**30, max_value=10**30))
@@ -121,46 +121,6 @@ def test_rref_is_the_primitive_integer_form_of_the_rational_rref(rows):
         assert row[p] > 0
         # the oracle row is 1 at its pivot, so row[p] is the multiplier
         assert list(row) == [row[p] * x for x in orow]
-
-
-@st.composite
-def linear_systems(draw):
-    """A `mixed_matrices` matrix and a Fraction target: either the image of a
-    rational point, which makes the system consistent, or drawn freely."""
-    rows = draw(mixed_matrices())
-    ncols = len(rows[0]) if rows else 0
-    if draw(st.booleans()):
-        x = draw(st.lists(rationals, min_size=ncols, max_size=ncols))
-        target = [sum((Fraction(a) * b for a, b in zip(row, x)), Fraction(0)) for row in rows]
-    else:
-        target = draw(st.lists(rationals, min_size=len(rows), max_size=len(rows)))
-    return rows, target
-
-
-def _oracle_solve(rows, target):
-    if not rows:
-        return ()
-    ncols = len(rows[0])
-    red, pivots = _oracle_rref([list(r) + [t] for r, t in zip(rows, target)])
-    if ncols in pivots:
-        return None
-    x = [Fraction(0)] * ncols
-    for row, p in zip(red, pivots):
-        x[p] = row[-1]
-    return tuple(x)
-
-
-@example(([[1, 1], [2, 2]], [Fraction(1), Fraction(3)]))
-@example(([[0, 0]], [Fraction(1, 2)]))
-@example(([[], []], [Fraction(0), Fraction(0)]))
-@given(linear_systems())
-def test_solve_matches_the_oracle(system):
-    rows, target = system
-    x = solve(rows, target)
-    assert x == _oracle_solve(rows, target)
-    if x is not None:
-        assert all(type(c) is Fraction for c in x)
-        assert [sum((Fraction(a) * c for a, c in zip(row, x)), Fraction(0)) for row in rows] == target
 
 
 # --------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from modulicones.spaces import (
     quotient_pushforward_sum,
     relabel_sum,
     relations_and_basis,
+    sum_to_vector,
 )
 
 F = Fraction
@@ -190,3 +191,37 @@ def test_express_in_basis_accepts_mirror_labels(m):
     for label in enumerate_boundaries(s):
         mirror = BoundaryLabel(s.n - label.size, s.distinguished - label.marks)
         assert express_in_basis(s, {mirror: F(1)}) == boundary_class(s, label)
+
+
+@pytest.mark.parametrize("m", range(4))
+def test_sum_to_vector_accepts_mirror_labels(m):
+    s = SpaceId(7, m)
+    for label in enumerate_boundaries(s):
+        mirror = BoundaryLabel(s.n - label.size, s.distinguished - label.marks)
+        assert sum_to_vector(s, {mirror: F(2), label: F(1)}) == sum_to_vector(s, {label: F(3)})
+    if m == 1:  # D5 on X(7,1) is the mirror of D2_1
+        assert sum_to_vector(s, {BoundaryLabel(5, frozenset()): F(1)}) == sum_to_vector(
+            s, {canonical_label(s, 2, {1}): F(1)}
+        )
+
+
+@pytest.mark.parametrize(
+    "s, label",
+    [
+        (SpaceId(7, 1), BoundaryLabel(6, frozenset())),
+        (SpaceId(7, 2), BoundaryLabel(2, frozenset({3}))),
+    ],
+)
+def test_sum_to_vector_rejects_foreign_labels(s, label):
+    with pytest.raises(ValueError):
+        sum_to_vector(s, {label: F(1)})
+
+
+@pytest.mark.parametrize("n", [5, 7, 9])
+def test_forgetful_pullback_counts_an_even_split_once(n):
+    """On X(2k,0) -> X(2k+1,1) both preimages of D_k are one label."""
+    src, dst = SpaceId(n - 1, 0), SpaceId(n, 1)
+    k = (n - 1) // 2
+    label = canonical_label(src, k, ())
+    pulled = forgetful_pullback_sum(src, {label: F(1)}, dst)
+    assert pulled == {canonical_label(dst, k, ()): F(1)}
