@@ -12,15 +12,19 @@ Conversions happen only in the lazy `Cone` properties and in
 (`dual_description`) on integer rows from end to end: the lineality basis is
 kept as the integer rows of `linalg.rref`, the package's one elimination,
 rays are projected and reduced by integer cross-multiplication, and adjacency
-is decided combinatorially from the tight sets of the rays.  Each membership
-or redundancy query takes one phase-1 simplex solve, which produces either
-explicit nonnegative coefficients or a Farkas functional separating the point
-from the cone.  The simplex pivots an integer tableau over one common
-denominator ``D``, the absolute determinant of the current basis, so every
-division in a pivot is exact (`_phase1`); `Fraction` appears only in the
-coefficients a membership certificate returns.  Every `Certificate` is
-re-verified by direct integer arithmetic before it is returned, so a bug in
-the pivoting can only surface as an exception, never as a wrong answer.
+is decided combinatorially from the tight sets of the rays.  A combined ray
+inherits its tight set from the two rays it combines; a final sweep finds
+each ray's tight rows again by dot products and keeps the rays whose tight
+rows have rank one less than the codimension of the lineality
+(`linalg.rank`).  Each membership or redundancy query takes one phase-1
+simplex solve, which produces either explicit nonnegative coefficients or a
+Farkas functional separating the point from the cone.  The simplex pivots
+an integer tableau over one common denominator ``D``, the absolute
+determinant of the current basis, so every division in a pivot is exact
+(`_phase1`); `Fraction` appears only in the coefficients a membership
+certificate returns.  Every `Certificate` is re-verified by direct integer
+arithmetic before it is returned, so a bug in the pivoting can only surface
+as an exception, never as a wrong answer.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
+from operator import mul
 from typing import Optional, Sequence
 
 from .linalg import IntVec, _int_row, primitive, rank, rref
@@ -39,7 +44,9 @@ def _primitive_or_none(v: Sequence) -> Optional[IntVec]:
 
 
 def _int_dot(u: Sequence[int], v: Sequence[int]) -> int:
-    return sum(a * b for a, b in zip(u, v, strict=True))
+    if len(u) != len(v):
+        raise ValueError(f"dot product of vectors of lengths {len(u)} and {len(v)}")
+    return sum(map(mul, u, v))
 
 
 def _reduce_mod(
@@ -98,7 +105,7 @@ class Certificate:
         acc = [0] * len(target)
         for c, g in terms:
             q = c.numerator * (den // c.denominator)
-            acc = [a + q * b for a, b in zip(acc, g)]
+            acc = [a + q * b for a, b in zip(acc, g, strict=True)]
         return acc == [den * x for x in target]
 
 
@@ -246,9 +253,16 @@ def dual_description(
 
     Adjacency of two rays is decided combinatorially from the bitmasks of
     the processed rows each ray is tight on (Fukuda and Prodon, "Double
-    description method revisited", 1996), and a final rank sweep keeps only
-    the extreme rays.
+    description method revisited", 1996).  Those tight sets are exact, and a
+    ray combined from two adjacent rays inherits its set from theirs, so dot
+    products recompute tight sets only after a row cuts the lineality space.
+    A final rank sweep, which finds each ray's tight rows again by dot
+    products, keeps only the extreme rays.  A row whose length is not
+    ``dim`` raises `ValueError`.
     """
+    for what, given in (("inequality", inequalities), ("equation", equations)):
+        for row in given:
+            _check_length(dim, row, what)
     rows: list[IntVec] = []
     for e in equations:
         p = _primitive_or_none(e)
@@ -310,7 +324,18 @@ def dual_description(
         # cut out that face, so there are at least dim - lin - 2 of them, and
         # no third extreme ray is tight on all of them.
         need = dim - len(lin) - 2
-        combos: dict[IntVec, None] = {}
+
+        # A combined ray inherits its tight set: masks[i] & masks[j] | bit,
+        # with no dot product.  Every mask is exact, both coefficients of the
+        # combination are positive and both rays satisfy every processed row,
+        # so a processed row vanishes on the combination exactly when it
+        # vanishes on both rays; the new row `a` vanishes on it by
+        # construction.  Every processed row vanishes on the lineality and
+        # `primitive` divides by a positive gcd, so neither `_reduce_mod` nor
+        # the scaling changes which rows are tight, and a duplicate
+        # combination has the same tight set.  Only a lineality cut (above)
+        # computes tight sets by dot products.
+        combos: dict[IntVec, int] = {}
         for i, j in itertools.product(plus, minus):
             common = masks[i] & masks[j]
             if common.bit_count() < need or any(
@@ -320,14 +345,16 @@ def dual_description(
             combo = tuple(vals[i] * rj - vals[j] * ri for ri, rj in zip(rays[i], rays[j]))
             p = _primitive_or_none(_reduce_mod(lin, lin_pivots, combo))
             if p is not None:
-                combos.setdefault(p)
+                combos.setdefault(p, common | bit)
         kept = [(rays[i], masks[i]) for i in plus] + [(rays[i], masks[i] | bit) for i in zero]
         rays = [r for r, _ in kept] + list(combos)
-        masks = [mk for _, mk in kept] + [tight_mask(r) for r in combos]
+        masks = [mk for _, mk in kept] + list(combos.values())
 
     # Final sweep: reduce modulo the final lineality, drop rays that are not
     # extreme (the tight rows of an extreme ray have rank exactly
-    # codim(lineality) - 1), and sort into canonical order.
+    # codim(lineality) - 1), and sort into canonical order.  The tight rows
+    # are found again by dot products, not read from the masks, so the
+    # extremality check does not rest on the bookkeeping it checks.
     extreme_rank = dim - len(lin) - 1
     final: set[IntVec] = set()
     for r in rays:
@@ -586,10 +613,14 @@ def _clean_rows(dim: int, rows: Sequence[Sequence], what: str) -> tuple[IntVec, 
     out: list[IntVec] = []
     seen: set[IntVec] = set()
     for row in rows:
-        if len(row) != dim:
-            raise ValueError(f"{what} has length {len(row)}, expected {dim}")
+        _check_length(dim, row, what)
         p = _primitive_or_none(row)
         if p is not None and p not in seen:
             seen.add(p)
             out.append(p)
     return tuple(out)
+
+
+def _check_length(dim: int, row: Sequence, what: str) -> None:
+    if len(row) != dim:
+        raise ValueError(f"{what} has length {len(row)}, expected {dim}")

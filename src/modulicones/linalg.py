@@ -4,10 +4,11 @@ Rows inside the package are tuples of machine ints; `vec` builds the
 :class:`fractions.Fraction` tuples that callers hand in at the API edge, and
 every routine here accepts either.  Nothing in the package ever touches
 floating point: cone geometry downstream depends on equalities like
-``a*d - b*c == 0`` holding exactly.  There is one elimination, `rref`, and
-it works on integer rows: each row is scaled to integers first (an all-int
-row passes through as it is) and eliminated fraction-free, so `rref` returns
-integer rows.  `rank` counts its pivots, and `primitive` scales a row to the
+``a*d - b*c == 0`` holding exactly.  There is one elimination, and it works
+on integer rows: each row is scaled to integers first (an all-int row passes
+through as it is) and eliminated fraction-free.  Its forward part finds the
+pivots, and `rank` counts them; `rref` adds back-substitution and returns
+the integer reduced row echelon form.  `primitive` scales a row to the
 shortest integer row in its direction.
 """
 
@@ -27,12 +28,51 @@ def vec(entries: Iterable) -> Vec:
 
 def _int_row(row: Sequence) -> tuple[Sequence[int], int]:
     """``(d * row, d)`` with ``d`` the lcm of the denominators of ``row``, so
-    every entry of ``d * row`` is an int; an all-int row comes back as it is."""
+    every entry of ``d * row`` is an int; an all-int row comes back as it is.
+    Int and `Fraction` entries are read as they are; only other types, such
+    as ``str``, are converted."""
     if all(type(x) is int for x in row):
         return row, 1
-    fr = [Fraction(x) for x in row]
+    fr = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
     d = lcm(*(x.denominator for x in fr))
     return [x.numerator * (d // x.denominator) for x in fr], d
+
+
+def _clear(row: Sequence[int], pivot: Sequence[int], c: int) -> Optional[Sequence[int]]:
+    """``row`` with column ``c`` cleared by ``pivot`` (positive at ``c``):
+    ``pivot[c] * row - row[c] * pivot`` divided by its gcd, so an entry where
+    the pivot row is zero keeps its sign; None when nothing is left."""
+    x = row[c]
+    if not x:
+        return row
+    p = pivot[c]
+    row = [p * a - x * b for a, b in zip(row, pivot)]
+    g = gcd(*row)
+    if g == 0:
+        return None
+    return row if g == 1 else [a // g for a in row]
+
+
+def _echelon(m: Sequence[Sequence]) -> list[tuple[int, Sequence[int]]]:
+    """Fraction-free forward elimination of ``m``: one ``(column, row)`` pair
+    per pivot, the row primitive and positive at its pivot column.
+
+    A pivot row clears its column from the rows not yet taken, so each row
+    is zero in the columns before its pivot and in the pivot columns of the
+    rows taken before it.  Sorted by column, the rows are an echelon form of
+    ``m``; their count is its rank.
+    """
+    rows = [r for r, _ in map(_int_row, m) if any(r)]
+    pivots: list[tuple[int, Sequence[int]]] = []
+    while rows:
+        pivot = rows.pop()
+        c = next(k for k, x in enumerate(pivot) if x)
+        g = gcd(*pivot) if pivot[c] > 0 else -gcd(*pivot)
+        if g != 1:
+            pivot = [a // g for a in pivot]
+        rows = [row for row in (_clear(r, pivot, c) for r in rows) if row is not None]
+        pivots.append((c, pivot))
+    return pivots
 
 
 def rref(m: Sequence[Sequence]) -> tuple[list[IntVec], list[int]]:
@@ -40,43 +80,23 @@ def rref(m: Sequence[Sequence]) -> tuple[list[IntVec], list[int]]:
 
     Each row is primitive, positive at its pivot and zero in every other
     pivot column, so it is a positive multiple of the rational RREF row with
-    the same pivot.  The elimination is fraction-free: a pivot row clears its
-    column from every other row by integer cross-multiplication, and each
-    changed row is divided by its gcd.  The pivot of a row is its first
-    nonzero entry once the earlier pivots are cleared from it, and clearing
-    a later pivot never touches the columns before it, so the result is the
-    reduced echelon form whichever row is taken first.
+    the same pivot; that form is unique, whatever order the elimination
+    takes.  The forward elimination (`_echelon`) leaves the rows in echelon
+    form, and back-substitution, last pivot first, clears each pivot column
+    from the rows above it.  The pivot row is zero in every earlier pivot
+    column, so no column once cleared is filled again.
     """
-    rows = [r for r, _ in map(_int_row, m) if any(r)]
-    red: list[tuple[int, Sequence[int]]] = []
-    while rows:
-        pivot = rows.pop()
-        c = next(k for k, x in enumerate(pivot) if x)
-        g = gcd(*pivot) if pivot[c] > 0 else -gcd(*pivot)
-        if g != 1:
-            pivot = [a // g for a in pivot]
-        p = pivot[c]
-
-        def clear(row: Sequence[int]) -> Optional[list[int]]:
-            x = row[c]
-            if not x:
-                return row
-            row = [p * a - x * b for a, b in zip(row, pivot)]
-            g = gcd(*row)
-            if g == 0:
-                return None
-            return row if g == 1 else [a // g for a in row]
-
-        red = [(k, clear(row)) for k, row in red]
-        rows = [row for row in map(clear, rows) if row is not None]
-        red.append((c, pivot))
-    red.sort()
-    return [tuple(row) for _, row in red], [k for k, _ in red]
+    rows = sorted(_echelon(m))
+    for k in range(len(rows) - 1, 0, -1):
+        c, pivot = rows[k]
+        rows[:k] = [(ci, _clear(row, pivot, c)) for ci, row in rows[:k]]
+    return [tuple(row) for _, row in rows], [c for c, _ in rows]
 
 
 def rank(m: Sequence[Sequence]) -> int:
-    """Rank of ``m``: the number of pivots of its `rref`."""
-    return len(rref(m)[1])
+    """Rank of ``m``: the number of pivots its forward elimination finds,
+    with no back-substitution."""
+    return len(_echelon(m))
 
 
 def primitive(v: Sequence) -> IntVec:

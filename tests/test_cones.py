@@ -4,6 +4,7 @@ import pytest
 
 from modulicones import cones, linalg
 from modulicones.cones import (
+    Certificate,
     Cone,
     conic_combination,
     dual_description,
@@ -155,6 +156,39 @@ def test_facets_from_vrep():
 def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
         Cone.from_hrep(3, [(1, 0)])
+
+
+@pytest.mark.parametrize(
+    "inequalities, equations, message",
+    [
+        ([(1, 0, 0), (1, 0)], [], "inequality has length 2, expected 3"),
+        ([(1, 0, 0)], [(0, 1, 0, 0)], "equation has length 4, expected 3"),
+    ],
+)
+def test_dual_description_rejects_wrong_length_rows(inequalities, equations, message):
+    with pytest.raises(ValueError, match=message):
+        dual_description(3, inequalities, equations)
+
+
+@pytest.mark.parametrize("u, v", [((1, 2), (1, 2, 0)), ((1, 2, 0), (1, 2)), ((), (0,))])
+def test_int_dot_rejects_mismatched_lengths(u, v):
+    with pytest.raises(ValueError):
+        cones._int_dot(u, v)
+
+
+@pytest.mark.parametrize(
+    "cert, target, generators",
+    [
+        # the generator is longer than the target: a truncating zip dropped the 5
+        (Certificate("membership", ((0, F(1)),)), (1, 0), [(1, 0, 5)]),
+        (Certificate("membership", ((0, F(1)),)), (1, 0, 0), [(1, 0)]),
+        (Certificate("non-membership", functional=(1, 0)), (-1, 0), [(1, 0, 5)]),
+    ],
+    ids=["membership-long-generator", "membership-short-generator", "non-membership"],
+)
+def test_certificate_verify_rejects_mismatched_lengths(cert, target, generators):
+    with pytest.raises(ValueError):
+        cert.verify(target, generators)
 
 
 def test_dual_description_builds_no_fraction(monkeypatch):
