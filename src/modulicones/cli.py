@@ -51,12 +51,8 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
 
-def _fmt(value: Fraction | int) -> str:
-    return str(Fraction(value))
-
-
 def _fmt_vec(coords: Sequence) -> str:
-    return "(" + ", ".join(_fmt(c) for c in coords) + ")"
+    return "(" + ", ".join(map(str, coords)) + ")"
 
 
 def _parse_coords(text: str) -> tuple[Fraction, ...]:
@@ -131,7 +127,7 @@ def _run_space(args: argparse.Namespace) -> int:
     print(f"relations: {len(spec.relations)}")
     for row in spec.relations:
         terms = [
-            f"{_fmt(c)} * {label}"
+            f"{c} * {label}"
             for label, c in zip(spec.boundaries, row)
             if c != 0
         ]
@@ -152,7 +148,7 @@ def _run_member(args: argparse.Namespace) -> int:
     if cert:
         print("member: yes")
         rays = cone.rays
-        terms = [f"{_fmt(c)} * {_fmt_vec(rays[i])}" for i, c in cert.coefficients]
+        terms = [f"{c} * {_fmt_vec(rays[i])}" for i, c in cert.coefficients]
         print("combination: " + (" + ".join(terms) if terms else "0"))
         return EXIT_OK
     print("member: no")

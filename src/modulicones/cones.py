@@ -16,9 +16,9 @@ is decided combinatorially from the tight sets of the rays.  A combined ray
 inherits its tight set from the two rays it combines; a final sweep finds
 each ray's tight rows again by dot products and keeps the rays whose tight
 rows have rank one less than the codimension of the lineality
-(`linalg.rank`).  Each membership or redundancy query takes one phase-1
-simplex solve, which produces either explicit nonnegative coefficients or a
-Farkas functional separating the point from the cone.  The simplex pivots
+(`linalg.rank`).  Each membership query takes one phase-1 simplex solve,
+which produces either explicit nonnegative coefficients or a Farkas
+functional separating the point from the cone.  The simplex pivots
 an integer tableau over one common denominator ``D``, the absolute
 determinant of the current basis, so every division in a pivot is exact
 (`_phase1`); `Fraction` appears only in the coefficients a membership
@@ -71,14 +71,14 @@ def _reduce_mod(
 class Certificate:
     """Machine-checkable witness for a cone query.
 
-    ``membership``/``redundancy``: the target equals the nonnegative
-    combination ``sum(c * generators[i] for i, c in coefficients)`` plus the
-    (sign-free) combination recorded in ``lineality_coefficients``.
+    ``membership``: the target equals the nonnegative combination
+    ``sum(c * generators[i] for i, c in coefficients)`` plus the (sign-free)
+    combination recorded in ``lineality_coefficients``.
     ``non-membership``: ``functional`` is nonnegative on every generator,
     zero on the lineality space, and strictly negative on the target.
     """
 
-    kind: str  # "membership" | "non-membership" | "redundancy"
+    kind: str  # "membership" | "non-membership"
     coefficients: tuple[tuple[int, Fraction], ...] = ()
     lineality_coefficients: tuple[tuple[int, Fraction], ...] = ()
     functional: Optional[IntVec] = None
@@ -488,15 +488,6 @@ class Cone:
     def extreme_rays(self) -> tuple[IntVec, ...]:
         return self.canonical_vrep()[0]
 
-    def dim(self) -> int:
-        rays, lin = self.canonical_vrep()
-        return rank(rays + lin)
-
-    def is_simplicial(self) -> bool:
-        """True when the stored generating rays are linearly independent (and
-        there is no lineality), i.e. ray count equals the span's dimension."""
-        return not self.lineality and rank(self.rays) == len(self.rays)
-
     def contains(self, point: Sequence) -> Certificate:
         """Membership certificate (nonnegative combination of the stored rays)
         or non-membership certificate (separating functional)."""
@@ -521,9 +512,6 @@ class Cone:
 
     def _generators(self) -> list[IntVec]:
         return list(self.rays) + [g for l in self.lineality for g in (l, tuple(-x for x in l))]
-
-    def contains_cone(self, other: "Cone") -> bool:
-        return all(self.contains(g) for g in other._generators())
 
     def equals(self, other: "Cone") -> ConeComparison:
         """Equality by mutual containment of generators; on failure the result
@@ -551,19 +539,6 @@ class Cone:
             _lineality=self._eqs,
         )
 
-    def face(self, functional: Sequence) -> "Cone":
-        """The face cut out by a supporting functional (nonnegative on the
-        whole cone): the subcone of rays the functional annihilates."""
-        f = tuple(functional)
-        for l in self.lineality:
-            if _int_dot(f, l) != 0:
-                raise ValueError(f"functional is nonzero on lineality vector {l}")
-        for r in self.rays:
-            if _int_dot(f, r) < 0:
-                raise ValueError(f"functional is negative on ray {r}")
-        kept = tuple(r for r in self.rays if _int_dot(f, r) == 0)
-        return Cone(self.ambient_dim, _rays=kept, _lineality=self._lineality)
-
     def __repr__(self) -> str:  # pragma: no cover
         parts = [f"dim={self.ambient_dim}"]
         if self._ineqs is not None:
@@ -571,42 +546,6 @@ class Cone:
         if self._rays is not None:
             parts.append(f"{len(self._rays)} rays, {len(self._lineality)} lineality")
         return f"Cone({', '.join(parts)})"
-
-
-def minimal_hrep(
-    inequalities: Sequence[Sequence],
-    equations: Sequence[Sequence] = (),
-) -> tuple[list[IntVec], tuple[tuple[IntVec, Certificate], ...]]:
-    """Greedily drop redundant inequality rows, with certificates.
-
-    A row is redundant exactly when it is a nonnegative combination of the
-    other rows plus a linear combination of the equations (Farkas, using that
-    finitely generated cones are closed).  Returns the kept rows and, for each
-    removed row, a redundancy certificate over the *final* kept list -- the
-    certificates are recomputed at the end so they never reference a row that
-    was itself removed later.
-    """
-    eqs = [tuple(e) for e in equations]
-    kept: list[IntVec] = []
-    seen: set[IntVec] = set()
-    for row in inequalities:
-        p = _primitive_or_none(row)
-        if p is not None and p not in seen:
-            seen.add(p)
-            kept.append(p)
-    removed: list[IntVec] = []
-    for row in list(kept):
-        others = [r for r in kept if r != row]
-        if conic_combination(row, others, eqs) is not None:
-            kept = others
-            removed.append(row)
-    certs = []
-    for row in removed:
-        cert = conic_combination(row, kept, eqs)
-        if cert is None:
-            raise AssertionError("removed row is no longer implied by the kept rows")
-        certs.append((row, Certificate("redundancy", cert.coefficients, cert.lineality_coefficients)))
-    return kept, tuple(certs)
 
 
 def _clean_rows(dim: int, rows: Sequence[Sequence], what: str) -> tuple[IntVec, ...]:

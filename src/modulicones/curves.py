@@ -60,11 +60,9 @@ __all__ = [
     "curve_ck_star",
     "eff_cone",
     "eff_xn2_derivation",
-    "extremal_ray_ri",
     "named_class",
     "nem_hrep",
     "nem_rays_inductive",
-    "nem_xn1_decomposition",
     "nem_xn1_full_rows",
     "nem_xn1_subsumption",
 ]
@@ -397,43 +395,48 @@ def nem_hrep(s: SpaceId) -> Cone:
     if s.m == 1:
         if s.n < 5:
             raise ValueError(f"need n >= 5 for the pointed cone, got {s.n}")
-        return Cone.from_hrep(picard_number(s), _nem_xn1_reduced_rows(s.n))
+        # The (n-1)(n-4)/2 rows with i <= 2.  Each i = 2 row carries the
+        # factor l - 1; `from_hrep` stores rows primitive, so it never shows.
+        rows = []
+        for l in range(3, s.n - 1):
+            rows.append(_nem_xn1_row(s, 1, 0, l))
+            rows.extend(_nem_xn1_row(s, 2, j, l) for j in range(2, l))
+        return Cone.from_hrep(picard_number(s), tuple(rows))
     raise ValueError(f"no inequality description implemented for {s}")
 
 
-def _nem_xn1_reduced_rows(n: int) -> tuple[IntVec, ...]:
-    """The (n-1)(n-4)/2 inequalities cutting out the pointed nem cone."""
-    s = SpaceId(n, 1)
-    rows = []
-    for l in range(3, n - 1):
-        rows.append(_row(s, (n - l + 1, l), (n - l, -(l - 2))))
-        for j in range(2, l):
-            rows.append(
-                _row(s, (n - l + 1, (j - 1) * (l - j)), (j, (l - 1) * (l - 2)), (l, -(j - 1) * (l - 2)))
-            )
-    return tuple(rows)
+def _nem_xn1_row(s: SpaceId, i: int, j: int, l: int) -> IntVec:
+    """The pointed nem inequality keyed by ``(i, j, l)`` on ``s = X(n, 1)``.
+
+    ``i = 1`` is the single-index row (``j`` is unused and keyed as 0);
+    ``i >= 2`` rows come from the two-marked gluings.
+    """
+    n = s.n
+    if i == 1:
+        return _row(s, (n - l + 1, l), (n - l, -(l - 2)))
+    return _row(
+        s,
+        (n - l + i - 1, (l - 1) * (j - 1) * (l - j)),
+        (j, (l - 1) * (l - i) * (l - i + 1)),
+        (l, -(j - 1) * (l - i) * (l - i + 1)),
+    )
 
 
 def nem_xn1_full_rows(n: int) -> dict[tuple[int, int, int], IntVec]:
-    """The unreduced two-index family, keyed by ``(i, j, l)``.
+    """Every `_nem_xn1_row` on ``X(n, 1)``, keyed by ``(i, j, l)``.
 
-    ``i = 1`` rows are the single-index family; ``i >= 2`` rows come from
-    the two-marked gluings.  The reduced description keeps only ``i <= 2``.
+    `nem_hrep` keeps only the rows with ``i <= 2``; `nem_xn1_subsumption`
+    rewrites the others in terms of lower rows.
     """
     if n < 5:
         raise ValueError(f"need n >= 5, got {n}")
     s = SpaceId(n, 1)
     rows: dict[tuple[int, int, int], IntVec] = {}
     for l in range(3, n - 1):
-        rows[(1, 0, l)] = _row(s, (n - l + 1, l), (n - l, -(l - 2)))
+        rows[(1, 0, l)] = _nem_xn1_row(s, 1, 0, l)
         for i in range(2, l):
             for j in range(2, l):
-                rows[(i, j, l)] = _row(
-                    s,
-                    (n - l + i - 1, (l - 1) * (j - 1) * (l - j)),
-                    (j, (l - 1) * (l - i) * (l - i + 1)),
-                    (l, -(j - 1) * (l - i) * (l - i + 1)),
-                )
+                rows[(i, j, l)] = _nem_xn1_row(s, i, j, l)
     return rows
 
 
@@ -481,84 +484,6 @@ def nem_rays_inductive(n: int) -> tuple[IntVec, ...]:
             entries.append(entries[-1] * ratio)
         rays.append(primitive(tuple(entries)))
     return tuple(sorted(set(rays)))
-
-
-def extremal_ray_ri(n: int, i: int) -> IntVec:
-    """The distinguished ray with a break at position ``i``.
-
-    Entries to the right of the ``i``-th are forced by the lower bounds as
-    equalities, entries to the left by the upper bounds.
-    """
-    if n < 6:
-        raise ValueError(f"need n >= 6, got {n}")
-    if not 2 <= i <= n // 2:
-        raise ValueError(f"i must lie in 2..{n // 2}, got {i}")
-    top = n // 2
-    entries = {i: Fraction(1)}
-    for j in range(i, top):  # rightward, lower bounds tight
-        entries[j + 1] = entries[j] * Fraction(n - j - 2, n - j)
-    for j in range(i - 1, 1, -1):  # leftward, upper bounds tight
-        entries[j] = entries[j + 1] * Fraction(j - 1, j + 1)
-    return primitive(tuple(entries[j] for j in range(2, top + 1)))
-
-
-# --------------------------------------------------------------------------
-# fibration structure of the pointed cone
-
-
-@dataclass(frozen=True)
-class DecompositionReport:
-    """Outcome of splitting the pointed cone over the unpointed one.
-
-    The face ``a_2 = 0`` should be exactly the pullback of the unpointed
-    cone, with the balanced-coordinate constraint holding there, and every
-    extremal ray off the face should have all coordinates positive (such
-    divisor classes are big).
-    """
-
-    space: SpaceId
-    face_rays: tuple[IntVec, ...]
-    pulled_rays: tuple[IntVec, ...]
-    off_face_rays: tuple[IntVec, ...]
-    face_matches: bool
-    constraint_holds: bool
-    off_face_positive: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.face_matches and self.constraint_holds and self.off_face_positive
-
-
-def nem_xn1_decomposition(n: int) -> DecompositionReport:
-    """Check that the pointed nem cone fibres over the unpointed one."""
-    if n < 6:
-        raise ValueError(f"need n >= 6 so that both cones exist, got {n}")
-    s = SpaceId(n, 1)
-    nem = nem_hrep(s)
-    face, off_face = [], []
-    for ray in nem.rays:
-        (face if ray[0] == 0 else off_face).append(ray)
-
-    pulled = []
-    pi = attach_pushforward(AttachMapSpec("pi_star", n))
-    for ray in nem_rays_inductive(n - 1):
-        pulled.append(primitive(pi(ray)))
-
-    constraint = all(
-        ray[(n - l + 1) - 2] == ray[l - 2]
-        for ray in face
-        for l in range(3, n - 1)
-    )
-    positive = all(all(c > 0 for c in ray) for ray in off_face)
-    return DecompositionReport(
-        space=s,
-        face_rays=tuple(sorted(face)),
-        pulled_rays=tuple(sorted(set(pulled))),
-        off_face_rays=tuple(sorted(off_face)),
-        face_matches=sorted(face) == sorted(set(pulled)),
-        constraint_holds=constraint,
-        off_face_positive=positive,
-    )
 
 
 # --------------------------------------------------------------------------

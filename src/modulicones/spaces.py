@@ -55,10 +55,6 @@ class SpaceId:
             raise ValueError(f"m must lie in 0..{self.n}, got {self.m}")
 
     @property
-    def dim(self) -> int:
-        return self.n - 3
-
-    @property
     def is_fully_pointed(self) -> bool:
         return self.m >= self.n - 1
 

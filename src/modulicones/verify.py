@@ -1,9 +1,10 @@
 """Numbered end-to-end checks freezing the package's headline computations.
 
-Thirteen checks re-derive everything the package treats as a fixed point --
-table counts, printed ray sets, redundancy identities, the transport maps,
-and the serialization round trips -- and compare the results against the
-recorded expectations.  Each check raises :class:`AssertionError` carrying
+Fourteen checks re-derive everything the package treats as a fixed point --
+table counts, printed ray sets, redundancy identities, the fibration of the
+pointed nem cone over the unpointed one, the transport maps, and the
+serialization round trips -- and compare the results against the recorded
+expectations.  Each check raises :class:`AssertionError` carrying
 the computed-versus-recorded data; :func:`run_checks` collects the outcomes
 into a line-per-check report for the command-line ``verify-paper`` verb.
 
@@ -34,7 +35,9 @@ from .bridge import (
 )
 from .cones import Cone, conic_combination, dual_description
 from .curves import (
+    AttachMapSpec,
     _boundary_rays,
+    attach_pushforward,
     class_l7,
     counterexample_ftau,
     curve_ck,
@@ -45,7 +48,7 @@ from .curves import (
     nem_xn1_full_rows,
     nem_xn1_subsumption,
 )
-from .linalg import primitive
+from .linalg import IntVec, primitive
 from .porta import cone_from_json, cone_json_dumps, porta_read, porta_write
 from .spaces import (
     SpaceId,
@@ -69,7 +72,7 @@ def _ray_set(rows: Iterable[Sequence]) -> list:
 
 
 def _fmt(coords: Sequence) -> str:
-    return "(" + ", ".join(str(Fraction(c)) for c in coords) + ")"
+    return "(" + ", ".join(map(str, coords)) + ")"
 
 
 # --------------------------------------------------------------------------
@@ -204,6 +207,33 @@ def check_redundancy_identities() -> None:
             combo = tuple(h * a + (h - 2) * b for a, b in zip(full[(2, 2, h)], full[(2, 2, h + 1)]))
             want = tuple(h * (h - 1) * (h - 2) * (n - 1) * x for x in e2)
             assert combo == want, (n, combo)
+
+
+def fibration_face(n: int) -> tuple[IntVec, ...]:
+    """The rays of the face ``a_2 = 0`` of the pointed nem cone on ``n`` points.
+
+    Raises `AssertionError` unless that face is the pullback of the unpointed
+    nem cone on ``n - 1`` points, its rays are balanced (the coordinates of
+    ``b_l`` and ``b_{n-l+1}`` agree), and every ray off the face has all
+    coordinates positive, so that it is big.
+    """
+    face, off_face = [], []
+    for ray in nem_hrep(SpaceId(n, 1)).rays:
+        (face if ray[0] == 0 else off_face).append(ray)
+    pi = attach_pushforward(AttachMapSpec("pi_star", n))
+    pulled = sorted({primitive(pi(ray)) for ray in nem_rays_inductive(n - 1)})
+    assert sorted(face) == pulled, f"n = {n}: face rays {sorted(face)}, pulled back {pulled}"
+    unbalanced = [r for r in face if any(r[n - l - 1] != r[l - 2] for l in range(3, n - 1))]
+    assert not unbalanced, f"n = {n}: unbalanced face rays {unbalanced}"
+    not_big = [r for r in off_face if min(r) <= 0]
+    assert not not_big, f"n = {n}: rays off the face with a coordinate <= 0: {not_big}"
+    return tuple(sorted(face))
+
+
+def check_pointed_fibration() -> None:
+    """The pointed nem cone fibres over the unpointed one for n = 6..8."""
+    for n in range(6, 9):
+        fibration_face(n)
 
 
 def check_surface_effective_cone() -> None:
@@ -363,6 +393,7 @@ CHECKS: tuple[Check, ...] = (
     Check(11, 8, "symmetrized cotangent class image", check_symmetrized_cotangent_class),
     Check(12, 5, "nef inside nem inside effective", check_containment_chain),
     Check(13, 0, "PORTA and JSON round trips", check_serialization_round_trips),
+    Check(14, 8, "pointed nem cone fibres over the unpointed one", check_pointed_fibration),
 )
 
 

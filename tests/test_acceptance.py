@@ -79,3 +79,8 @@ def test_criterion_12_containment_chain():
 def test_criterion_13_serialization_round_trips():
     """PORTA text and JSON exports survive write/read/write byte-for-byte."""
     verify.check_serialization_round_trips()
+
+
+def test_criterion_14_pointed_nem_cone_fibres_over_the_unpointed_one():
+    """For n = 6..8 the face a_2 = 0 is the pulled-back unpointed cone."""
+    verify.check_pointed_fibration()

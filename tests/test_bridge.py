@@ -18,7 +18,7 @@ from modulicones.bridge import (
     x71_mori_data,
 )
 from modulicones.curves import curve_ck, nem_hrep
-from modulicones.linalg import primitive, vec
+from modulicones.linalg import primitive, rank, vec
 from modulicones.porta import porta_write
 from modulicones.spaces import SpaceId
 
@@ -128,12 +128,11 @@ def test_genus_two_cone_comparison():
     assert set(cones["push_nem"].extreme_rays()) == {A, B, D, E}
     assert set(cones["push_nef"].extreme_rays()) == {A, B, D}
     assert set(cones["nef"].extreme_rays()) == {A, B, C}
-    assert cones["eff"].is_simplicial()
+    assert rank(cones["eff"].rays) == len(cones["eff"].rays)
     assert tuple(3 * b + d for b, d in zip(B, D)) == tuple(4 * c for c in C)
     # chain: nef inside pushed-nef inside pushed-nem inside effective
-    assert cones["push_nef"].contains_cone(cones["nef"])
-    assert cones["push_nem"].contains_cone(cones["push_nef"])
-    assert cones["eff"].contains_cone(cones["push_nem"])
+    for inner, outer in (("nef", "push_nef"), ("push_nef", "push_nem"), ("push_nem", "eff")):
+        assert all(cones[outer].contains(r) for r in cones[inner].rays), (inner, outer)
 
 
 def test_extremal_contraction_data():

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -20,6 +21,18 @@ def section_rows(text, section):
     lines = text.splitlines()
     start = lines.index(section) + 1
     return lines[start : lines.index("END")]
+
+
+# --- formatting ---------------------------------------------------------------
+
+
+def test_fmt_vec_builds_no_fraction_for_int_entries(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("formatting built a Fraction")
+
+    monkeypatch.setattr(cli, "Fraction", forbidden)
+    assert cli._fmt_vec((12, 0, -24)) == "(12, 0, -24)"
+    assert cli._fmt_vec((Fraction(3, 4), Fraction(-2), 1)) == "(3/4, -2, 1)"
 
 
 # --- space --------------------------------------------------------------------
@@ -177,10 +190,10 @@ def test_counterexample_reports_a_verified_certificate(capsys):
 # --- verify-paper -------------------------------------------------------------
 
 
-def test_verify_paper_full_run_flags_the_recorded_discrepancy(capsys):
+def test_verify_paper_full_run_passes_every_check(capsys):
     code, out, _ = run_cli(capsys, "verify-paper")
     assert code == 0
-    assert "13 passed, 0 failed" in out
+    assert "14 passed, 0 failed" in out
     assert "FAIL" not in out
 
 

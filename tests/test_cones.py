@@ -8,7 +8,6 @@ from modulicones.cones import (
     Cone,
     conic_combination,
     dual_description,
-    minimal_hrep,
     separating_functional,
 )
 from modulicones.curves import eff_cone, nem_hrep
@@ -97,33 +96,12 @@ def test_dual_involution_on_full_dimensional_pointed():
         assert cone.dual().dual().equals(cone)
 
 
-def test_face_of_quadrant():
-    f = FIRST_QUADRANT.face(vec([0, 1]))  # the x-axis
-    assert f.rays == ((1, 0),)
-
-
 def test_contains_cone_and_equals():
     smaller = Cone.from_vrep(2, [(1, 1), (1, 2)])
-    assert FIRST_QUADRANT.contains_cone(smaller)
-    assert not smaller.contains_cone(FIRST_QUADRANT)
+    assert all(FIRST_QUADRANT.contains(r) for r in smaller.rays)
+    assert not all(smaller.contains(r) for r in FIRST_QUADRANT.rays)
     cmp = smaller.equals(FIRST_QUADRANT)
     assert not cmp
-
-
-def test_minimal_hrep_drops_redundant_rows():
-    c = Cone.from_hrep(2, [(1, 0), (0, 1), (1, 1), (2, 3)])
-    kept, certs = minimal_hrep(c.inequalities)
-    assert sorted(kept) == [(0, 1), (1, 0)]
-    assert {row for row, _ in certs} == {(1, 1), (2, 3)}
-    for row, cert in certs:
-        assert cert.kind == "redundancy"
-        assert cert.verify(row, kept)
-
-
-def test_simplicial_detection():
-    assert FIRST_QUADRANT.is_simplicial()
-    square = Cone.from_vrep(3, [(1, 1, 1), (1, -1, 1), (-1, -1, 1), (-1, 1, 1)])
-    assert not square.is_simplicial()
 
 
 def test_lineality_in_halfplane():
@@ -136,8 +114,7 @@ def test_lineality_in_halfplane():
 
 def test_zero_dim_edge():
     point = Cone.from_hrep(2, [(1, 0), (-1, 0), (0, 1), (0, -1)])
-    assert point.rays == ()
-    assert point.dim() == 0
+    assert point.canonical_vrep() == ((), ())
 
 
 def test_dual_description_module_fn():

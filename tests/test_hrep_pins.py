@@ -1,0 +1,35 @@
+"""SHA-256 pins of the PORTA text of the one-marked nem inequalities.
+
+``cone --which nem --m 1 --rep hrep`` prints these bytes.  The ray pins in
+``test_dd_pins.py`` do not see the row order, because double description
+sorts its input rows, so the order in which `nem_hrep` writes its rows is
+pinned here.  The digests were recorded before the reduced rows were read
+off the closed form that `nem_xn1_full_rows` shares.
+"""
+
+import hashlib
+
+import pytest
+
+from modulicones.curves import nem_hrep
+from modulicones.porta import porta_write
+from modulicones.spaces import SpaceId
+
+PINS = {
+    5: "8978c13ab79b09c5f78f4776c0863091a2ab7404cfdc839ffd52bf2535c7225e",
+    6: "e5a760b162f143f2aaf28dbb57cfe5312ee2ba716ce1e4f5dc28eed2d32047fd",
+    7: "53b89a6b5a8abc4537a6ae6a6d9cce98ee2732fba1eb3ea5ce0d988e84d0ed5e",
+    8: "f908000b2e0989d597cbf84ba9b0203bc26fde83d834501d3a266118ec6b19c0",
+    9: "5af299152b3bffbf50fbd572c7ed626656785dac621750ba9be1d755ebf52517",
+    10: "51d151627a152cd1d1a4966acef6b24223b9b8e989401755e7dfac9425b1488f",
+    11: "5ca196789148e091f4d00780acb2bf08b73519ac30c7f67b65d155521ce1ac77",
+    12: "b80e67db82fcc31cbefc98b31e8b2be898c555bac40cee2a7eb7ea071c11d624",
+    13: "6f522c35803ad12c3566b73305c9483e3c34326c7d970d46eafecb66ce69c6b5",
+    14: "702c50affa1b04da9cc3523e0d365978119f06daf44be916b949af1453cfe862",
+}
+
+
+@pytest.mark.parametrize("n", sorted(PINS))
+def test_pointed_nem_hrep_text_is_pinned(n):
+    text = porta_write(nem_hrep(SpaceId(n, 1)), "hrep")
+    assert hashlib.sha256(text.encode()).hexdigest() == PINS[n]
