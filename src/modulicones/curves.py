@@ -1,23 +1,24 @@
 """One-parameter families, attaching maps, and divisor cones on the quotients.
 
-The quotient spaces carry a small zoo of test curves: the families ``C_k``
-swept out by moving the node of a two-component stable curve, and their
-two-marked variants ``C*_i``.  Gluing a fixed curve onto a moving one gives
-attaching maps between quotients, and the numerical classes of these curves
-push forward along them by explicit triangular formulas.  A divisor class
-is *nem* ("numerically eventually moving") when its restriction to every
-prime divisor is numerically effective.  Pairing candidate divisors against
-pushed curves that are nef inside their boundary divisor, together with
-effectivity of restrictions to boundary divisors, pins the nem cone down to
-a finite inequality description for ``m <= 1``; for ``m = 0`` its extremal
-rays even admit a closed-form branching construction.
+The quotient spaces carry test curves: the families ``C_k`` swept out by
+moving the node of a two-component stable curve.  Gluing a fixed curve onto
+a moving one with one or two marked points gives the attaching maps ``q``,
+``r`` and ``s`` between quotients, and curve classes push forward along them
+by explicit triangular formulas; ``pi_star`` pulls divisors back along the
+map forgetting the marked point.  A divisor class is *nem* ("numerically
+eventually moving") when its restriction to every prime divisor is
+numerically effective.  Pairing candidate divisors against pushed curves
+that are nef inside their boundary divisor, together with effectivity of
+restrictions to boundary divisors, pins the nem cone down to a finite
+inequality description for ``m <= 1``; for ``m = 0`` its extremal rays even
+admit a closed-form branching construction.
 
 Everything here works in the coordinates fixed by
 :func:`modulicones.spaces.relations_and_basis`: divisor classes as
 coefficient vectors over the ``b``-basis, curve classes as vectors of
 intersection numbers against it.  Every such row is built by one builder,
 `_row`, and keeps the type of its coefficients: the nem and two-marked
-inequality rows, the ``C_k``/``C*_i`` classes and the ``pi_star`` columns
+inequality rows, the ``C_k`` classes and the ``pi_star`` columns
 have integer closed forms and are int tuples, and only the genuinely
 rational ``q``/``r``/``s`` map columns are ``Fraction`` vectors.
 """
@@ -30,7 +31,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .cones import Certificate, Cone, conic_combination, separating_functional
-from .linalg import IntVec, Vec, primitive, vec
+from .linalg import IntVec, primitive, vec
 from .spaces import (
     BoundaryLabel,
     CurveClass,
@@ -50,21 +51,22 @@ from .spaces import (
 )
 
 __all__ = [
-    "AttachMapSpec",
     "LinearMap",
-    "NamedClass",
-    "attach_pushforward",
     "class_l7",
     "counterexample_ftau",
     "curve_ck",
-    "curve_ck_star",
     "eff_cone",
     "eff_xn2_derivation",
-    "named_class",
+    "ftau_sum",
+    "l7_sum",
     "nem_hrep",
     "nem_rays_inductive",
     "nem_xn1_full_rows",
     "nem_xn1_subsumption",
+    "pi_star_map",
+    "q_map",
+    "r_map",
+    "s_map",
 ]
 
 
@@ -130,76 +132,8 @@ def curve_ck(s: SpaceId, k: int) -> CurveClass:
     return CurveClass(s, _row(s, *terms))
 
 
-def curve_ck_star(l: int, i: int) -> CurveClass:
-    """Two-marked analogue ``C*_i`` on ``X(l+1, 2)``, for ``1 <= i <= l-2``."""
-    if l < 4:
-        raise ValueError(f"X({l + 1},2) carries no curve family C*_i")
-    if not 1 <= i <= l - 2:
-        raise ValueError(f"i must lie in 1..{l - 2}, got {i}")
-    s = SpaceId(l + 1, 2)
-    terms = [(i + 1, 1), (f"b*{i + 1}", l - i)]  # b_2 = 0 handled by the slot map
-    if i >= 2:  # b*_1 pairs to zero
-        terms.append((f"b*{i}", 1 - l + i))
-    return CurveClass(s, _row(s, *terms))
-
-
 # --------------------------------------------------------------------------
 # attaching maps
-
-
-@dataclass(frozen=True)
-class AttachMapSpec:
-    """Which gluing map to push curves along.
-
-    ``kind`` is one of ``"q"`` (one-marked moving curve glued into
-    ``X(n, m)``, ``m <= 2``), ``"r"`` (two-marked into ``X(n, 2)``),
-    ``"s"`` (two-marked into ``X(n, 1)``), or ``"pi_star"`` (divisor
-    pullback along the forgetful map ``X(n, 1) -> X(n-1, 0)``).  ``l + 1``
-    is the number of points on the moving component; ``pi_star`` takes no
-    ``l``.
-    """
-
-    kind: str
-    n: int
-    l: int | None = None
-    m: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("q", "r", "s", "pi_star"):
-            raise ValueError(f"unknown attach map kind {self.kind!r}")
-        if self.kind == "pi_star":
-            if self.n < 5:
-                raise ValueError("pi_star needs n >= 5")
-            return
-        if self.l is None:
-            raise ValueError(f"kind {self.kind!r} requires l")
-        if self.kind == "q":
-            m = 1 if self.m is None else self.m
-            if m not in (0, 1, 2):
-                raise ValueError("q maps into a space with m <= 2")
-            if not 3 <= self.l <= self.n - 2 or self.l > self.n - m:
-                raise ValueError(
-                    f"q requires 3 <= l <= n-2 and l <= n-m, got l={self.l}, "
-                    f"n={self.n}, m={m}"
-                )
-        else:
-            if not 3 <= self.l <= self.n - 2:
-                raise ValueError(
-                    f"{self.kind} requires 3 <= l <= n-2, got l={self.l}, n={self.n}"
-                )
-
-    @property
-    def source(self) -> SpaceId:
-        if self.kind == "pi_star":
-            return SpaceId(self.n - 1, 0)
-        assert self.l is not None
-        return SpaceId(self.l + 1, 1 if self.kind == "q" else 2)
-
-    @property
-    def target(self) -> SpaceId:
-        if self.kind == "q":
-            return SpaceId(self.n, 1 if self.m is None else self.m)
-        return SpaceId(self.n, 2 if self.kind == "r" else 1)
 
 
 @dataclass(frozen=True)
@@ -242,48 +176,46 @@ class LinearMap:
         return self(curve.coords)
 
 
-def attach_pushforward(spec: AttachMapSpec) -> LinearMap:
-    """Linear data of the attaching map described by ``spec``.
+def q_map(n: int, l: int, m: int = 1) -> LinearMap:
+    """Gluing a one-marked moving curve on ``l + 1`` points into ``X(n, m)``.
 
-    For kinds ``q``/``s`` the columns give pushforwards of the dual basis of
-    curve coordinates; for ``r`` only the starred block is provided.  For
-    ``pi_star`` the columns are divisor pullbacks.
+    The columns push forward the dual basis of curve coordinates on
+    ``X(l+1, 1)``; ``m <= 2``.
     """
-    build = {"q": _q_columns, "r": _r_columns, "s": _s_columns, "pi_star": _pi_star_columns}[spec.kind]
-    names, cols = build(spec)
-    return LinearMap(
-        spec.source, tuple(names), relations_and_basis(spec.target).ordered_basis, tuple(cols)
-    )
-
-
-def _q_columns(spec: AttachMapSpec) -> tuple[list[str], list[Vec]]:
-    n, l = spec.n, spec.l
-    assert l is not None
-    t = spec.target
+    if m not in (0, 1, 2):
+        raise ValueError("q maps into a space with m <= 2")
+    if not 3 <= l <= n - 2 or l > n - m:
+        raise ValueError(f"q requires 3 <= l <= n-2 and l <= n-m, got l={l}, n={n}, m={m}")
+    t = SpaceId(n, m)
     names, cols = [], []
     for k in range(1, l - 1):
         names.append(f"b{k + 1}")
         w = Fraction((l - k - 1) * (l - k), l * (l - 1))
         cols.append(vec(_row(t, (n - l + k, 1), (n - l, -w))))
-    return names, cols
+    return LinearMap(SpaceId(l + 1, 1), tuple(names), relations_and_basis(t).ordered_basis, tuple(cols))
 
 
-def _r_columns(spec: AttachMapSpec) -> tuple[list[str], list[Vec]]:
-    n, l = spec.n, spec.l
-    assert l is not None
-    t = spec.target
+def r_map(n: int, l: int) -> LinearMap:
+    """Gluing a two-marked moving curve on ``l + 1`` points into ``X(n, 2)``.
+
+    Only the starred block of the source basis is provided.
+    """
+    if not 3 <= l <= n - 2:
+        raise ValueError(f"r requires 3 <= l <= n-2, got l={l}, n={n}")
+    t = SpaceId(n, 2)
     names, cols = [], []
     for i in range(1, l - 1):
         names.append(f"b*{i + 1}")
         w = Fraction(i * (l - i - 1), (l - 2) * (l - 1))
         cols.append(vec(_row(t, (f"b*{i + 1}", 1), (n - l + 1, w), (f"b*{l}", -Fraction(i, l - 1)))))
-    return names, cols
+    return LinearMap(SpaceId(l + 1, 2), tuple(names), relations_and_basis(t).ordered_basis, tuple(cols))
 
 
-def _s_columns(spec: AttachMapSpec) -> tuple[list[str], list[Vec]]:
-    n, l = spec.n, spec.l
-    assert l is not None
-    t = spec.target
+def s_map(n: int, l: int) -> LinearMap:
+    """Gluing a two-marked moving curve on ``l + 1`` points into ``X(n, 1)``."""
+    if not 3 <= l <= n - 2:
+        raise ValueError(f"s requires 3 <= l <= n-2, got l={l}, n={n}")
+    t = SpaceId(n, 1)
     names, cols = [], []
     for i in range(2, l - 1):
         names.append(f"b{i + 1}")
@@ -293,19 +225,21 @@ def _s_columns(spec: AttachMapSpec) -> tuple[list[str], list[Vec]]:
         names.append(f"b*{i + 1}")
         w = Fraction(i * (l - i - 1), (l - 2) * (l - 1))
         cols.append(vec(_row(t, (i + 1, 1), (n - l + 1, w), (l, -Fraction(i, l - 1)))))
-    return names, cols
+    return LinearMap(SpaceId(l + 1, 2), tuple(names), relations_and_basis(t).ordered_basis, tuple(cols))
 
 
-def _pi_star_columns(spec: AttachMapSpec) -> tuple[list[str], list[IntVec]]:
-    n = spec.n
-    t = spec.target
+def pi_star_map(n: int) -> LinearMap:
+    """Divisor pullback along the forgetful map ``X(n, 1) -> X(n-1, 0)``."""
+    if n < 5:
+        raise ValueError("pi_star needs n >= 5")
+    t = SpaceId(n, 1)
     names, cols = [], []
     for l in range(2, (n - 1) // 2 + 1):
         names.append(f"b{l}")
         # the pullback of b_l is b_{l+1} + b_{n-l}; the two sides coincide
         # when 2l = n - 1, and the class is counted once there
         cols.append(_row(t, *((i, 1) for i in {l + 1, n - l})))
-    return names, cols
+    return LinearMap(SpaceId(n - 1, 0), tuple(names), relations_and_basis(t).ordered_basis, tuple(cols))
 
 
 # --------------------------------------------------------------------------
@@ -487,23 +421,11 @@ def nem_rays_inductive(n: int) -> tuple[IntVec, ...]:
 
 
 # --------------------------------------------------------------------------
-# named divisor classes
+# distinguished divisor classes
 
 
-@dataclass(frozen=True)
-class NamedClass:
-    """A divisor class singled out by the theory, with its defining sum."""
-
-    name: str
-    space: SpaceId
-    terms: FormalSum
-
-    def divisor(self) -> DivisorClass:
-        return express_in_basis(self.space, self.terms)
-
-
-def _ftau_sum() -> FormalSum:
-    """Fibre-of-translates class on the six-point space, as boundary terms."""
+def ftau_sum() -> FormalSum:
+    """The fibre-of-translates class ``F_tau`` on the six-point space, as boundary terms."""
     s = fully_pointed(6)
     plus = [(3, 6), (4, 6), (5, 6), (3, 4, 6), (3, 5, 6), (1, 2)]
     minus = [(1, 6), (2, 6), (1, 3, 6), (1, 4, 6), (2, 3, 6), (2, 4, 6)]
@@ -515,8 +437,8 @@ def _ftau_sum() -> FormalSum:
     return terms
 
 
-def _l7_sum() -> FormalSum:
-    """Fifteen-term boundary sum on the seven-point space."""
+def l7_sum() -> FormalSum:
+    """The fifteen-term class ``L_7`` on the seven-point space, as boundary terms."""
     s = fully_pointed(7)
     terms: dict[BoundaryLabel, Fraction] = {}
     for r in range(1, 5):
@@ -524,15 +446,6 @@ def _l7_sum() -> FormalSum:
             marks = (7,) + extra
             terms[canonical_label(s, len(marks), marks)] = Fraction(1)
     return terms
-
-
-def named_class(name: str) -> NamedClass:
-    """Look up one of the registered special classes by name."""
-    if name == "F_tau":
-        return NamedClass(name, fully_pointed(6), _ftau_sum())
-    if name == "L_7":
-        return NamedClass(name, fully_pointed(7), _l7_sum())
-    raise KeyError(f"no registered class named {name!r}")
 
 
 def counterexample_ftau(n: int) -> tuple[DivisorClass, Certificate]:
@@ -544,8 +457,7 @@ def counterexample_ftau(n: int) -> tuple[DivisorClass, Certificate]:
     """
     if n < 6:
         raise ValueError(f"need n >= 6, got {n}")
-    base = named_class("F_tau")
-    sum6 = quotient_pushforward_sum(base.space, base.terms, SpaceId(6, 3))
+    sum6 = quotient_pushforward_sum(fully_pointed(6), ftau_sum(), SpaceId(6, 3))
     if n == 6:
         terms = sum6
     else:
@@ -561,16 +473,16 @@ def counterexample_ftau(n: int) -> tuple[DivisorClass, Certificate]:
     return cls, cert
 
 
-def class_l7() -> tuple[NamedClass, DivisorClass]:
-    """The seven-point extremal class and its one-marked quotient image.
+def class_l7() -> tuple[FormalSum, DivisorClass]:
+    """The boundary terms of ``L_7`` and its one-marked quotient image.
 
     The class is symmetric in the first six points with the seventh one
     special, so the quotient keeping a distinguished point is taken after
     swapping points 1 and 7.
     """
-    named = named_class("L_7")
-    swapped = relabel_sum(7, named.terms, {1: 7, 7: 1})
+    terms = l7_sum()
+    swapped = relabel_sum(7, terms, {1: 7, 7: 1})
     s = SpaceId(7, 1)
     pushed = quotient_pushforward_sum(fully_pointed(7), swapped, s)
     coords = express_in_basis(s, pushed).coords
-    return named, DivisorClass(s, primitive(coords))
+    return terms, DivisorClass(s, primitive(coords))

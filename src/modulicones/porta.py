@@ -201,7 +201,7 @@ def _latex_coef(c: int, first: bool) -> str:
     return sign + ("" if mag == 1 else str(mag))
 
 
-def latex_inequalities(cone: Cone, symbol: str = "a") -> str:
+def latex_inequalities(cone: Cone) -> str:
     """Aligned inequality/equation rows, e.g. ``3a_{2} - a_{3} &\\geq 0``."""
     lines = []
     for rows, rel in ((cone.inequalities, r"\geq"), (cone.equations, "=")):
@@ -209,7 +209,7 @@ def latex_inequalities(cone: Cone, symbol: str = "a") -> str:
             terms: list[str] = []
             for i, c in enumerate(row):
                 if c != 0:
-                    terms.append(f"{_latex_coef(c, not terms)}{symbol}_{{{i + 1}}}")
+                    terms.append(f"{_latex_coef(c, not terms)}a_{{{i + 1}}}")
             lhs = " ".join(terms) if terms else "0"
             lines.append(f"{lhs} &{rel} 0\\\\")
     body = "\n".join(lines)

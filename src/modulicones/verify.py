@@ -35,9 +35,7 @@ from .bridge import (
 )
 from .cones import Cone, conic_combination, dual_description
 from .curves import (
-    AttachMapSpec,
     _boundary_rays,
-    attach_pushforward,
     class_l7,
     counterexample_ftau,
     curve_ck,
@@ -47,6 +45,7 @@ from .curves import (
     nem_rays_inductive,
     nem_xn1_full_rows,
     nem_xn1_subsumption,
+    pi_star_map,
 )
 from .linalg import IntVec, primitive
 from .porta import cone_from_json, cone_json_dumps, porta_read, porta_write
@@ -220,7 +219,7 @@ def fibration_face(n: int) -> tuple[IntVec, ...]:
     face, off_face = [], []
     for ray in nem_hrep(SpaceId(n, 1)).rays:
         (face if ray[0] == 0 else off_face).append(ray)
-    pi = attach_pushforward(AttachMapSpec("pi_star", n))
+    pi = pi_star_map(n)
     pulled = sorted({primitive(pi(ray)) for ray in nem_rays_inductive(n - 1)})
     assert sorted(face) == pulled, f"n = {n}: face rays {sorted(face)}, pulled back {pulled}"
     unbalanced = [r for r in face if any(r[n - l - 1] != r[l - 2] for l in range(3, n - 1))]

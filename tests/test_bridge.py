@@ -17,7 +17,7 @@ from modulicones.bridge import (
     pointed_pushforward,
     x71_mori_data,
 )
-from modulicones.curves import curve_ck, nem_hrep
+from modulicones.curves import curve_ck, nem_hrep, nem_xn1_full_rows
 from modulicones.linalg import primitive, rank, vec
 from modulicones.porta import porta_write
 from modulicones.spaces import SpaceId
@@ -86,6 +86,29 @@ def test_dualizing_readback_at_the_boundary_case():
     pmap = pointed_pushforward(2, 2, "mg1")
     omega = pmap.target_names.index("omega")
     assert vec(30 * col[omega] for col in pmap.columns) == vec((5, 12, 6, 2))
+
+
+def _pointed_nem_key(key):
+    """The ``(i, j, l)`` row of ``X(2n+3, 1)`` whose push gives family row ``key``."""
+    kind, k, *rest = key
+    if kind == "a":
+        return (1, 0, 2 * k + 2)
+    if kind == "b":
+        return (1, 0, 2 * k + 1)
+    (m,) = rest
+    return {"c": (2, 2 * m + 2, 2 * k + 2), "e": (2, 2 * m + 3, 2 * k + 2), "d": (2, 2 * m + 2, 2 * k + 3)}[kind]
+
+
+def test_family_rows_are_pushed_nem_rows():
+    """The transcribed family rows are the pointed nem rows pushed along the cover."""
+    for g in range(2, 9):
+        for target in ("mg", "mg1"):
+            for n in range(1, (g - 1 if target == "mg" else g) + 1):
+                pmap = pointed_pushforward(g, n, target)
+                full = nem_xn1_full_rows(2 * n + 3)
+                for key, row in bridge._mg1_rows(g, n, target).items():
+                    pushed = pmap(full[_pointed_nem_key(key)])
+                    assert primitive(row) == primitive(pushed), (g, n, target, key)
 
 
 @pytest.mark.parametrize("n", range(2, 21))

@@ -8,19 +8,19 @@ from modulicones import fixtures, verify
 from modulicones.bridge import hyperelliptic_pushforward, pointed_pushforward
 from modulicones.cones import conic_combination
 from modulicones.curves import (
-    AttachMapSpec,
-    attach_pushforward,
     class_l7,
     counterexample_ftau,
     curve_ck,
-    curve_ck_star,
     eff_cone,
     eff_xn2_derivation,
-    named_class,
     nem_hrep,
     nem_rays_inductive,
     nem_xn1_full_rows,
     nem_xn1_subsumption,
+    pi_star_map,
+    q_map,
+    r_map,
+    s_map,
 )
 from modulicones.curves import _row
 from modulicones.linalg import primitive, rank, vec
@@ -30,7 +30,6 @@ from modulicones.spaces import (
     canonical_label,
     enumerate_boundaries,
     forgetful_pullback,
-    fully_pointed,
     picard_number,
     relations_and_basis,
 )
@@ -52,16 +51,9 @@ def test_moving_family_classes():
     assert curve_ck(SpaceId(7, 0), 3).coords == vec([0, 2])  # index folding
 
 
-def test_two_marked_family_classes():
-    assert curve_ck_star(4, 1).coords == vec([0, 3, 0])
-    assert curve_ck_star(4, 2).coords == vec([1, -1, 2])
-
-
 def test_curve_index_bounds():
     with pytest.raises(ValueError):
         curve_ck(SpaceId(7, 1), 5)
-    with pytest.raises(ValueError):
-        curve_ck_star(4, 3)
 
 
 # --- nem cone, unpointed -----------------------------------------------------
@@ -157,7 +149,7 @@ def test_unmarked_attach_images_in_closed_form(n, m):
         pytest.skip("no unpointed cone below six points")
     t = SpaceId(n, m)
     for l in range(3, min(n - 2, n - m) + 1):
-        q = attach_pushforward(AttachMapSpec("q", n, l, m))
+        q = q_map(n, l, m)
         src = SpaceId(l + 1, 1)
         for k in range(1, l - 1):
             pushed = q.push_curve(curve_ck(src, k))
@@ -169,7 +161,7 @@ def test_unmarked_attach_images_in_closed_form(n, m):
 def test_fibre_images_are_the_simple_rows(n):
     full = nem_xn1_full_rows(n)
     for l in range(3, n - 1):
-        q = attach_pushforward(AttachMapSpec("q", n, l, 1))
+        q = q_map(n, l, 1)
         fibre = q.push_curve(curve_ck(SpaceId(l + 1, 1), 1))
         assert fibre == full[(1, 0, l)]
 
@@ -178,7 +170,7 @@ def test_fibre_images_are_the_simple_rows(n):
 def test_marked_attach_images_match_the_full_rows(n):
     full = nem_xn1_full_rows(n)
     for l in range(4, n - 1):
-        smap = attach_pushforward(AttachMapSpec("s", n, l))
+        smap = s_map(n, l)
         names = smap.source_names
         for j in range(2, l):
             col = smap.column(f"b*{j}")
@@ -192,14 +184,14 @@ def test_marked_attach_images_match_the_full_rows(n):
                 assert tuple((l - 1) * x for x in img) == full[(i, j, l)], (n, l, i, j)
         # the unstarred i = 2 column agrees with the k = 1 column one level
         # down on the unmarked side: same glued geometry
-        qprev = attach_pushforward(AttachMapSpec("q", n, l - 1, 1))
+        qprev = q_map(n, l - 1, 1)
         assert smap.column("b3") == qprev.column("b2")
 
 
 @pytest.mark.parametrize("n", range(6, 11))
 def test_two_marked_attach_derives_the_effective_system(n):
     fams, certs = eff_xn2_derivation(n)
-    rmap = attach_pushforward(AttachMapSpec("r", n, n - 2))
+    rmap = r_map(n, n - 2)
     for j in range(2, n - 2):
         col = rmap.column(f"b*{j}")
         assert tuple((n - 4) * (n - 3) * x for x in col) == fams["ineq1"][j - 2]
@@ -215,7 +207,7 @@ def test_pushed_curves_are_valid_on_nem(n, m):
     t = SpaceId(n, m)
     rows = list(nem_hrep(t).inequalities)
     for l in range(3, min(n - 2, n - m) + 1):
-        q = attach_pushforward(AttachMapSpec("q", n, l, m))
+        q = q_map(n, l, m)
         for k in range(1, l - 1):
             pushed = q.push_curve(curve_ck(SpaceId(l + 1, 1), k))
             assert conic_combination(pushed, rows) is not None, (n, m, l, k)
@@ -224,10 +216,10 @@ def test_pushed_curves_are_valid_on_nem(n, m):
 @pytest.mark.parametrize(
     "linear_map",
     [
-        attach_pushforward(AttachMapSpec("q", 8, 4, 1)),
-        attach_pushforward(AttachMapSpec("r", 8, 6)),
-        attach_pushforward(AttachMapSpec("s", 8, 5)),
-        attach_pushforward(AttachMapSpec("pi_star", 8)),
+        q_map(8, 4, 1),
+        r_map(8, 6),
+        s_map(8, 5),
+        pi_star_map(8),
         hyperelliptic_pushforward(3),
         pointed_pushforward(3, 2, "mg1"),
     ],
@@ -241,7 +233,7 @@ def test_unknown_basis_name_names_the_source(linear_map):
 @pytest.mark.parametrize("n", range(5, 12))
 def test_pi_star_columns_are_the_forgetful_pullbacks(n):
     src = SpaceId(n - 1, 0)
-    pi = attach_pushforward(AttachMapSpec("pi_star", n))
+    pi = pi_star_map(n)
     for name in pi.source_names:
         l = int(name[1:])
         pulled = forgetful_pullback(src, {canonical_label(src, l, ()): F(1)}, SpaceId(n, 1))
@@ -249,8 +241,44 @@ def test_pi_star_columns_are_the_forgetful_pullbacks(n):
         assert tuple(half * c for c in pulled.coords) == pi.column(name), (n, name)
 
 
+@pytest.mark.parametrize(
+    "build, args, message",
+    [
+        (q_map, (8, 2), "q requires"),
+        (q_map, (8, 7), "q requires"),
+        (q_map, (8, 4, 3), "q maps into"),
+        (q_map, (8, 4, -1), "q maps into"),
+        (r_map, (8, 2), "r requires"),
+        (r_map, (8, 7), "r requires"),
+        (s_map, (8, 2), "s requires"),
+        (s_map, (8, 7), "s requires"),
+        (pi_star_map, (4,), "pi_star needs"),
+    ],
+)
+def test_attach_maps_refuse_out_of_range_parameters(build, args, message):
+    with pytest.raises(ValueError, match=message):
+        build(*args)
+
+
+@pytest.mark.parametrize(
+    "build, args, source",
+    [
+        (q_map, (8, 3), SpaceId(4, 1)),
+        (q_map, (8, 6, 0), SpaceId(7, 1)),
+        (q_map, (8, 6, 2), SpaceId(7, 1)),
+        (r_map, (8, 3), SpaceId(4, 2)),
+        (r_map, (8, 6), SpaceId(7, 2)),
+        (s_map, (8, 3), SpaceId(4, 2)),
+        (s_map, (8, 6), SpaceId(7, 2)),
+        (pi_star_map, (5,), SpaceId(4, 0)),
+    ],
+)
+def test_attach_maps_build_at_the_range_boundary(build, args, source):
+    assert build(*args).source == source
+
+
 def test_attach_map_coordinates_follow_the_target_basis():
-    q = attach_pushforward(AttachMapSpec("q", 8, 4, 1))
+    q = q_map(8, 4, 1)
     assert q.target_names == relations_and_basis(SpaceId(8, 1)).ordered_basis
     assert all(len(col) == len(q.target_names) for col in q.columns)
 
@@ -314,17 +342,10 @@ def test_moving_but_not_boundary_generated(n, coords):
 
 
 def test_cotangent_symmetrization_is_extremal_input():
-    named, ray = class_l7()
-    assert len(named.terms) == 15
+    terms, ray = class_l7()
+    assert len(terms) == 15
     assert ray.coords == vec([10, 6, 3, 1])
     assert conic_combination(ray.coords, nem_hrep(SpaceId(7, 1)).rays) is not None
-
-
-def test_named_class_registry():
-    assert named_class("F_tau").space == fully_pointed(6)
-    assert named_class("L_7").space == fully_pointed(7)
-    with pytest.raises(KeyError):
-        named_class("no_such_class")
 
 
 # --- recorded nef data stays inside the computed cone ----------------------------

@@ -34,7 +34,7 @@ from math import factorial
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from modulicones.curves import counterexample_ftau, named_class
+from modulicones.curves import counterexample_ftau, ftau_sum
 from modulicones.linalg import rank
 from modulicones.spaces import (
     BoundaryLabel,
@@ -51,7 +51,7 @@ from modulicones.spaces import (
 
 F = Fraction
 
-# The registered six-point class F_tau, as subsets of {1..6}.
+# The six-point class F_tau, as subsets of {1..6}.
 FTAU_PLUS = [(3, 6), (4, 6), (5, 6), (3, 4, 6), (3, 5, 6), (1, 2)]
 FTAU_MINUS = [(1, 6), (2, 6), (1, 3, 6), (1, 4, 6), (2, 3, 6), (2, 4, 6)]
 
@@ -229,7 +229,7 @@ def test_oracle_counts_and_the_keel_relation():
 
 
 def test_registered_ftau_matches_the_oracle_copy():
-    terms = named_class("F_tau").terms
+    terms = ftau_sum()
     assert _accumulate(6, [(label.marks, c) for label, c in terms.items()]) == ftau()
 
 
@@ -257,9 +257,8 @@ def test_recorded_six_point_value_is_not_the_pushdown_of_ftau():
 def test_recorded_six_point_class_transports_to_other_heads(n, head):
     """Transporting q_*(F_tau - D_56) does not give vanishing heads either."""
     s6 = SpaceId(6, 3)
-    base = named_class("F_tau")
-    without = {l: c for l, c in base.terms.items() if l.marks != frozenset({5, 6})}
-    sum6 = quotient_pushforward_sum(base.space, without, s6)
+    without = {l: c for l, c in ftau_sum().items() if l.marks != frozenset({5, 6})}
+    sum6 = quotient_pushforward_sum(fully_pointed(6), without, s6)
     assert express_in_basis(s6, sum6).coords == tuple(F(c) for c in RECORDED_SIX)
     lifted = forgetful_pullback_sum(s6, sum6, SpaceId(n, n - 3))
     cls = express_in_basis(

@@ -61,7 +61,7 @@ def test_cone_json_round_trip():
 
 def test_latex_outputs_mention_every_row():
     cone = Cone.from_hrep(2, [(1, 0), (-1, 3)])
-    tex = latex_inequalities(cone, "a")
+    tex = latex_inequalities(cone)
     assert tex.count(r"\geq 0") == 2
     rays_tex = latex_rays(cone)
     assert rays_tex.count("(") == len(cone.rays)
