@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import functools
 import os
+import re
 import sys
 from fractions import Fraction
 from typing import Sequence
@@ -56,7 +57,13 @@ def _fmt_vec(coords: Sequence) -> str:
 
 
 def _parse_coords(text: str) -> tuple[Fraction, ...]:
+    # an exponent past the int-to-str digit limit is refused before Fraction
+    # expands it: the value could not be printed, and expanding it is slow
+    limit = sys.get_int_max_str_digits()
+    exponents = re.findall(r"e([-+]?[\d_]+)\s*(?:,|$)", text, re.IGNORECASE)
     try:
+        if limit and any(abs(int(e)) > limit for e in exponents):
+            raise ValueError(f"a decimal exponent exceeds {limit}")
         return tuple(Fraction(part.strip()) for part in text.split(","))
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"cannot parse coordinates {text!r}: {exc}") from None
@@ -145,15 +152,15 @@ def _run_member(args: argparse.Namespace) -> int:
     cone, _ = _select_cone(args)
     point = _parse_coords(args.coords)
     cert = cone.contains(point)
+    # build every line before writing any: an unprintable coefficient leaves stdout empty
     if cert:
-        print("member: yes")
         rays = cone.rays
         terms = [f"{c} * {_fmt_vec(rays[i])}" for i, c in cert.coefficients]
-        print("combination: " + (" + ".join(terms) if terms else "0"))
-        return EXIT_OK
-    print("member: no")
-    print(f"separating functional: {_fmt_vec(cert.functional)}")
-    return EXIT_CHECK_FAILED
+        lines = ["member: yes", "combination: " + (" + ".join(terms) if terms else "0")]
+    else:
+        lines = ["member: no", f"separating functional: {_fmt_vec(cert.functional)}"]
+    print("\n".join(lines))
+    return EXIT_OK if cert else EXIT_CHECK_FAILED
 
 
 def _run_push(args: argparse.Namespace) -> int:

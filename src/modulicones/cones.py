@@ -16,15 +16,15 @@ is decided combinatorially from the tight sets of the rays.  A combined ray
 inherits its tight set from the two rays it combines; a final sweep finds
 each ray's tight rows again by dot products and keeps the rays whose tight
 rows have rank one less than the codimension of the lineality
-(`linalg.rank`).  Each membership query takes one phase-1 simplex solve,
-which produces either explicit nonnegative coefficients or a Farkas
-functional separating the point from the cone.  The simplex pivots
-an integer tableau over one common denominator ``D``, the absolute
-determinant of the current basis, so every division in a pivot is exact
-(`_phase1`); `Fraction` appears only in the coefficients a membership
-certificate returns.  Every `Certificate` is re-verified by direct integer
-arithmetic before it is returned, so a bug in the pivoting can only surface
-as an exception, never as a wrong answer.
+(`linalg.rank`).  Each membership query is one call to `certify`, one phase-1
+simplex solve, which produces either explicit nonnegative coefficients or a
+Farkas functional separating the point from the cone.  The simplex pivots an
+integer tableau over one common denominator ``D``, the absolute determinant
+of the current basis, so every division in a pivot is exact (`_phase1`);
+`Fraction` appears only in the coefficients a membership certificate returns.
+Every `Certificate` is re-verified by direct integer arithmetic before it is
+returned, so a bug in the pivoting can only surface as an exception, never as
+a wrong answer.
 """
 
 from __future__ import annotations
@@ -109,10 +109,11 @@ class Certificate:
         return acc == [den * x for x in target]
 
 
-def _certificate(target: Sequence, generators: Sequence[Sequence], lineality: Sequence[Sequence]) -> Certificate:
-    """One phase-1 solve: a membership certificate when ``target`` lies in
-    the generated cone, a non-membership certificate otherwise, verified
-    before it is returned."""
+def certify(target: Sequence, generators: Sequence[Sequence], lineality: Sequence[Sequence] = ()) -> Certificate:
+    """The one entry point for a cone query, one phase-1 solve: a truthy
+    membership certificate when ``target`` lies in the cone generated by
+    ``generators`` plus the span of ``lineality``, a falsy non-membership
+    certificate otherwise, verified before it is returned."""
     x, w = _phase1([*generators, *(col for l in lineality for col in (l, tuple(-a for a in l)))], target)
     if x is None:
         cert = Certificate("non-membership", functional=primitive(tuple(-a for a in w)))
@@ -128,28 +129,6 @@ def _certificate(target: Sequence, generators: Sequence[Sequence], lineality: Se
     if not cert.verify(target, generators, lineality):
         raise AssertionError(f"simplex produced an invalid {cert.kind} certificate")
     return cert
-
-
-def conic_combination(
-    target: Sequence,
-    generators: Sequence[Sequence],
-    lineality: Sequence[Sequence] = (),
-) -> Optional[Certificate]:
-    """Certificate expressing ``target`` as a nonnegative combination of the
-    generators plus a lineality part, or None when no such expression exists."""
-    cert = _certificate(target, generators, lineality)
-    return cert if cert else None
-
-
-def separating_functional(
-    target: Sequence,
-    generators: Sequence[Sequence],
-    lineality: Sequence[Sequence] = (),
-) -> Optional[Certificate]:
-    """Non-membership certificate for ``target`` against the generated cone,
-    or None when the target lies inside."""
-    cert = _certificate(target, generators, lineality)
-    return None if cert else cert
 
 
 # --------------------------------------------------------------------------
@@ -373,19 +352,6 @@ def dual_description(
 
 
 @dataclass(frozen=True, eq=False)
-class ConeComparison:
-    """Outcome of `Cone.equals`: on failure, carries the first generator of
-    one cone that the other cone fails to contain, with its certificate."""
-
-    equal: bool
-    witness: Optional[IntVec] = None
-    certificate: Optional[Certificate] = None
-
-    def __bool__(self) -> bool:
-        return self.equal
-
-
-@dataclass(frozen=True, eq=False)
 class Cone:
     """A rational polyhedral cone; construct via `from_hrep` / `from_vrep`.
 
@@ -486,11 +452,13 @@ class Cone:
         return self._cache["canonical_vrep"]
 
     def extreme_rays(self) -> tuple[IntVec, ...]:
+        """Kept for the ``m21-mov`` selector and checks 10 and 13, which need
+        the irredundant rays of cones built from redundant generators."""
         return self.canonical_vrep()[0]
 
     def contains(self, point: Sequence) -> Certificate:
-        """Membership certificate (nonnegative combination of the stored rays)
-        or non-membership certificate (separating functional)."""
+        """`certify` against the stored rays; with an H-representation, a
+        violated row is returned as the functional without a solve."""
         point = tuple(point)
         if len(point) != self.ambient_dim:
             raise ValueError(f"expected a vector of length {self.ambient_dim}, got {len(point)}")
@@ -504,32 +472,19 @@ class Cone:
             for a in self._ineqs:
                 if _int_dot(a, v) < 0:
                     return Certificate("non-membership", functional=a)
-            cert = conic_combination(point, self.rays, self.lineality)
-            if cert is None:
+            cert = certify(point, self.rays, self.lineality)
+            if not cert:
                 raise AssertionError("H-representation and V-representation disagree")
             return cert
-        return _certificate(point, self._rays, self._lineality)
-
-    def _generators(self) -> list[IntVec]:
-        return list(self.rays) + [g for l in self.lineality for g in (l, tuple(-x for x in l))]
-
-    def equals(self, other: "Cone") -> ConeComparison:
-        """Equality by mutual containment of generators; on failure the result
-        carries the offending generator and its non-membership certificate."""
-        if self.ambient_dim != other.ambient_dim:
-            raise ValueError("cones live in different ambient dimensions")
-        for a, b in ((self, other), (other, self)):
-            for g in a._generators():
-                cert = b.contains(g)
-                if not cert:
-                    return ConeComparison(False, witness=g, certificate=cert)
-        return ConeComparison(True)
+        return certify(point, self._rays, self._lineality)
 
     def dual(self) -> "Cone":
         """Polar dual ``{y : y @ x >= 0 for all x in the cone}``.
 
         A purely formal role swap -- generator rows become inequality rows and
-        vice versa -- so no conversion is triggered.
+        vice versa -- so no conversion is triggered.  Kept because a
+        completeness certificate for ray lists checks a facet list as the
+        ray list of the dual cone.
         """
         return Cone(
             self.ambient_dim,

@@ -461,10 +461,6 @@ def quotient_pushforward_sum(src: SpaceId, formal: FormalSum, dst: SpaceId) -> d
     return dict(out)
 
 
-def quotient_pushforward(src: SpaceId, formal: FormalSum, dst: SpaceId) -> DivisorClass:
-    return express_in_basis(dst, quotient_pushforward_sum(src, formal, dst))
-
-
 def forgetful_pullback_sum(src: SpaceId, formal: FormalSum, dst: SpaceId) -> dict[BoundaryLabel, Fraction]:
     """Pull a formal boundary sum back along the map forgetting the
     distinguished points of ``dst`` beyond those of ``src``.
@@ -496,10 +492,6 @@ def forgetful_pullback_sum(src: SpaceId, formal: FormalSum, dst: SpaceId) -> dic
                 out[image] += coeff * factor
         cur_space, cur = bigger, dict(out)
     return cur
-
-
-def forgetful_pullback(src: SpaceId, formal: FormalSum, dst: SpaceId) -> DivisorClass:
-    return express_in_basis(dst, forgetful_pullback_sum(src, formal, dst))
 
 
 def relabel_sum(n: int, formal: FormalSum, swap: Mapping[int, int]) -> dict[BoundaryLabel, Fraction]:

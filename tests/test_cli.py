@@ -151,6 +151,19 @@ def test_member_parses_rational_coordinates(capsys):
     assert "member: yes" in out
 
 
+@pytest.mark.parametrize("big", ["1e4300", "1e-4300", "1e5000", "-1e10000000"])
+def test_member_with_an_unprintable_coordinate_writes_nothing_and_exits_2(capsys, big):
+    # 1e4300 parses, but its coefficient has more digits than str() allows;
+    # the larger exponents are refused before Fraction expands them
+    code, out, err = run_cli(
+        capsys,
+        "member", "--which", "eff", "--n", "5", "--m", "2",
+        f"--coords={big},0,1",
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+
+
 # --- push ---------------------------------------------------------------------
 
 
@@ -180,7 +193,7 @@ def test_push_rejects_out_of_range_parameters(capsys):
 # --- counterexample -----------------------------------------------------------
 
 
-def test_counterexample_reports_a_verified_certificate(capsys):
+def test_counterexample_reports_a_verified_separation(capsys):
     code, out, _ = run_cli(capsys, "counterexample", "--n", "6")
     assert code == 0
     assert "(2, 0, 0, 2, -6, -2, -2, 2)" in out

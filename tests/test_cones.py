@@ -6,9 +6,8 @@ from modulicones import cones, linalg
 from modulicones.cones import (
     Certificate,
     Cone,
-    conic_combination,
+    certify,
     dual_description,
-    separating_functional,
 )
 from modulicones.curves import eff_cone, nem_hrep
 from modulicones.linalg import vec
@@ -32,7 +31,7 @@ def test_rays_are_primitive_and_sorted_regardless_of_input():
 
 def test_hrep_vrep_round_trip():
     back = Cone.from_vrep(2, FIRST_QUADRANT.rays)
-    assert Cone.from_hrep(2, back.inequalities).equals(FIRST_QUADRANT)
+    assert Cone.from_hrep(2, back.inequalities).canonical_vrep() == FIRST_QUADRANT.canonical_vrep()
 
 
 def test_membership_certificate_verifies():
@@ -75,17 +74,17 @@ def test_contains_solves_at_most_once(monkeypatch, make, point, member, solves):
     assert len(calls) == solves
 
 
-def test_conic_combination_none_outside():
+def test_certify_is_falsy_outside_and_truthy_inside():
     gens = [vec([1, 0]), vec([1, 2])]
-    assert conic_combination(vec([0, -1]), gens) is None
-    cert = conic_combination(vec([2, 2]), gens)
-    assert cert is not None and cert.verify((2, 2), gens)
+    assert not certify(vec([0, -1]), gens)
+    cert = certify(vec([2, 2]), gens)
+    assert cert and cert.verify((2, 2), gens)
 
 
-def test_separating_functional_props():
+def test_certify_outside_returns_a_farkas_functional():
     gens = [vec([1, 0]), vec([1, 2])]
-    cert = separating_functional(vec([0, -1]), gens)
-    assert cert is not None
+    cert = certify(vec([0, -1]), gens)
+    assert not cert
     phi = cert.functional
     assert all(sum(p * g for p, g in zip(phi, gen)) >= 0 for gen in gens)
     assert sum(p * t for p, t in zip(phi, (0, -1))) < 0
@@ -93,15 +92,14 @@ def test_separating_functional_props():
 
 def test_dual_involution_on_full_dimensional_pointed():
     for cone in (FIRST_QUADRANT, ICE_CREAM_ISH):
-        assert cone.dual().dual().equals(cone)
+        assert cone.dual().dual().canonical_vrep() == cone.canonical_vrep()
 
 
 def test_contains_cone_and_equals():
     smaller = Cone.from_vrep(2, [(1, 1), (1, 2)])
     assert all(FIRST_QUADRANT.contains(r) for r in smaller.rays)
     assert not all(smaller.contains(r) for r in FIRST_QUADRANT.rays)
-    cmp = smaller.equals(FIRST_QUADRANT)
-    assert not cmp
+    assert smaller.canonical_vrep() != FIRST_QUADRANT.canonical_vrep()
 
 
 def test_lineality_in_halfplane():
@@ -127,7 +125,7 @@ def test_facets_from_vrep():
     c = Cone.from_vrep(2, [(1, 0), (1, 2)])
     assert len(c.inequalities) == 2
     back = Cone.from_hrep(2, c.inequalities, c.equations)
-    assert back.equals(c)
+    assert back.canonical_vrep() == (c.rays, ())
 
 
 def test_dimension_mismatch_rejected():

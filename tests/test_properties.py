@@ -8,10 +8,18 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from modulicones import cones
-from modulicones.cones import Certificate, Cone, conic_combination, dual_description, separating_functional
+from modulicones.cones import Certificate, Cone, certify, dual_description
 from modulicones.linalg import primitive, rank, rref, vec
 from modulicones.porta import porta_read, porta_write
-from modulicones.spaces import SpaceId, canonical_label, express_in_basis, fully_pointed, keel_relations, enumerate_boundaries
+from modulicones.spaces import (
+    SpaceId,
+    canonical_label,
+    enumerate_boundaries,
+    express_in_basis,
+    fully_pointed,
+    keel_relations,
+    quotient_pushforward_sum,
+)
 
 rationals = st.fractions(
     max_denominator=40, min_value=Fraction(-50), max_value=Fraction(50)
@@ -181,7 +189,7 @@ def _oracle_phase1(columns, target):
     return None, tuple(signs[i] * (Fraction(1) - obj[k + i]) for i in range(m))
 
 
-def _oracle_certificate(target, generators, lineality):
+def _oracle_certify(target, generators, lineality):
     columns = list(generators) + [col for l in lineality for col in (l, [-x for x in l])]
     x, w = _oracle_phase1(columns, target)
     if x is None:
@@ -237,8 +245,8 @@ def test_phase1_and_certificate_match_the_fraction_oracle(system):
     x, _ = cones._phase1(columns, target)
     oracle_x, _ = _oracle_phase1(columns, target)
     assert x == oracle_x
-    cert = cones._certificate(target, columns, lineality)
-    assert cert == _oracle_certificate(target, columns, lineality)
+    cert = certify(target, columns, lineality)
+    assert cert == _oracle_certify(target, columns, lineality)
 
 
 # --------------------------------------------------------------------------
@@ -350,8 +358,8 @@ def test_nonnegative_combinations_are_members(rays, coeffs):
     target = vec([0, 0, 0])
     for c, r in zip(coeffs, rays):
         target = vec(t + c * x for t, x in zip(target, r))
-    cert = conic_combination(target, [vec(r) for r in rays])
-    assert cert is not None
+    cert = certify(target, [vec(r) for r in rays])
+    assert cert
     assert cert.verify(target, [vec(r) for r in rays])
 
 
@@ -364,16 +372,11 @@ def test_membership_dichotomy_both_certify(rays, target):
     if not gens:
         return
     t = vec(target)
-    member = conic_combination(t, gens)
-    if member is not None:
-        assert member.verify(t, gens)
-    else:
-        separating = separating_functional(t, gens)
-        assert separating is not None
-        assert separating.verify(t, gens)
+    direct = certify(t, gens)
+    assert direct.verify(t, gens)
     cone = Cone.from_vrep(3, gens)
     cert = cone.contains(t)
-    assert bool(cert) == (member is not None)
+    assert bool(cert) == bool(direct)
     assert cert.verify(t, cone.rays)
 
 
@@ -384,7 +387,11 @@ def test_vrep_hrep_round_trip(rays):
         return
     original = Cone.from_vrep(3, rays)
     back = Cone.from_hrep(3, original.inequalities, original.equations)
-    assert back.equals(original)
+    # mutual containment: every given ray lies in the H-cone, and every
+    # generator of the H-cone is a nonnegative combination of the given rays
+    assert all(back.contains(r) for r in original.rays)
+    assert all(certify(g, original.rays) for l in back.lineality for g in (l, tuple(-x for x in l)))
+    assert all(certify(r, original.rays) for r in back.rays)
 
 
 @given(st.permutations([(3, 1, 0), (0, 1, 2), (1, 1, 1), (6, 2, 0), (0, 2, 4)]))
@@ -436,7 +443,5 @@ def test_relations_vanish_in_every_basis(n, data):
     full = fully_pointed(n)
     labels = enumerate_boundaries(full)
     formal = {l: c for l, c in zip(labels, relation) if c}
-    from modulicones.spaces import quotient_pushforward
-
-    cls = quotient_pushforward(full, formal, SpaceId(n, m))
+    cls = express_in_basis(SpaceId(n, m), quotient_pushforward_sum(full, formal, SpaceId(n, m)))
     assert all(c == 0 for c in cls.coords)
