@@ -41,7 +41,7 @@ from .spaces import (
     DivisorClass,
     FormalSum,
     SpaceId,
-    boundary_class,
+    _scaled_class,
     canonical_label,
     enumerate_boundaries,
     express_in_basis,
@@ -267,10 +267,17 @@ def eff_cone(s: SpaceId) -> Cone:
 def _boundary_rays(s: SpaceId) -> tuple[IntVec, ...]:
     """The primitive boundary classes of ``s``, one per label in label order.
 
-    Duplicates are kept: the order of the generators fixes the simplex's
-    pivots, and so the separating functionals it returns.
+    Each is its label's int column in the `_columns` table made primitive:
+    the column is the class times a positive denominator, which `primitive`
+    drops, so no `Fraction` is built.  Duplicates are kept.  The order
+    matters only where the rays go to `certify` as they are: in
+    `counterexample_ftau`, where it fixes the simplex's pivots and so the
+    separating functional, and where that certificate is verified again
+    against the same list (the ``counterexample`` verb and check 02).
+    `eff_cone` passes the rays through `Cone.from_vrep`, which drops
+    duplicates and sorts them.
     """
-    return tuple(primitive(boundary_class(s, label).coords) for label in enumerate_boundaries(s))
+    return tuple(primitive(_scaled_class(s, {label: 1})[0]) for label in enumerate_boundaries(s))
 
 
 def eff_xn2_derivation(n: int) -> tuple[dict[str, tuple[IntVec, ...]], tuple[Certificate, ...]]:
@@ -433,22 +440,22 @@ def ftau_sum() -> FormalSum:
     s = fully_pointed(6)
     plus = [(3, 6), (4, 6), (5, 6), (3, 4, 6), (3, 5, 6), (1, 2)]
     minus = [(1, 6), (2, 6), (1, 3, 6), (1, 4, 6), (2, 3, 6), (2, 4, 6)]
-    terms: dict[BoundaryLabel, Fraction] = {}
+    terms: dict[BoundaryLabel, int] = {}
     for marks in plus:
-        terms[canonical_label(s, len(marks), marks)] = Fraction(1)
+        terms[canonical_label(s, len(marks), marks)] = 1
     for marks in minus:
-        terms[canonical_label(s, len(marks), marks)] = Fraction(-1)
+        terms[canonical_label(s, len(marks), marks)] = -1
     return terms
 
 
 def l7_sum() -> FormalSum:
     """The fifteen-term class ``L_7`` on the seven-point space, as boundary terms."""
     s = fully_pointed(7)
-    terms: dict[BoundaryLabel, Fraction] = {}
+    terms: dict[BoundaryLabel, int] = {}
     for r in range(1, 5):
         for extra in itertools.combinations((3, 4, 5, 6), r):
             marks = (7,) + extra
-            terms[canonical_label(s, len(marks), marks)] = Fraction(1)
+            terms[canonical_label(s, len(marks), marks)] = 1
     return terms
 
 

@@ -21,9 +21,15 @@ The divisor-class spaces are handled through `relations_and_basis`: for
 class of a label along which the symmetrization is ramified (`_is_ramified`,
 one side is exactly two undistinguished points) is half its divisor.
 `express_in_basis` reduces a formal boundary sum through a table built once
-per space: each label's class in the ordered basis, a basis label's own class
-(doubled where it is ramified) or, for the labels left out of the basis, the
-combination of basis labels the stored relations equate it with.
+per space (`_columns`): one positive denominator ``D`` and, per label, its
+class in the ordered basis times ``D`` as int pairs -- a basis label's own
+class (doubled where it is ramified) or, for the labels left out of the
+basis, the combination of basis labels the stored relations equate it with.
+The sum is taken in ints for int coefficients and divided by ``D`` once, so
+only the returned `DivisorClass` holds `Fraction` coordinates.  The
+pushforward and pullback multiplicities are ints too: an int-coefficient
+boundary sum stays int through `quotient_pushforward_sum`,
+`forgetful_pullback_sum` and `relabel_sum`.
 """
 
 from __future__ import annotations
@@ -33,12 +39,12 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
 from typing import Iterable, Mapping, Sequence
 
 from .linalg import Vec, rref
 
-FormalSum = Mapping["BoundaryLabel", Fraction]
+FormalSum = Mapping["BoundaryLabel", "Fraction | int"]
 
 
 @dataclass(frozen=True)
@@ -358,16 +364,18 @@ def _basis_name(s: SpaceId, label: BoundaryLabel) -> str:
 
 
 @lru_cache(maxsize=None)
-def _columns(s: SpaceId) -> dict[BoundaryLabel, tuple[tuple[int, Fraction], ...]]:
-    """Per canonical label of ``s``: its class as sparse ``(position,
-    coefficient)`` pairs in the ordered basis.
+def _columns(s: SpaceId) -> tuple[int, dict[BoundaryLabel, tuple[tuple[int, int], ...]]]:
+    """``(D, table)``: one positive denominator ``D`` for ``s`` and, per
+    canonical label, its class times ``D`` as sparse ``(position,
+    coefficient)`` int pairs in the ordered basis.
 
     A label whose name is in the ordered basis is that basis class, doubled
     where the label is ramified: there the basis class is half the divisor.
     Every other label is cleared with the stored relations.  Their reduced
     echelon form, with the cleared labels' columns first, has one row
     ``p*e + sum c_l * l`` per cleared label ``e`` over basis labels ``l``, so
-    ``e == -sum c_l * l / p``.
+    ``e == -sum c_l * l / p``.  ``D`` is the lcm of those pivots ``p``, and 1
+    where no label is cleared (``m <= 1``), so every entry is an int.
     """
     spec = relations_and_basis(s)
     slot = {name: j for j, name in enumerate(spec.ordered_basis)}
@@ -375,38 +383,57 @@ def _columns(s: SpaceId) -> dict[BoundaryLabel, tuple[tuple[int, Fraction], ...]
     kept = [i for i, name in enumerate(names) if name in slot]
     cleared = [i for i, name in enumerate(names) if name not in slot]
     weight = [2 if _is_ramified(s, label) else 1 for label in spec.boundaries]
-    columns = {spec.boundaries[i]: ((slot[names[i]], Fraction(weight[i])),) for i in kept}
     rows, pivots = rref([[rel[i] for i in cleared + kept] for rel in spec.relations])
     if pivots != list(range(len(cleared))):
         raise AssertionError(f"the relations of {s} do not clear its non-basis labels")
+    d = lcm(*(row[k] for k, row in enumerate(rows[: len(cleared)])))
+    table = {spec.boundaries[i]: ((slot[names[i]], weight[i] * d),) for i in kept}
     for k, (e, row) in enumerate(zip(cleared, rows)):
-        tail = row[len(cleared):]
-        columns[spec.boundaries[e]] = tuple(
-            (slot[names[i]], Fraction(-c * weight[i], row[k])) for i, c in zip(kept, tail) if c
+        scale = d // row[k]
+        table[spec.boundaries[e]] = tuple(
+            (slot[names[i]], -c * weight[i] * scale) for i, c in zip(kept, row[len(cleared):]) if c
         )
-    return columns
+    return d, table
+
+
+def _exact(coeff: Fraction | int) -> Fraction | int:
+    """An int or `Fraction` coefficient as it is; anything else as a `Fraction`."""
+    return coeff if isinstance(coeff, (int, Fraction)) else Fraction(coeff)
+
+
+def _scaled_class(s: SpaceId, formal: FormalSum) -> tuple[list, int]:
+    """``(coords, D)``: the basis coordinates of a formal boundary sum times
+    the space's denominator ``D``, summed from the `_columns` table with the
+    coefficients as they come, so in ints when those are ints.
+
+    Each label is made canonical first; a label that is not a boundary
+    divisor of ``s`` raises ValueError.
+    """
+    d, table = _columns(s)
+    coords = [0] * picard_number(s)
+    for label, coeff in formal.items():
+        if label not in table:
+            label = canonical_label(s, label.size, label.marks)
+        coeff = _exact(coeff)
+        for j, c in table[label]:
+            coords[j] += c * coeff
+    return coords, d
 
 
 def express_in_basis(s: SpaceId, formal: FormalSum) -> DivisorClass:
     """Reduce a formal sum of boundary labels to basis coordinates.
 
-    Each label is made canonical (a label that is not a boundary divisor of
-    ``s`` raises ValueError) and contributes its cached column: the label's
-    class in the ordered basis, with the relations already applied.
+    Each label contributes its cached column: the label's class in the
+    ordered basis, with the relations already applied (see `_scaled_class`).
+    The sum is divided by the space's denominator once, into the `Fraction`
+    coordinates of the class.
     """
-    columns = _columns(s)
-    coords = [Fraction(0)] * picard_number(s)
-    for label, coeff in formal.items():
-        if label not in columns:
-            label = canonical_label(s, label.size, label.marks)
-        coeff = Fraction(coeff)
-        for j, c in columns[label]:
-            coords[j] += c * coeff
-    return DivisorClass(s, tuple(coords))
+    coords, d = _scaled_class(s, formal)
+    return DivisorClass(s, tuple(Fraction(x, d) for x in coords))
 
 
 def boundary_class(s: SpaceId, label: BoundaryLabel) -> DivisorClass:
-    return express_in_basis(s, {label: Fraction(1)})
+    return express_in_basis(s, {label: 1})
 
 
 # --------------------------------------------------------------------------
@@ -422,15 +449,16 @@ def _lift_to_pointed(src: SpaceId, label: BoundaryLabel) -> frozenset[int]:
     return label.marks | extra
 
 
-def _pushforward_degree(s: SpaceId, members: frozenset[int]) -> Fraction:
+def _pushforward_degree(s: SpaceId, members: frozenset[int]) -> tuple[int, int]:
     """Degree with which the pointed boundary divisor of the subset
-    ``members`` maps onto its image in ``s``.
+    ``members`` maps onto its image in ``s``, as ``(stab, trivial)``: the
+    degree is ``stab / trivial``.
 
-    The count is: permutations of the undistinguished points preserving the
-    unordered side pair, divided by those that act trivially on the divisor.
-    A side consisting of exactly two undistinguished points is rigid -- its
-    transposition moves nothing -- and for m = 0 an even split can also be
-    swapped wholesale.
+    ``stab`` counts the permutations of the undistinguished points preserving
+    the unordered side pair, and ``trivial`` those that act trivially on the
+    divisor.  A side consisting of exactly two undistinguished points is
+    rigid -- its transposition moves nothing -- and for m = 0 an even split
+    can also be swapped wholesale.
     """
     n, dist = s.n, s.distinguished
     a = len(members - dist)
@@ -445,23 +473,31 @@ def _pushforward_degree(s: SpaceId, members: frozenset[int]) -> Fraction:
         trivial *= 2
     if s.m == 0 and n == 4:
         trivial *= 2  # the wholesale swap of a 2|2 split is also trivial
-    return Fraction(stab, trivial)
+    return stab, trivial
 
 
-def quotient_pushforward_sum(src: SpaceId, formal: FormalSum, dst: SpaceId) -> dict[BoundaryLabel, Fraction]:
-    """Push a formal boundary sum along the further symmetrization map."""
+def quotient_pushforward_sum(src: SpaceId, formal: FormalSum, dst: SpaceId) -> dict[BoundaryLabel, Fraction | int]:
+    """Push a formal boundary sum along the further symmetrization map.
+
+    Each label's multiplicity is the ratio of its pushforward degrees to
+    ``dst`` and from ``src``, an integer; an int-coefficient sum stays int.
+    """
     if dst.n != src.n or dst.m > src.m:
         raise ValueError(f"no symmetrization map {src} -> {dst}")
-    out: dict[BoundaryLabel, Fraction] = defaultdict(Fraction)
+    out: dict[BoundaryLabel, Fraction | int] = defaultdict(int)
     for label, coeff in formal.items():
         members = _lift_to_pointed(src, label)
-        deg = _pushforward_degree(dst, members) / _pushforward_degree(src, members)
+        dst_stab, dst_trivial = _pushforward_degree(dst, members)
+        src_stab, src_trivial = _pushforward_degree(src, members)
+        deg, rest = divmod(dst_stab * src_trivial, dst_trivial * src_stab)
+        if rest:
+            raise AssertionError(f"the multiplicity of {label} pushed from {src} to {dst} is not an integer")
         image = canonical_label(dst, len(members), members & dst.distinguished)
-        out[image] += Fraction(coeff) * deg
+        out[image] += _exact(coeff) * deg
     return dict(out)
 
 
-def forgetful_pullback_sum(src: SpaceId, formal: FormalSum, dst: SpaceId) -> dict[BoundaryLabel, Fraction]:
+def forgetful_pullback_sum(src: SpaceId, formal: FormalSum, dst: SpaceId) -> dict[BoundaryLabel, Fraction | int]:
     """Pull a formal boundary sum back along the map forgetting the
     distinguished points of ``dst`` beyond those of ``src``.
 
@@ -481,7 +517,7 @@ def forgetful_pullback_sum(src: SpaceId, formal: FormalSum, dst: SpaceId) -> dic
     while cur_space.n < dst.n:
         bigger = SpaceId(cur_space.n + 1, cur_space.m + 1)
         new_point = bigger.m
-        out: dict[BoundaryLabel, Fraction] = defaultdict(Fraction)
+        out: dict[BoundaryLabel, Fraction | int] = defaultdict(int)
         for label, coeff in cur.items():
             ramified = _is_ramified(cur_space, label)
             for image in dict.fromkeys((
@@ -494,12 +530,12 @@ def forgetful_pullback_sum(src: SpaceId, formal: FormalSum, dst: SpaceId) -> dic
     return cur
 
 
-def relabel_sum(n: int, formal: FormalSum, swap: Mapping[int, int]) -> dict[BoundaryLabel, Fraction]:
+def relabel_sum(n: int, formal: FormalSum, swap: Mapping[int, int]) -> dict[BoundaryLabel, Fraction | int]:
     """Apply a marked-point permutation to a boundary sum on the fully
     pointed space (the permutation is given by its non-fixed values)."""
     s = fully_pointed(n)
-    out: dict[BoundaryLabel, Fraction] = defaultdict(Fraction)
+    out: dict[BoundaryLabel, Fraction | int] = defaultdict(int)
     for label, coeff in formal.items():
         members = frozenset(swap.get(x, x) for x in label.marks)
-        out[canonical_label(s, len(members), members)] += Fraction(coeff)
+        out[canonical_label(s, len(members), members)] += _exact(coeff)
     return dict(out)

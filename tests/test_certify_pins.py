@@ -3,7 +3,10 @@
 The digests were recorded before the phase-1 simplex moved to an integer
 tableau.  They cover the exit code and the full stdout (coefficients,
 combination order, separating functionals) of each query, so any change in
-the pivots or in the certificates shows up here.
+the pivots or in the certificates shows up here.  The pins for ``eff`` at
+n = 13..16 and for ``counterexample`` at n = 10..12, which complete the
+benchmark's certify pool, were recorded later, from the code before boundary
+classes moved to integer columns.
 """
 
 import hashlib
@@ -14,7 +17,7 @@ import pytest
 from modulicones import cli
 
 SELECTORS = {
-    **{f"eff-x{n}-2": f"--which eff --n {n} --m 2" for n in range(8, 13)},
+    **{f"eff-x{n}-2": f"--which eff --n {n} --m 2" for n in range(8, 17)},
     "m21-mov": "--which m21-mov",
     "nef-fixture-x7-1": "--which nef-fixture --n 7 --m 1",
 }
@@ -28,6 +31,11 @@ PINS = {
     "m21-mov": "998c5232d0805fe1969c4d68d1794b13556b729842f44186a626511f9c81f16b",
     "nef-fixture-x7-1": "430348502acfd6d4d52edc58f86598c91bdd2bb28259666d3d20626ccd683ecb",
     "counterexample": "900f0609460e82d8d1d11e48153e72e45a0aab0bec79bc01674f9e1badbf1dc6",
+    "eff-x13-2": "eb7a25992a6d42e28316b3a579ef06e832d9ce3ac6a75bd742cca17df5585f9d",
+    "eff-x14-2": "294a70729673e106f7b4f75e2cf2e59555ac8bfd20df2e5868c49c8326e1010e",
+    "eff-x15-2": "747a444c7104b40c40c5b66f4a290627e4d9bd0d6970c4ac6ba4270197290fcf",
+    "eff-x16-2": "53774d54cc33ff9806319807f0b346489d3e26304814ef558911c83be93bdefa",
+    "counterexample-x10-12": "870b31222e5fb49a44ab8304ab87a77a657a88fce84bad551048a98dc5ed94c6",
 }
 
 
@@ -83,3 +91,9 @@ def test_counterexample_outputs_are_pinned(capsys):
     digest, codes = _digest(capsys, [["counterexample", "--n", str(n)] for n in range(6, 10)])
     assert codes == [0] * 4
     assert digest == PINS["counterexample"]
+
+
+def test_larger_counterexample_outputs_are_pinned(capsys):
+    digest, codes = _digest(capsys, [["counterexample", "--n", str(n)] for n in range(10, 13)])
+    assert codes == [0] * 3
+    assert digest == PINS["counterexample-x10-12"]

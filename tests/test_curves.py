@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from modulicones import fixtures, verify
+from modulicones import curves, fixtures, linalg, spaces, verify
 from modulicones.bridge import hyperelliptic_pushforward, pointed_pushforward
 from modulicones.cones import certify
 from modulicones.curves import (
@@ -13,6 +13,7 @@ from modulicones.curves import (
     curve_ck,
     eff_cone,
     eff_xn2_derivation,
+    ftau_sum,
     nem_hrep,
     nem_rays_inductive,
     nem_xn1_full_rows,
@@ -22,7 +23,7 @@ from modulicones.curves import (
     r_map,
     s_map,
 )
-from modulicones.curves import _row
+from modulicones.curves import _boundary_rays, _row
 from modulicones.linalg import primitive, rank, vec
 from modulicones.spaces import (
     SpaceId,
@@ -31,7 +32,9 @@ from modulicones.spaces import (
     enumerate_boundaries,
     express_in_basis,
     forgetful_pullback_sum,
+    fully_pointed,
     picard_number,
+    quotient_pushforward_sum,
     relations_and_basis,
 )
 
@@ -384,3 +387,37 @@ def test_fixture_rays_are_int_tuples():
     rays += [fixtures.M21_A, fixtures.M21_B, fixtures.M21_C, fixtures.M21_D, fixtures.M21_E]
     assert all(type(r) is tuple for r in rays)
     assert _all_ints(rays)
+
+
+def _ftau_transport(n, terms):
+    """The sums `counterexample_ftau` builds on its way to ``X(n, 3)``."""
+    sum6 = quotient_pushforward_sum(fully_pointed(6), terms, SpaceId(6, 3))
+    lifted = forgetful_pullback_sum(SpaceId(6, 3), sum6, SpaceId(n, n - 3))
+    return [sum6, lifted, quotient_pushforward_sum(SpaceId(n, n - 3), lifted, SpaceId(n, 3))]
+
+
+def test_boundary_rays_and_transport_build_no_fraction(monkeypatch):
+    grid = [SpaceId(n, m) for n in range(8, 17) for m in range(4)]
+    rays = {
+        s: tuple(primitive(boundary_class(s, label).coords) for label in enumerate_boundaries(s))
+        for s in grid
+    }
+    as_fractions = {l: F(c) for l, c in ftau_sum().items()}
+    sums = {n: _ftau_transport(n, as_fractions) for n in range(6, 10)}
+    built = []
+
+    class Counted(Fraction):
+        def __new__(cls, *args):
+            built.append(args)
+            return Fraction(*args)
+
+    for module in (spaces, curves, linalg):
+        monkeypatch.setattr(module, "Fraction", Counted)
+    # the int multiplicities add up in ints: no Fraction, and int values
+    for n, expected in sums.items():
+        got = _ftau_transport(n, ftau_sum())
+        assert got == expected
+        assert all(type(c) is int for formal in got for c in formal.values())
+    # with the `_columns` table warm, a ray is its int column made primitive
+    assert [_boundary_rays(s) for s in grid] == list(rays.values())
+    assert built == []

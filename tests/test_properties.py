@@ -445,3 +445,37 @@ def test_relations_vanish_in_every_basis(n, data):
     formal = {l: c for l, c in zip(labels, relation) if c}
     cls = express_in_basis(SpaceId(n, m), quotient_pushforward_sum(full, formal, SpaceId(n, m)))
     assert all(c == 0 for c in cls.coords)
+
+
+@st.composite
+def boundary_sums(draw, n, m):
+    """A sum of up to eight distinct boundary labels of ``X(n, m)`` with small
+    nonzero int coefficients."""
+    labels = draw(
+        st.lists(st.sampled_from(enumerate_boundaries(SpaceId(n, m))), min_size=1, max_size=8, unique=True)
+    )
+    return {l: draw(small_ints.filter(bool)) for l in labels}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=4, max_value=12), st.data())
+def test_express_in_basis_reads_int_and_fraction_coefficients_alike(n, data):
+    s = SpaceId(n, data.draw(st.integers(min_value=0, max_value=3)))
+    formal = data.draw(boundary_sums(s.n, s.m))
+    mixed = {l: data.draw(st.sampled_from((c, Fraction(c)))) for l, c in formal.items()}
+    coords = express_in_basis(s, formal).coords
+    assert all(type(c) is Fraction for c in coords)
+    assert express_in_basis(s, {l: Fraction(c) for l, c in formal.items()}).coords == coords
+    assert express_in_basis(s, mixed).coords == coords
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=4, max_value=12), st.data())
+def test_int_pushforward_matches_the_fraction_pushforward(n, data):
+    src_m = data.draw(st.sampled_from((0, 1, 2, 3, n)))
+    dst_m = data.draw(st.integers(min_value=0, max_value=min(src_m, 3)))
+    src, dst = SpaceId(n, src_m), SpaceId(n, dst_m)
+    formal = data.draw(boundary_sums(n, src_m))
+    pushed = quotient_pushforward_sum(src, formal, dst)
+    assert all(type(c) is int for c in pushed.values())
+    assert pushed == quotient_pushforward_sum(src, {l: Fraction(c) for l, c in formal.items()}, dst)
