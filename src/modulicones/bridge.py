@@ -17,8 +17,10 @@ zero there and ``-omega`` on the pointed side, and for ``g = 2`` the class
 ``lambda`` is not independent — it is eliminated via
 ``(1/10) delta_irr + (1/5) delta_1``.  Inequality rows are integer tuples;
 at ``g = 2`` they are scaled by 10 so that elimination stays integral, which
-changes no cone.  Map columns and curve images, whose entries are genuinely
-rational, stay exact ``Fraction`` vectors, as do the witness rows.
+changes no cone.  The family's witnesses are ints too, and become exact
+``Fraction`` values only in :func:`mg1_inequality_family`.  Map columns and
+curve images, whose entries are genuinely rational, stay exact ``Fraction``
+vectors.
 
 The genus-two pointed space gets special treatment (its own basis
 ``(Delta_irr, Delta_1, W)``): the seven-point one-marked quotient maps onto
@@ -341,17 +343,16 @@ def _mg1_rows(g: int, n: int, target: str) -> dict[tuple, IntVec]:
     return rows
 
 
-def mg1_inequality_family(
-    g: int, n: int, target: str = "mg"
-) -> tuple[Cone, dict[tuple[int, int], ComboWitness]]:
-    """The five transported inequality families, with reduction witnesses.
+Witness = tuple[int, int, IntVec]
 
-    Returns the cone they cut out together with, per valid ``(k, m)``, the
-    exact multiplier pair certifying that the combined slope rows dominate
-    the positivity row ``4(2(k+m)+3) delta_irr + (k+1)(m+1) lambda``.  A
-    failed identity raises :class:`ArithmeticError`; it would mean the rows
-    were transcribed inconsistently.  The rows and the identities are
-    integer (scaled by 10 at ``g = 2``); the witnesses are exact fractions.
+
+def _mg1_family(g: int, n: int, target: str) -> tuple[Cone, dict[tuple[int, int], Witness]]:
+    """:func:`mg1_inequality_family` with int witnesses ``(c1, c2, row)``.
+
+    ``row`` is the positivity row as :func:`_row` builds it (scaled by 10 at
+    ``g = 2``).  Every check of the public function runs here: the sign of
+    the multipliers and the exact identity, each raising
+    :class:`ArithmeticError`.
     """
     _check_pointed_params(g, n, target)
     if n < 2:
@@ -364,7 +365,7 @@ def mg1_inequality_family(
     low = [a + 2 * b for a, b in zip(rows[("a", 1)], rows[("b", 1)])]
     high = [(2 * n - 3) * a + n * b for a, b in zip(rows[("a", n - 1)], rows[("b", n - 1)])]
     constant = 3 if n == 2 else 2 * (5 * n * n - 13 * n + 6)
-    witnesses: dict[tuple[int, int], ComboWitness] = {}
+    witnesses: dict[tuple[int, int], Witness] = {}
     for k in range(1, n):
         for m in range(0, k):
             if n == 2:
@@ -380,8 +381,29 @@ def mg1_inequality_family(
             row = _row(target, g, lam=(k + 1) * (m + 1), irr=4 * (2 * (k + m) + 3))
             if any(c1 * x + c2 * y != constant * r for x, y, r in zip(low, high, row)):
                 raise ArithmeticError(f"multiplier identity fails at (k, m) = {(k, m)}")
-            witnesses[(k, m)] = ComboWitness(Fraction(c1), Fraction(c2), _as_vec(g, row))
+            witnesses[(k, m)] = (c1, c2, row)
     return cone, witnesses
+
+
+def mg1_inequality_family(
+    g: int, n: int, target: str = "mg"
+) -> tuple[Cone, dict[tuple[int, int], ComboWitness]]:
+    """The five transported inequality families, with reduction witnesses.
+
+    Returns the cone they cut out together with, per valid ``(k, m)``, the
+    exact multiplier pair certifying that the combined slope rows dominate
+    the positivity row ``4(2(k+m)+3) delta_irr + (k+1)(m+1) lambda``.  A
+    failed identity raises :class:`ArithmeticError`; it would mean the rows
+    were transcribed inconsistently.  The rows, the identities and the
+    witnesses are built as ints by :func:`_mg1_family`; this is the API edge
+    where the witnesses become exact fractions (the row unscaled at
+    ``g = 2``).
+    """
+    cone, witnesses = _mg1_family(g, n, target)
+    return cone, {
+        key: ComboWitness(Fraction(c1), Fraction(c2), _as_vec(g, row))
+        for key, (c1, c2, row) in witnesses.items()
+    }
 
 
 # --------------------------------------------------------------------------

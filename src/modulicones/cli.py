@@ -30,11 +30,11 @@ from typing import Sequence
 
 from . import fixtures, verify
 from .bridge import (
+    _mg1_family,
     hyperelliptic_pullback_cone,
     hyperelliptic_pushforward,
     m21_cones,
     m21_pushforward,
-    mg1_inequality_family,
     pointed_pushforward,
 )
 from .cones import Cone
@@ -104,7 +104,7 @@ def _select_cone(args: argparse.Namespace) -> tuple[Cone, str]:
         return hyperelliptic_pullback_cone(args.g), f"hyperelliptic-g{args.g}"
     if which == "mg1":
         _require(args, "g", "n")
-        cone, _ = mg1_inequality_family(args.g, args.n, args.target)
+        cone, _ = _mg1_family(args.g, args.n, args.target)
         return cone, f"mg1-g{args.g}-n{args.n}-{args.target}"
     if which == "m21-mov":
         rays = m21_cones()["push_nem"].extreme_rays()

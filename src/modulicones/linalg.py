@@ -31,7 +31,7 @@ def _int_row(row: Sequence) -> tuple[Sequence[int], int]:
     every entry of ``d * row`` is an int; an all-int row comes back as it is.
     Int and `Fraction` entries are read as they are; only other types, such
     as ``str``, are converted."""
-    if all(type(x) is int for x in row):
+    if set(map(type, row)) <= {int}:
         return row, 1
     fr = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
     d = lcm(*(x.denominator for x in fr))
@@ -103,10 +103,11 @@ def primitive(v: Sequence) -> IntVec:
     """Shortest integer vector positively proportional to ``v``.
 
     Direction is preserved: ``(-1/3, 0, -4/3)`` becomes ``(-1, 0, -4)``.
-    An all-int row is divided by its gcd without building a `Fraction`.
+    An all-int row is divided by its gcd without building a `Fraction`, and
+    not divided at all when the gcd is 1.
     """
     ints, _ = _int_row(v)
     g = gcd(*ints)
     if g == 0:
         raise ValueError("zero vector has no primitive form")
-    return tuple(x // g for x in ints)
+    return tuple(ints) if g == 1 else tuple(x // g for x in ints)

@@ -24,11 +24,11 @@ from typing import Callable, Iterable, Sequence
 
 from . import fixtures
 from .bridge import (
+    _mg1_family,
     hyperelliptic_curve_image,
     hyperelliptic_pushforward,
     m21_cones,
     m21_pushforward,
-    mg1_inequality_family,
     pointed_curve_image,
     pointed_pushforward,
     x71_mori_data,
@@ -291,8 +291,8 @@ def check_transport_consistency() -> None:
         assert 5 * n * n - 13 * n + 6 > 0, n
         for g, target in ((n, "mg1"), (n + 1, "mg")):
             # raises on any failed exact identity behind the family
-            _, witnesses = mg1_inequality_family(g, n, target)
-            bad = {key: (w.c1, w.c2) for key, w in witnesses.items() if w.c1 < 0 or w.c2 < 0}
+            _, witnesses = _mg1_family(g, n, target)
+            bad = {key: (c1, c2) for key, (c1, c2, _) in witnesses.items() if c1 < 0 or c2 < 0}
             assert not bad, (n, target, bad)
 
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from modulicones import bridge, fixtures
+from modulicones import bridge, cli, cones, fixtures, linalg, porta
 from modulicones.bridge import (
     hyperelliptic_curve_image,
     hyperelliptic_pullback_cone,
@@ -282,3 +282,35 @@ def test_inequality_rows_are_machine_integers(g, monkeypatch):
     assert built
     for rows in built:
         assert all(type(x) is int for row in rows for x in row)
+
+
+@pytest.mark.parametrize("target", ["mg", "mg1"])
+@pytest.mark.parametrize("n", range(2, 13))
+def test_int_witnesses_are_the_public_witnesses(n, target):
+    for g in range(n + 1 if target == "mg" else max(n, 2), 14):
+        cone, ints = bridge._mg1_family(g, n, target)
+        public_cone, witnesses = mg1_inequality_family(g, n, target)
+        assert cone.inequalities == public_cone.inequalities, g
+        assert ints.keys() == witnesses.keys(), g
+        for key, (c1, c2, row) in ints.items():
+            assert all(type(x) is int for x in (c1, c2, *row)), (g, key)
+            w = witnesses[key]
+            assert (F(c1), F(c2), bridge._as_vec(g, row)) == (w.c1, w.c2, w.row), (g, key)
+
+
+@pytest.mark.parametrize("g, n", [(14, 13), (2, 2)])
+def test_cli_family_builds_no_fraction(g, n, monkeypatch, capsys):
+    built = []
+
+    class Counted(Fraction):
+        def __new__(cls, *args):
+            built.append(args)
+            return Fraction(*args)
+
+    # `porta` imports no `Fraction` today, so the name may be missing there
+    for module in (bridge, cones, linalg, porta, cli):
+        monkeypatch.setattr(module, "Fraction", Counted, raising=False)
+    argv = ["cone", "--which", "mg1", "--g", str(g), "--n", str(n), "--target", "mg1", "--rep", "hrep"]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out
+    assert built == []

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from modulicones import cones
 from modulicones.cones import Certificate, Cone, certify, dual_description
-from modulicones.linalg import primitive, rank, rref, vec
+from modulicones.linalg import _int_row, primitive, rank, rref, vec
 from modulicones.porta import porta_read, porta_write
 from modulicones.spaces import (
     SpaceId,
@@ -479,3 +479,61 @@ def test_int_pushforward_matches_the_fraction_pushforward(n, data):
     pushed = quotient_pushforward_sum(src, formal, dst)
     assert all(type(c) is int for c in pushed.values())
     assert pushed == quotient_pushforward_sum(src, {l: Fraction(c) for l, c in formal.items()}, dst)
+
+
+def _oracle_primitive(row):
+    """Divide by the first nonzero entry's size, then clear denominators by
+    their lcm: the result is primitive with no gcd taken."""
+    fr = [Fraction(x) for x in row]
+    pivot = abs(next(x for x in fr if x))
+    q = [x / pivot for x in fr]
+    d = lcm(*(x.denominator for x in q))
+    return tuple(int(x * d) for x in q)
+
+
+mixed_entries = st.one_of(
+    small_ints,
+    big_ints,
+    st.booleans(),
+    rationals,
+    rationals.map(str),
+    st.decimals(min_value=-50, max_value=50, places=3).map(str),
+)
+
+
+@st.composite
+def mixed_rows(draw):
+    row = draw(st.lists(mixed_entries, min_size=1, max_size=6))
+    return draw(st.sampled_from([list, tuple]))(row)
+
+
+@example([3, True, "1/2"])
+@example((0, -6, 4))
+@example([5, -7, 0])
+@given(mixed_rows())
+def test_int_row_and_primitive_match_a_fraction_oracle(row):
+    fr = [Fraction(x) for x in row]
+    ints, d = _int_row(row)
+    assert d == lcm(*(x.denominator for x in fr))
+    assert all(type(x) is int for x in ints)
+    assert [Fraction(x) for x in ints] == [d * x for x in fr]
+    if not any(fr):
+        with pytest.raises(ValueError):
+            primitive(row)
+        return
+    p = primitive(row)
+    assert type(p) is tuple
+    assert all(type(x) is int for x in p)
+    assert p == _oracle_primitive(row)
+    assert gcd(*p) == 1
+    if type(row) is list and all(type(x) is int for x in row) and gcd(*row) == 1:
+        assert p == tuple(row)
+
+
+@given(
+    st.lists(st.sampled_from([0, False, Fraction(0), "0", "0/7", "-0.0"]), min_size=1, max_size=6),
+    st.sampled_from([list, tuple]),
+)
+def test_primitive_rejects_mixed_zero_rows(row, kind):
+    with pytest.raises(ValueError):
+        primitive(kind(row))
