@@ -12,11 +12,13 @@ Conversions happen only in the lazy `Cone` properties and in
 (`dual_description`) on integer rows from end to end: the lineality basis is
 kept as the integer rows of `linalg.rref`, the package's one elimination,
 rays are projected and reduced by integer cross-multiplication, and adjacency
-is decided combinatorially from the tight sets of the rays.  A combined ray
-inherits its tight set from the two rays it combines; a final sweep finds
-each ray's tight rows again by dot products and keeps the rays whose tight
-rows have rank one less than the codimension of the lineality
-(`linalg.rank`).  Each membership query is one call to `certify`, one phase-1
+is decided combinatorially from the tight sets of the rays: a pair passes
+when it has enough common tight rows and the AND of the transposed tight-row
+bitsets over those rows leaves no third ray.  A combined ray inherits its
+tight set from the two rays it combines; a final sweep finds each ray's
+tight rows again by dot products and keeps the rays whose tight rows have
+rank one less than the codimension of the lineality (`linalg.rank`, forward
+elimination only).  Each membership query is one call to `certify`, one phase-1
 simplex solve, which produces either explicit nonnegative coefficients or a
 Farkas functional separating the point from the cone.  The simplex pivots an
 integer tableau over one common denominator ``D``, the absolute determinant
@@ -235,9 +237,14 @@ def dual_description(
     description method revisited", 1996).  Those tight sets are exact, and a
     ray combined from two adjacent rays inherits its set from theirs, so dot
     products recompute tight sets only after a row cuts the lineality space.
-    A final rank sweep, which finds each ray's tight rows again by dot
-    products, keeps only the extreme rays.  A row whose length is not
-    ``dim`` raises `ValueError`.
+    A pair with too few common tight rows is rejected on a popcount; for the
+    rest, the rays tight on every common row are the AND of per-row bitsets
+    over the rays, and the pair is adjacent iff that AND is the pair itself.
+    With no common row the AND is every ray, so the pair is rejected
+    whenever a third ray exists.  A final rank sweep, which finds each ray's
+    tight rows again by dot products, keeps only the extreme rays.  A row
+    whose length is not ``dim`` raises `ValueError`; every row and ray inside
+    has length ``dim``, so the dot products need no check of their own.
     """
     for what, given in (("inequality", inequalities), ("equation", equations)):
         for row in given:
@@ -258,10 +265,10 @@ def dual_description(
     masks: list[int] = []
 
     def tight_mask(r: IntVec) -> int:
-        return sum(1 << t for t, row in enumerate(done) if _int_dot(row, r) == 0)
+        return sum(1 << t for t, row in enumerate(done) if sum(map(mul, row, r)) == 0)
 
     for a in rows:
-        lin_vals = [_int_dot(a, l) for l in lin]
+        lin_vals = [sum(map(mul, a, l)) for l in lin]
         hit = next((i for i, v in enumerate(lin_vals) if v != 0), None)
         if hit is not None:
             # The constraint cuts into the lineality space: the pivot vector
@@ -279,7 +286,7 @@ def dual_description(
                 l0, d0 = tuple(-x for x in l0), -d0
             rest = [(l, v) for i, (l, v) in enumerate(zip(lin, lin_vals)) if i != hit]
             lin, lin_pivots = rref([[d0 * x - v * y for x, y in zip(l, l0)] for l, v in rest])
-            new_rays = [[d0 * x - _int_dot(a, r) * y for x, y in zip(r, l0)] for r in rays] + [l0]
+            new_rays = [[d0 * x - sum(map(mul, a, r)) * y for x, y in zip(r, l0)] for r in rays] + [l0]
             done.append(a)
             seen: dict[IntVec, None] = {}
             for r in new_rays:
@@ -289,7 +296,7 @@ def dual_description(
             rays = list(seen)
             masks = [tight_mask(r) for r in rays]
             continue
-        vals = [_int_dot(a, r) for r in rays]
+        vals = [sum(map(mul, a, r)) for r in rays]
         done.append(a)
         bit = 1 << (len(done) - 1)
         if all(v >= 0 for v in vals):
@@ -314,12 +321,34 @@ def dual_description(
         # the scaling changes which rows are tight, and a duplicate
         # combination has the same tight set.  Only a lineality cut (above)
         # computes tight sets by dot products.
+        #
+        # The third-ray test reads the masks transposed: bit k of cols[t] is
+        # set when processed row t is tight at ray k.  The AND of cols[t]
+        # over the common rows is the set of rays tight on all of them; it
+        # always holds i and j, and the pair is adjacent iff it holds
+        # nothing else.  Over an empty `common` the AND is every ray, so such
+        # a pair is rejected whenever a third ray exists, as a scan of the
+        # masks would reject it.
+        cols = [0] * len(done)
+        for k, mk in enumerate(masks):
+            kb = 1 << k
+            while mk:
+                low = mk & -mk
+                cols[low.bit_length() - 1] |= kb
+                mk ^= low
+        every = (1 << len(rays)) - 1
         combos: dict[IntVec, int] = {}
         for i, j in itertools.product(plus, minus):
             common = masks[i] & masks[j]
-            if common.bit_count() < need or any(
-                mk & common == common for k, mk in enumerate(masks) if k != i and k != j
-            ):
+            if common.bit_count() < need:
+                continue
+            pair = (1 << i) | (1 << j)
+            both, left = every, common
+            while left and both != pair:
+                low = left & -left
+                both &= cols[low.bit_length() - 1]
+                left ^= low
+            if both != pair:
                 continue
             combo = tuple(vals[i] * rj - vals[j] * ri for ri, rj in zip(rays[i], rays[j]))
             p = _primitive_or_none(_reduce_mod(lin, lin_pivots, combo))
@@ -340,7 +369,7 @@ def dual_description(
         p = _primitive_or_none(_reduce_mod(lin, lin_pivots, r))
         if p is None:
             continue
-        tight = [row for row in done if _int_dot(row, p) == 0]
+        tight = [row for row in done if sum(map(mul, row, p)) == 0]
         if rank(tight) == extreme_rank:
             final.add(p)
     return sorted(final), sorted(lin)

@@ -6,17 +6,19 @@ every routine here accepts either.  Nothing in the package ever touches
 floating point: cone geometry downstream depends on equalities like
 ``a*d - b*c == 0`` holding exactly.  There is one elimination, and it works
 on integer rows: each row is scaled to integers first (an all-int row passes
-through as it is) and eliminated fraction-free.  Its forward part finds the
-pivots, and `rank` counts them; `rref` adds back-substitution and returns
-the integer reduced row echelon form.  `primitive` scales a row to the
-shortest integer row in its direction.
+through as it is) and eliminated fraction-free, clearing the rows inline.
+Its forward part finds the pivots, and `rank` counts them, with no
+back-substitution and no normalization of the pivot rows; `rref` makes each
+pivot row primitive and positive at its pivot, adds back-substitution and
+returns the integer reduced row echelon form.  `primitive` scales a row to
+the shortest integer row in its direction.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 Vec = tuple[Fraction, ...]
 IntVec = tuple[int, ...]
@@ -38,41 +40,58 @@ def _int_row(row: Sequence) -> tuple[Sequence[int], int]:
     return [x.numerator * (d // x.denominator) for x in fr], d
 
 
-def _clear(row: Sequence[int], pivot: Sequence[int], c: int) -> Optional[Sequence[int]]:
+def _clear(row: Sequence[int], pivot: Sequence[int], c: int) -> Sequence[int]:
     """``row`` with column ``c`` cleared by ``pivot`` (positive at ``c``):
     ``pivot[c] * row - row[c] * pivot`` divided by its gcd, so an entry where
-    the pivot row is zero keeps its sign; None when nothing is left."""
+    the pivot row is zero keeps its sign.  Used by `rref`'s
+    back-substitution, where ``row`` is nonzero at its own pivot and so
+    never cleared to zero."""
     x = row[c]
     if not x:
         return row
     p = pivot[c]
     row = [p * a - x * b for a, b in zip(row, pivot)]
     g = gcd(*row)
-    if g == 0:
-        return None
     return row if g == 1 else [a // g for a in row]
 
 
 def _echelon(m: Sequence[Sequence]) -> list[tuple[int, Sequence[int]]]:
     """Fraction-free forward elimination of ``m``: one ``(column, row)`` pair
-    per pivot, the row primitive and positive at its pivot column.
+    per pivot, the row nonzero at its pivot column.
 
     A pivot row clears its column from the rows not yet taken, so each row
     is zero in the columns before its pivot and in the pivot columns of the
     rows taken before it.  Sorted by column, the rows are an echelon form of
-    ``m``; their count is its rank.
+    ``m``; their count is its rank.  A cleared row is divided by its gcd to
+    keep the entries short, but the pivots are left as they are: neither
+    sign nor scale changes which entries are zero, and only `rref` needs
+    primitive, positive pivots.
     """
     rows = [r for r, _ in map(_int_row, m) if any(r)]
     pivots: list[tuple[int, Sequence[int]]] = []
     while rows:
         pivot = rows.pop()
         c = next(k for k, x in enumerate(pivot) if x)
-        g = gcd(*pivot) if pivot[c] > 0 else -gcd(*pivot)
-        if g != 1:
-            pivot = [a // g for a in pivot]
-        rows = [row for row in (_clear(r, pivot, c) for r in rows) if row is not None]
+        p = pivot[c]
+        left = []
+        for row in rows:
+            x = row[c]
+            if x:
+                row = [p * a - x * b for a, b in zip(row, pivot)]
+                g = gcd(*row)
+                if g == 0:
+                    continue
+                if g != 1:
+                    row = [a // g for a in row]
+            left.append(row)
+        rows = left
         pivots.append((c, pivot))
     return pivots
+
+
+def _positive_primitive(row: Sequence[int], c: int) -> Sequence[int]:
+    g = gcd(*row) if row[c] > 0 else -gcd(*row)
+    return row if g == 1 else [a // g for a in row]
 
 
 def rref(m: Sequence[Sequence]) -> tuple[list[IntVec], list[int]]:
@@ -82,11 +101,12 @@ def rref(m: Sequence[Sequence]) -> tuple[list[IntVec], list[int]]:
     pivot column, so it is a positive multiple of the rational RREF row with
     the same pivot; that form is unique, whatever order the elimination
     takes.  The forward elimination (`_echelon`) leaves the rows in echelon
-    form, and back-substitution, last pivot first, clears each pivot column
-    from the rows above it.  The pivot row is zero in every earlier pivot
-    column, so no column once cleared is filled again.
+    form; each is made primitive and positive at its pivot, and
+    back-substitution, last pivot first, clears each pivot column from the
+    rows above it.  The pivot row is zero in every earlier pivot column, so
+    no column once cleared is filled again.
     """
-    rows = sorted(_echelon(m))
+    rows = [(c, _positive_primitive(row, c)) for c, row in sorted(_echelon(m))]
     for k in range(len(rows) - 1, 0, -1):
         c, pivot = rows[k]
         rows[:k] = [(ci, _clear(row, pivot, c)) for ci, row in rows[:k]]
@@ -95,7 +115,7 @@ def rref(m: Sequence[Sequence]) -> tuple[list[IntVec], list[int]]:
 
 def rank(m: Sequence[Sequence]) -> int:
     """Rank of ``m``: the number of pivots its forward elimination finds,
-    with no back-substitution."""
+    with no back-substitution and no pivot normalization."""
     return len(_echelon(m))
 
 

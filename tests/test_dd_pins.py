@@ -4,9 +4,10 @@ The digests were recorded before double description stopped recomputing
 the tight sets of combined rays.  Each covers ``repr`` of the full
 ``dual_description`` result (rays or facets, then the lineality or equation
 basis), so the values, their order and their types are all pinned.  The
-H-to-V cases are every cone of the ``rays`` benchmark pool; the V-to-H cases
-are the facets of the two-marked effective cones and of the genus-two
-pointed cone that ``--which m21-mov`` reads its rays from.  ``cut`` is a
+H-to-V cases are every cone of the ``rays`` benchmark pool, plus the nem
+``X(12,1)`` rays (about 2 s); the V-to-H cases are the facets of the
+two-marked effective cones and of the genus-two pointed cone that
+``--which m21-mov`` reads its rays from.  ``cut`` is a
 small case whose last inequality cuts the lineality space after rays have
 been combined.
 """
@@ -38,6 +39,9 @@ PINS = {
     "nem-x11-0": "31408cf21bc87fe20b88147fe9fc005991da11df2aafdde7bf0e75238154db55",
     "nem-x11-1": "b9314a10ff62e654e1ef9981a55c12701b3d41f4c8fddd4634d4e07fc18991e7",
     "nem-x12-0": "b1d6f8e2fe4ac99f79dae418960f8ab33a6f37ad4dc03067ea54c094ceb7e8c3",
+    # 3,264 rays; recorded before the third-ray test became an AND of
+    # transposed tight-row bitsets.  No benchmark job reaches this cone.
+    "nem-x12-1": "e75da8b396dae9de94cee0401848a87c5c32419a6edb3aecdbbf11cd63c98635",
     "nem-x13-0": "d66e3d0c1f1f4d11316fa72636560bebf9c8963211a7d2bc2b9a5ba812c3dd5e",
     "nem-x14-0": "a46f5275dc5dbfc6f94aad858bbb6332d4f3b25bf2cf49f9b94779c74cd0d18f",
     "nem-x15-0": "96132fda2502396223c582353456a2c9a306a7bc545bf83e0d6711325990775e",
@@ -73,7 +77,7 @@ def _m21_mov():
 
 CASES = {
     **{f"nem-x{n}-0": lambda n=n: _hrep(nem_hrep(SpaceId(n, 0))) for n in range(6, 21)},
-    **{f"nem-x{n}-1": lambda n=n: _hrep(nem_hrep(SpaceId(n, 1))) for n in range(5, 12)},
+    **{f"nem-x{n}-1": lambda n=n: _hrep(nem_hrep(SpaceId(n, 1))) for n in range(5, 13)},
     **{f"hyperelliptic-g{g}": lambda g=g: _hrep(hyperelliptic_pullback_cone(g)) for g in range(3, 8)},
     "m21-push-nem-facets": lambda: _vrep(m21_cones()["push_nem"]),
     "m21-mov": _m21_mov,

@@ -84,23 +84,32 @@ def test_rank_nullity(rows):
 
 @st.composite
 def mixed_matrices(draw):
-    """Rows of ints and Fractions: zero rows, combinations of earlier rows,
-    and rows scaled by powers of ten from 1e-30 to 1e30."""
+    """All-int matrices, or rows of ints and Fractions: zero rows, repeated
+    rows, nonzero multiples and combinations of earlier rows, and rows scaled
+    by powers of ten (from 1e-30 to 1e30 unless all-int)."""
     ncols = draw(st.integers(min_value=0, max_value=5))
-    entry = st.one_of(st.integers(min_value=-9, max_value=9), rationals)
+    ints = draw(st.booleans())
+    entry = st.integers(min_value=-9, max_value=9)
+    if not ints:
+        entry = st.one_of(entry, rationals)
     rows = []
     for _ in range(draw(st.integers(min_value=0, max_value=6))):
-        kind = draw(st.sampled_from(["zero", "plain", "scaled", "combination"]))
+        kind = draw(st.sampled_from(["zero", "plain", "scaled", "combination", "repeated", "proportional"]))
         if kind == "zero":
             row = [0] * ncols
         elif kind == "combination" and rows:
             a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
             c = draw(entry)
             row = [x + c * y for x, y in zip(a, b)]
+        elif kind == "repeated" and rows:
+            row = list(draw(st.sampled_from(rows)))
+        elif kind == "proportional" and rows:
+            c = draw(entry.filter(bool))
+            row = [c * x for x in draw(st.sampled_from(rows))]
         else:
             row = draw(st.lists(entry, min_size=ncols, max_size=ncols))
             if kind == "scaled":
-                k = draw(st.integers(min_value=-30, max_value=30))
+                k = draw(st.integers(min_value=0 if ints else -30, max_value=30))
                 row = [x * (10**k if k >= 0 else Fraction(1, 10**-k)) for x in row]
         rows.append(row)
     return rows
@@ -109,8 +118,10 @@ def mixed_matrices(draw):
 @example([])
 @example([[0, 0], [0, 0]])
 @example([[10**40, -1], [Fraction(1, 10**40), Fraction(-1, 10**80)]])
+@example([[2, 4, 0], [-1, -2, 0], [2, 4, 0], [0, 0, 0]])
 @given(mixed_matrices())
 def test_rank_matches_rref(rows):
+    # `_oracle_rref` eliminates in Fraction and shares no code with `linalg`
     assert rank(rows) == len(_oracle_rref(rows)[1])
 
 
@@ -339,6 +350,13 @@ def h_representations(draw):
 # the span of the first two and combines rays, then the last cuts the
 # lineality space.
 @example((3, [[0, 1, 0], [0, 1, 1], [0, 1, -1], [1, 0, 0]], []))
+# Cones over the octahedron (eight facets, each of its six rays on four of
+# them), the square pyramid (the apex on four facets) and the 3-cube, in
+# coordinates (t, x, y, z).  A ray on four facets in dimension four is not
+# simple, and the strategy's seven rows cannot reach the octahedron's eight.
+@example((4, [[1, *s] for s in itertools.product((1, -1), repeat=3)], []))
+@example((4, [[0, 0, 0, 1], [1, 1, 0, -1], [1, -1, 0, -1], [1, 0, 1, -1], [1, 0, -1, -1]], []))
+@example((4, [[1, *(s * (j == i) for j in range(3))] for i in range(3) for s in (1, -1)], []))
 @settings(max_examples=300)
 @given(h_representations())
 def test_dual_description_matches_brute_force(hrep):
