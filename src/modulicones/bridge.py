@@ -18,14 +18,17 @@ zero there and ``-omega`` on the pointed side, and for ``g = 2`` the class
 ``(1/10) delta_irr + (1/5) delta_1``.  Inequality rows are integer tuples;
 at ``g = 2`` they are scaled by 10 so that elimination stays integral, which
 changes no cone.  The family's witnesses are ints too, and become exact
-``Fraction`` values only in :func:`mg1_inequality_family`.  Map columns and
-curve images, whose entries are genuinely rational, stay exact ``Fraction``
-vectors.
+``Fraction`` values only in :func:`mg1_inequality_family`.  Map columns are
+int rows over one known denominator, which absorbs the ×10 at ``g = 2``, and
+the curve images are doubled int rows; a ``Fraction`` is built only when a
+map or an image returns its value.
 
 The genus-two pointed space gets special treatment (its own basis
 ``(Delta_irr, Delta_1, W)``): the seven-point one-marked quotient maps onto
-it birationally, and the module ends with the transported cone comparisons
-and the numerical data of the two extremal contractions used there.
+it birationally, by one more :class:`~modulicones.curves.LinearMap` (on
+divisor coordinates), and the module ends with the transported cone
+comparisons and the numerical data of the two extremal contractions used
+there.
 """
 
 from __future__ import annotations
@@ -77,7 +80,7 @@ def mg1_basis(g: int) -> tuple[str, ...]:
     return ("lambda", "delta_irr") + deltas + ("omega",)
 
 
-Deltas = Iterable[tuple[int, Fraction | int]]
+Deltas = Iterable[tuple[int, int]]
 
 
 def _row(target: str, g: int, lam=0, irr=0, deltas: Deltas = ()) -> tuple:
@@ -108,14 +111,15 @@ def _row(target: str, g: int, lam=0, irr=0, deltas: Deltas = ()) -> tuple:
     return (lam, *acc)
 
 
-def _as_vec(g: int, row: Sequence) -> Vec:
-    """The exact ``Fraction`` coordinates of a :func:`_row` result."""
-    return vec(row) if g > 2 else tuple(Fraction(x, 10) for x in row)
+def _row_den(g: int) -> int:
+    """The factor :func:`_row` scales its rows by: 10 at ``g = 2``, else 1."""
+    return 10 if g == 2 else 1
 
 
-def _vec(target: str, g: int, **kw) -> Vec:
-    """:func:`_row` at the ``Fraction`` edge: map columns and curve images."""
-    return _as_vec(g, _row(target, g, **kw))
+def _as_vec(g: int, row: Sequence[int], den: int = 1) -> Vec:
+    """The exact ``Fraction`` coordinates of a :func:`_row` result over ``den``."""
+    den *= _row_den(g)
+    return tuple(Fraction(x, den) for x in row)
 
 
 # --------------------------------------------------------------------------
@@ -135,23 +139,17 @@ def hyperelliptic_pushforward(g: int) -> LinearMap:
         raise ValueError(f"need g >= 2, got {g}")
     src = SpaceId(2 * g + 2, 0)
     names = relations_and_basis(src).ordered_basis
+    den = 4 * g + 2
     cols = []
     for name in names:
         i = int(name[1:])
         if i % 2 == 0:
             j = i // 2
-            cols.append(_vec("mg", g, lam=Fraction(j * (g + 1 - j), 4 * g + 2), irr=2))
+            cols.append(_row("mg", g, lam=j * (g + 1 - j), irr=2 * den))
         else:
             j = (i - 1) // 2
-            cols.append(
-                _vec(
-                    "mg",
-                    g,
-                    lam=Fraction(j * (g - j), 4 * g + 2),
-                    deltas=((j, Fraction(1, 2)),),
-                )
-            )
-    return LinearMap(src, names, mg_basis(g), tuple(cols))
+            cols.append(_row("mg", g, lam=j * (g - j), deltas=((j, 2 * g + 1),)))
+    return LinearMap(src, names, mg_basis(g), tuple(cols), den * _row_den(g))
 
 
 def hyperelliptic_curve_image(g: int, k: int) -> Vec:
@@ -167,15 +165,10 @@ def hyperelliptic_curve_image(g: int, k: int) -> Vec:
         raise ValueError(f"k must lie in 1..{2 * g - 1}, got {k}")
     if k % 2:
         j = (k - 1) // 2
-        return _vec(
-            "mg",
-            g,
-            lam=Fraction(g - j, 2),
-            irr=2 * (2 * g + 1 - 2 * j),
-            deltas=((j, Fraction(2 * j + 1 - 2 * g, 2)),),
-        )
+        deltas = ((j, 2 * j + 1 - 2 * g),)
+        return _as_vec(g, _row("mg", g, lam=g - j, irr=4 * (2 * g + 1 - 2 * j), deltas=deltas), 2)
     j = k // 2
-    return _vec("mg", g, irr=4 * (j - g), deltas=((j, g + 1 - j),))
+    return _as_vec(g, _row("mg", g, irr=4 * (j - g), deltas=((j, g + 1 - j),)))
 
 
 def hyperelliptic_pullback_cone(g: int) -> Cone:
@@ -219,37 +212,20 @@ def pointed_pushforward(g: int, n: int, target: str = "mg") -> LinearMap:
     _check_pointed_params(g, n, target)
     src = SpaceId(2 * n + 3, 1)
     names = relations_and_basis(src).ordered_basis
+    den = 2 * (2 * n + 1) * (n + 1)
     cols = []
     for name in names:
         i = int(name[1:])
         if i % 2 == 0:
             j = (i - 2) // 2
-            cols.append(
-                _vec(
-                    target,
-                    g,
-                    lam=Fraction(j * (n - j), 2 * (2 * n + 1)),
-                    deltas=(
-                        (g - n + j, Fraction(1, 2)),
-                        (g - n, Fraction(-(n - j) * (2 * n + 1 - 2 * j), (2 * n + 1) * (n + 1))),
-                    ),
-                )
-            )
+            deltas = ((g - n + j, (2 * n + 1) * (n + 1)), (g - n, -2 * (n - j) * (2 * n + 1 - 2 * j)))
+            cols.append(_row(target, g, lam=j * (n - j) * (n + 1), deltas=deltas))
         else:
             j = (i - 1) // 2
-            cols.append(
-                _vec(
-                    target,
-                    g,
-                    lam=Fraction(j * (n + 1 - j), 2 * (2 * n + 1)),
-                    irr=2,
-                    deltas=(
-                        (g - n, Fraction(-(2 * n + 1 - 2 * j) * (n + 1 - j), (2 * n + 1) * (n + 1))),
-                    ),
-                )
-            )
+            deltas = ((g - n, -2 * (2 * n + 1 - 2 * j) * (n + 1 - j)),)
+            cols.append(_row(target, g, lam=j * (n + 1 - j) * (n + 1), irr=2 * den, deltas=deltas))
     basis = mg_basis(g) if target == "mg" else mg1_basis(g)
-    return LinearMap(src, names, basis, tuple(cols))
+    return LinearMap(src, names, basis, tuple(cols), den * _row_den(g))
 
 
 def pointed_curve_image(g: int, n: int, k: int, target: str = "mg") -> Vec:
@@ -262,23 +238,13 @@ def pointed_curve_image(g: int, n: int, k: int, target: str = "mg") -> Vec:
     if not 1 <= k <= 2 * n:
         raise ValueError(f"k must lie in 1..{2 * n}, got {k}")
     if k == 1:
-        return _vec(target, g, deltas=((g - n, -(n - 1)),))
+        return _as_vec(g, _row(target, g, deltas=((g - n, -(n - 1)),)))
     if k % 2:
         j = (k - 1) // 2
-        return _vec(
-            target,
-            g,
-            irr=-4 * (n - j),
-            deltas=((g - n + j, n + 1 - j),),
-        )
+        return _as_vec(g, _row(target, g, irr=-4 * (n - j), deltas=((g - n + j, n + 1 - j),)))
     j = k // 2
-    return _vec(
-        target,
-        g,
-        lam=Fraction(n + 1 - j, 2),
-        irr=2 * (2 * n + 3 - 2 * j),
-        deltas=((g - n + j - 1, Fraction(-(2 * n + 1 - 2 * j), 2)),),
-    )
+    deltas = ((g - n + j - 1, -(2 * n + 1 - 2 * j)),)
+    return _as_vec(g, _row(target, g, lam=n + 1 - j, irr=4 * (2 * n + 3 - 2 * j), deltas=deltas), 2)
 
 
 # --------------------------------------------------------------------------
@@ -410,21 +376,26 @@ def mg1_inequality_family(
 # the genus-two pointed space
 
 
-def m21_pushforward(coords: Sequence[Fraction | int] | DivisorClass) -> Vec:
-    """Push a seven-point one-marked class to ``(Delta_irr, Delta_1, W)``.
+# The birational map X(7, 1) -> M_{2,1} on divisor coordinates: the
+# two-point class lands on the Weierstrass divisor, the three-point one is
+# contracted, and the half-normalized five-point class accounts for the
+# factor on Delta_irr.
+_M21 = LinearMap(
+    SpaceId(7, 1),
+    ("b2", "b3", "b4", "b5"),
+    fixtures.M21_BASIS,
+    ((0, 0, 2), (0, 0, 0), (0, 2, 0), (1, 0, 0)),
+    2,
+)
 
-    The two-point class lands on the Weierstrass divisor, the three-point
-    one is contracted, and the half-normalized five-point class accounts for
-    the factor on ``Delta_irr``.
-    """
+
+def m21_pushforward(coords: Sequence[Fraction | int] | DivisorClass) -> Vec:
+    """Push a seven-point one-marked class to ``(Delta_irr, Delta_1, W)``."""
     if isinstance(coords, DivisorClass):
-        if coords.space != SpaceId(7, 1):
-            raise ValueError(f"class lives on {coords.space}, map starts at X(7, 1)")
+        if coords.space != _M21.source:
+            raise ValueError(f"class lives on {coords.space}, map starts at {_M21.source}")
         coords = coords.coords
-    if len(coords) != 4:
-        raise ValueError(f"expected 4 coordinates, got {len(coords)}")
-    x2, _, x4, x5 = (Fraction(c) for c in coords)
-    return vec((x5 / 2, x4, x2))
+    return _M21(coords)
 
 
 def m21_cones() -> dict[str, Cone]:
@@ -435,9 +406,9 @@ def m21_cones() -> dict[str, Cone]:
     nef cone; ``nef`` is the recorded hull including the relative dualizing
     ray.
     """
-    s = SpaceId(7, 1)
-    pushed_nem = tuple(primitive(m21_pushforward(r)) for r in nem_hrep(s).rays)
-    pushed_nef = tuple(primitive(m21_pushforward(r)) for r in fixtures.NEF_RAYS[s])
+    s = _M21.source
+    pushed_nem = tuple(primitive(_M21.scaled(r)[0]) for r in nem_hrep(s).rays)
+    pushed_nef = tuple(primitive(_M21.scaled(r)[0]) for r in fixtures.NEF_RAYS[s])
     return {
         "eff": Cone.from_vrep(3, ((1, 0, 0), (0, 1, 0), (0, 0, 1))),
         "push_nem": Cone.from_vrep(3, pushed_nem),

@@ -176,11 +176,6 @@ def _run_push(args: argparse.Namespace) -> int:
     else:  # pointed
         _require(args, "g", "n")
         bridge = pointed_pushforward(args.g, args.n, args.target)
-    if len(coords) != len(bridge.columns):
-        raise ValueError(
-            f"the map from {bridge.source} takes {len(bridge.columns)} "
-            f"coordinates, got {len(coords)}"
-        )
     image = bridge(coords)
     print(f"curve class in the dual of ({', '.join(bridge.target_names)}): {_fmt_vec(image)}")
     return EXIT_OK

@@ -22,8 +22,8 @@ coefficient vectors over the ``b``-basis, curve classes as vectors of
 intersection numbers against it.  Every such row is built by one builder,
 `_row`, and keeps the type of its coefficients: the nem and two-marked
 inequality rows, the ``C_k`` classes and the ``pi_star`` columns
-have integer closed forms and are int tuples, and only the genuinely
-rational ``q``/``r``/``s`` map columns are ``Fraction`` vectors.
+have integer closed forms and are int tuples, and the ``q``/``r``/``s``
+map columns are int rows over one denominator per map.
 """
 
 from __future__ import annotations
@@ -31,10 +31,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from .cones import Certificate, Cone, certify
-from .linalg import IntVec, primitive, vec
+from .linalg import IntVec, _int_row, primitive
 from .spaces import (
     BoundaryLabel,
     CurveClass,
@@ -141,34 +142,44 @@ def curve_ck(s: SpaceId, k: int) -> CurveClass:
 
 @dataclass(frozen=True)
 class LinearMap:
-    """Linear map on dual coordinates: one column per source basis name, each
-    a vector over ``target_names``.
+    """Linear map with one column per source basis name, ``ints[k] / den``
+    over ``target_names``: int columns over one positive denominator.
 
-    ``source_names`` may be a subcolumn of the full source basis — the
-    two-marked gluing into ``X(n, 2)`` is only ever needed on the starred
-    block — so application takes coefficients aligned with those names.
+    A call scales its input to ints once, sums in ints and divides once at
+    the return; `columns`, `column` and a call return ints where that
+    divisor is 1 and `Fraction` values otherwise.  ``source_names`` may be
+    a subcolumn of the full source basis — the two-marked gluing into
+    ``X(n, 2)`` is only ever needed on the starred block — so application
+    takes coefficients aligned with those names.
     """
 
     source: SpaceId
     source_names: tuple[str, ...]
     target_names: tuple[str, ...]
-    columns: tuple[tuple, ...]
+    ints: tuple[IntVec, ...]
+    den: int = 1
 
-    def __call__(self, coefficients: Sequence[Fraction | int]) -> tuple:
+    def scaled(self, coefficients: Sequence[Fraction | int]) -> tuple[list[int], int]:
+        """``(d * image, d)`` in ints, ``d > 0``: a call before its division."""
         if len(coefficients) != len(self.source_names):
             raise ValueError(
-                f"expected {len(self.source_names)} coefficients, "
-                f"got {len(coefficients)}"
+                f"the map from {self.source} takes {len(self.source_names)} "
+                f"coordinates, got {len(coefficients)}"
             )
-        return tuple(
-            sum(c * col[j] for c, col in zip(coefficients, self.columns))
-            for j in range(len(self.target_names))
-        )
+        row, d = _int_row(coefficients)
+        return [sum(map(mul, row, coords)) for coords in zip(*self.ints)], d * self.den
+
+    def __call__(self, coefficients: Sequence[Fraction | int]) -> tuple:
+        return _divided(*self.scaled(coefficients))
+
+    @property
+    def columns(self) -> tuple[tuple, ...]:
+        return tuple(_divided(col, self.den) for col in self.ints)
 
     def column(self, name: str) -> tuple:
         """One column by source name; the tests compare it with the closed-form rows."""
         try:
-            return self.columns[self.source_names.index(name)]
+            return _divided(self.ints[self.source_names.index(name)], self.den)
         except ValueError:
             raise KeyError(f"{name!r} is not a dual-basis name of {self.source}") from None
 
@@ -178,6 +189,11 @@ class LinearMap:
         if len(self.source_names) != picard_number(self.source):
             raise ValueError("map is defined on a partial basis; apply it to coefficients")
         return self(curve.coords)
+
+
+def _divided(ints: Sequence[int], d: int) -> tuple:
+    """``ints / d`` at the API edge: the ints themselves when ``d`` is 1."""
+    return tuple(ints) if d == 1 else tuple(Fraction(x, d) for x in ints)
 
 
 def q_map(n: int, l: int, m: int = 1) -> LinearMap:
@@ -191,12 +207,12 @@ def q_map(n: int, l: int, m: int = 1) -> LinearMap:
     if not 3 <= l <= n - 2:
         raise ValueError(f"q requires 3 <= l <= n-2, got l={l}, n={n}")
     t = SpaceId(n, m)
+    den = l * (l - 1)
     names, cols = [], []
     for k in range(1, l - 1):
         names.append(f"b{k + 1}")
-        w = Fraction((l - k - 1) * (l - k), l * (l - 1))
-        cols.append(vec(_row(t, (n - l + k, 1), (n - l, -w))))
-    return LinearMap(SpaceId(l + 1, 1), tuple(names), relations_and_basis(t).ordered_basis, tuple(cols))
+        cols.append(_row(t, (n - l + k, den), (n - l, -(l - k - 1) * (l - k))))
+    return LinearMap(SpaceId(l + 1, 1), tuple(names), relations_and_basis(t).ordered_basis, tuple(cols), den)
 
 
 def r_map(n: int, l: int) -> LinearMap:
@@ -207,12 +223,12 @@ def r_map(n: int, l: int) -> LinearMap:
     if not 3 <= l <= n - 2:
         raise ValueError(f"r requires 3 <= l <= n-2, got l={l}, n={n}")
     t = SpaceId(n, 2)
+    den = (l - 2) * (l - 1)
     names, cols = [], []
     for i in range(1, l - 1):
         names.append(f"b*{i + 1}")
-        w = Fraction(i * (l - i - 1), (l - 2) * (l - 1))
-        cols.append(vec(_row(t, (f"b*{i + 1}", 1), (n - l + 1, w), (f"b*{l}", -Fraction(i, l - 1)))))
-    return LinearMap(SpaceId(l + 1, 2), tuple(names), relations_and_basis(t).ordered_basis, tuple(cols))
+        cols.append(_row(t, (f"b*{i + 1}", den), (n - l + 1, i * (l - i - 1)), (f"b*{l}", -i * (l - 2))))
+    return LinearMap(SpaceId(l + 1, 2), tuple(names), relations_and_basis(t).ordered_basis, tuple(cols), den)
 
 
 def s_map(n: int, l: int) -> LinearMap:
@@ -220,16 +236,15 @@ def s_map(n: int, l: int) -> LinearMap:
     if not 3 <= l <= n - 2:
         raise ValueError(f"s requires 3 <= l <= n-2, got l={l}, n={n}")
     t = SpaceId(n, 1)
+    den = (l - 2) * (l - 1)
     names, cols = [], []
     for i in range(2, l - 1):
         names.append(f"b{i + 1}")
-        w = Fraction((l - i - 1) * (l - i), (l - 2) * (l - 1))
-        cols.append(vec(_row(t, (n - l + i, 1), (n - l + 1, -w))))
+        cols.append(_row(t, (n - l + i, den), (n - l + 1, -(l - i - 1) * (l - i))))
     for i in range(1, l - 1):
         names.append(f"b*{i + 1}")
-        w = Fraction(i * (l - i - 1), (l - 2) * (l - 1))
-        cols.append(vec(_row(t, (i + 1, 1), (n - l + 1, w), (l, -Fraction(i, l - 1)))))
-    return LinearMap(SpaceId(l + 1, 2), tuple(names), relations_and_basis(t).ordered_basis, tuple(cols))
+        cols.append(_row(t, (i + 1, den), (n - l + 1, i * (l - i - 1)), (l, -i * (l - 2))))
+    return LinearMap(SpaceId(l + 1, 2), tuple(names), relations_and_basis(t).ordered_basis, tuple(cols), den)
 
 
 def pi_star_map(n: int) -> LinearMap:

@@ -42,7 +42,7 @@ from functools import lru_cache
 from math import factorial, lcm
 from typing import Iterable, Mapping, Sequence
 
-from .linalg import Vec, rref
+from .linalg import IntVec, Vec, rref
 
 FormalSum = Mapping["BoundaryLabel", "Fraction | int"]
 
@@ -131,19 +131,19 @@ def _boundary_index(s: SpaceId) -> dict[BoundaryLabel, int]:
     return {label: i for i, label in enumerate(enumerate_boundaries(s))}
 
 
-def sum_to_vector(s: SpaceId, formal: FormalSum) -> Vec:
+def sum_to_vector(s: SpaceId, formal: FormalSum) -> tuple:
     """A formal boundary sum as a vector over the label list of ``s``.
 
     Each label is made canonical first, so a mirror label counts as its
     canonical twin; a label that is not a boundary divisor of ``s`` raises
-    ValueError.
+    ValueError.  Entries keep the type of the coefficients.
     """
     idx = _boundary_index(s)
-    row = [Fraction(0)] * len(idx)
+    row = [0] * len(idx)
     for label, coeff in formal.items():
         if label not in idx:
             label = canonical_label(s, label.size, label.marks)
-        row[idx[label]] += Fraction(coeff)
+        row[idx[label]] += _exact(coeff)
     return tuple(row)
 
 
@@ -152,7 +152,7 @@ def sum_to_vector(s: SpaceId, formal: FormalSum) -> Vec:
 # --------------------------------------------------------------------------
 
 
-def keel_relations(n: int) -> list[Vec]:
+def keel_relations(n: int) -> list[IntVec]:
     """An independent spanning set of the relations among the boundary
     divisors of the fully pointed space, as vectors over its label list.
 
@@ -165,7 +165,7 @@ def keel_relations(n: int) -> list[Vec]:
 
     def partition_sum(inside: tuple[int, int], outside: tuple[int, int]) -> dict:
         rest = [x for x in range(1, n + 1) if x not in inside and x not in outside]
-        acc: dict[BoundaryLabel, Fraction] = defaultdict(Fraction)
+        acc: dict[BoundaryLabel, int] = defaultdict(int)
         for k in range(len(rest) + 1):
             for extra in itertools.combinations(rest, k):
                 members = frozenset(inside) | frozenset(extra)
@@ -184,8 +184,8 @@ def keel_relations(n: int) -> list[Vec]:
     return relations
 
 
-def _sub_sums(s: SpaceId, a: FormalSum, b: FormalSum) -> Vec:
-    out: dict[BoundaryLabel, Fraction] = defaultdict(Fraction, {k: Fraction(v) for k, v in a.items()})
+def _sub_sums(s: SpaceId, a: FormalSum, b: FormalSum) -> tuple:
+    out: dict[BoundaryLabel, Fraction | int] = defaultdict(int, a)
     for label, coeff in b.items():
         out[label] -= coeff
     return sum_to_vector(s, out)
@@ -200,18 +200,19 @@ def _is_ramified(s: SpaceId, label: BoundaryLabel) -> bool:
     )
 
 
-def _relation(s: SpaceId, terms: Iterable[tuple[int, Iterable[int], int]]) -> Vec:
+def _relation(s: SpaceId, terms: Iterable[tuple[int, Iterable[int], int]]) -> tuple:
     """A relation over the raw label list, from ``(size, marks, coefficient)``
     terms against the b-normalized classes: the class of a ramified label is
-    half its divisor, so its raw coefficient is halved."""
-    acc: dict[BoundaryLabel, Fraction] = defaultdict(Fraction)
+    half its divisor, so its raw coefficient is halved.  The halved entries
+    are `Fraction` values and every other entry an int."""
+    acc: dict[BoundaryLabel, Fraction | int] = defaultdict(int)
     for size, marks, coeff in terms:
         label = canonical_label(s, size, marks)
         acc[label] += Fraction(coeff, 2) if _is_ramified(s, label) else coeff
     return sum_to_vector(s, acc)
 
 
-def _m2_relation_raw(n: int) -> Vec:
+def _m2_relation_raw(n: int) -> tuple:
     """The single relation of an m = 2 space over its raw label list:
     ``sum (n-i)(n-i-1) b_i == sum (i-1)(n-i-1) b*_i``."""
     terms = []
@@ -221,7 +222,7 @@ def _m2_relation_raw(n: int) -> Vec:
     return _relation(SpaceId(n, 2), terms)
 
 
-def _m3_relations_raw(n: int) -> list[Vec]:
+def _m3_relations_raw(n: int) -> list[tuple]:
     """The three relations of an m = 3 space over its raw label list."""
     r1, r2, r3 = [], [], []
     for i in range(2, n - 1):
@@ -240,11 +241,13 @@ _M3_EXCLUDED_MARKS = ({1, 2}, {1, 3}, {2, 3})
 @dataclass(frozen=True)
 class BasisSpec:
     """Ordered basis of the divisor-class space, plus the relations (as
-    vectors over the full boundary-label list) that were quotiented out."""
+    vectors over the full boundary-label list) that were quotiented out.
+    A relation's entries are ints, except the halved coefficients of
+    ramified labels, which are `Fraction` values."""
 
     space: SpaceId
     ordered_basis: tuple[str, ...]
-    relations: tuple[Vec, ...]
+    relations: tuple[tuple, ...]
     boundaries: tuple[BoundaryLabel, ...]
 
 
@@ -296,9 +299,9 @@ def _relation_rank(s: SpaceId) -> int:
     return rank(rows)
 
 
-def _vector_to_sum(s: SpaceId, row: Sequence) -> dict[BoundaryLabel, Fraction]:
+def _vector_to_sum(s: SpaceId, row: Sequence) -> dict[BoundaryLabel, Fraction | int]:
     return {
-        label: Fraction(c)
+        label: c
         for label, c in zip(enumerate_boundaries(s), row, strict=True)
         if c != 0
     }

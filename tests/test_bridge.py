@@ -17,7 +17,15 @@ from modulicones.bridge import (
     pointed_pushforward,
     x71_mori_data,
 )
-from modulicones.curves import curve_ck, nem_hrep, nem_xn1_full_rows
+from modulicones.curves import (
+    curve_ck,
+    nem_hrep,
+    nem_xn1_full_rows,
+    pi_star_map,
+    q_map,
+    r_map,
+    s_map,
+)
 from modulicones.linalg import primitive, rank, vec
 from modulicones.porta import porta_write
 from modulicones.spaces import SpaceId
@@ -314,3 +322,65 @@ def test_cli_family_builds_no_fraction(g, n, monkeypatch, capsys):
     assert cli.main(argv) == 0
     assert capsys.readouterr().out
     assert built == []
+
+
+def _counting_fraction_new(monkeypatch) -> list:
+    """Count every `Fraction` construction from here to the end of the test."""
+    built = []
+    real_new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return real_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    return built
+
+
+MAP_BUILDS = [
+    ("q0", lambda: q_map(9, 5, 0)),
+    ("q1", lambda: q_map(9, 5, 1)),
+    ("q2", lambda: q_map(9, 5, 2)),
+    ("r", lambda: r_map(9, 6)),
+    ("s", lambda: s_map(9, 6)),
+    ("pi_star", lambda: pi_star_map(9)),
+    ("hyperelliptic2", lambda: hyperelliptic_pushforward(2)),
+    ("hyperelliptic5", lambda: hyperelliptic_pushforward(5)),
+    ("pointed2", lambda: pointed_pushforward(2, 2, "mg1")),
+    ("pointed6", lambda: pointed_pushforward(6, 4, "mg")),
+    ("m21", lambda: bridge._M21),
+]
+
+
+def test_map_builders_and_m21_cones_build_no_fraction(monkeypatch):
+    # the first round warms the basis and nem caches
+    maps = [build() for _, build in MAP_BUILDS]
+    cones_before = {k: c.rays for k, c in m21_cones().items()}
+    built = _counting_fraction_new(monkeypatch)
+    assert [build() for _, build in MAP_BUILDS] == maps
+    assert {k: c.rays for k, c in m21_cones().items()} == cones_before
+    assert built == []
+    assert all(type(x) is int for linear_map in maps for col in linear_map.ints for x in col)
+
+
+@pytest.mark.parametrize("build", [build for _, build in MAP_BUILDS], ids=[k for k, _ in MAP_BUILDS])
+def test_map_call_on_ints_builds_one_fraction_per_target_coordinate_at_most(build, monkeypatch):
+    linear_map = build()
+    point = tuple(range(1, len(linear_map.source_names) + 1))
+    expected = tuple(
+        sum(F(c) * col[j] for c, col in zip(point, linear_map.columns))
+        for j in range(len(linear_map.target_names))
+    )
+    built = _counting_fraction_new(monkeypatch)
+    assert linear_map(point) == expected
+    assert len(built) <= len(linear_map.target_names)
+    if linear_map.den == 1:
+        assert built == []
+
+
+def test_m21_pushforward_is_one_map_call(monkeypatch):
+    point = (10, 6, 3, 1)
+    expected = (F(1, 2), 3, 10)
+    built = _counting_fraction_new(monkeypatch)
+    assert m21_pushforward(point) == expected
+    assert len(built) <= len(fixtures.M21_BASIS)

@@ -190,6 +190,26 @@ def test_push_rejects_out_of_range_parameters(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "flags, expected",
+    [
+        (("--map", "m21"), 4),
+        (("--map", "hyperelliptic", "--g", "3"), 3),
+        (("--map", "pointed", "--g", "4", "--n", "2", "--target", "mg1"), 4),
+    ],
+    ids=["m21", "hyperelliptic", "pointed"],
+)
+@pytest.mark.parametrize("extra", [-1, 1], ids=["too-few", "too-many"])
+def test_push_refuses_the_wrong_number_of_coordinates(flags, expected, extra, capsys):
+    coords = ",".join(["1"] * (expected + extra))
+    code, out, err = run_cli(capsys, "push", *flags, f"--coords={coords}")
+    assert code == 2
+    assert out == ""
+    (line,) = err.splitlines()
+    assert line.startswith("error:")
+    assert f"takes {expected} coordinates, got {expected + extra}" in line
+
+
 # --- counterexample -----------------------------------------------------------
 
 

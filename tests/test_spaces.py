@@ -1,8 +1,10 @@
 import itertools
+import sys
 from fractions import Fraction
 
 import pytest
 
+from modulicones import spaces
 from modulicones.linalg import primitive, rank
 from modulicones.spaces import (
     BoundaryLabel,
@@ -225,3 +227,36 @@ def test_forgetful_pullback_counts_an_even_split_once(n):
     label = canonical_label(src, k, ())
     pulled = forgetful_pullback_sum(src, {label: F(1)}, dst)
     assert pulled == {canonical_label(dst, k, ()): F(1)}
+
+
+@pytest.mark.parametrize("s", [SpaceId(n, m) for n in (4, 5, 7, 10) for m in (2, 3) if m < n - 1])
+def test_relations_build_only_the_halved_entries(s, monkeypatch):
+    built = []
+    real_new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        # constructions in `spaces` itself, not inside `Fraction` arithmetic
+        if sys._getframe(1).f_globals.get("__name__") == spaces.__name__:
+            built.append(args)
+        return real_new(cls, *args, **kwargs)
+
+    expected = relations_and_basis(s)
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    relations_and_basis.cache_clear()
+    spec = relations_and_basis(s)
+    assert spec == expected
+    # each construction halves the raw coefficient of a ramified label
+    assert all(len(args) == 2 and args[1] == 2 for args in built)
+    # and only the entries of ramified labels are not ints
+    for row in spec.relations:
+        for label, c in zip(spec.boundaries, row):
+            assert type(c) is int or spaces._is_ramified(s, label), (label, c)
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_keel_relations_are_int_rows(n, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a Keel relation built a Fraction")
+
+    monkeypatch.setattr(spaces, "Fraction", forbidden)
+    assert all(type(c) is int for row in keel_relations(n) for c in row)
