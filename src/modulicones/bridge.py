@@ -325,8 +325,13 @@ def _mg1_family(g: int, n: int, target: str) -> tuple[Cone, dict[tuple[int, int]
         raise ValueError(f"need n >= 2, got {n}")
     rows = _mg1_rows(g, n, target)
     dim = len(mg_basis(g) if target == "mg" else mg1_basis(g))
-    cone = Cone.from_hrep(dim, tuple(rows.values()))
+    return Cone.from_hrep(dim, tuple(rows.values())), _mg1_witnesses(g, n, target, rows)
 
+
+def _mg1_witnesses(g: int, n: int, target: str, rows: dict[tuple, IntVec]) -> dict[tuple[int, int], Witness]:
+    """The int witnesses of :func:`_mg1_family` for its rows ``rows``
+    (``_mg1_rows(g, n, target)``), without building the cone; raises
+    :class:`ArithmeticError` on a negative multiplier or a failed identity."""
     # the two slope combinations the multipliers act on; neither depends on (k, m)
     low = [a + 2 * b for a, b in zip(rows[("a", 1)], rows[("b", 1)])]
     high = [(2 * n - 3) * a + n * b for a, b in zip(rows[("a", n - 1)], rows[("b", n - 1)])]
@@ -348,7 +353,7 @@ def _mg1_family(g: int, n: int, target: str) -> tuple[Cone, dict[tuple[int, int]
             if any(c1 * x + c2 * y != constant * r for x, y, r in zip(low, high, row)):
                 raise ArithmeticError(f"multiplier identity fails at (k, m) = {(k, m)}")
             witnesses[(k, m)] = (c1, c2, row)
-    return cone, witnesses
+    return witnesses
 
 
 def mg1_inequality_family(

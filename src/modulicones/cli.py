@@ -56,7 +56,10 @@ def _fmt_vec(coords: Sequence) -> str:
     return "(" + ", ".join(map(str, coords)) + ")"
 
 
-def _parse_coords(text: str) -> tuple[Fraction, ...]:
+_INT_TOKEN = re.compile(r"[+-]?[0-9]+")
+
+
+def _parse_coords(text: str) -> tuple[int | Fraction, ...]:
     # an exponent past the int-to-str digit limit is refused before Fraction
     # expands it: the value could not be printed, and expanding it is slow
     limit = sys.get_int_max_str_digits()
@@ -64,7 +67,9 @@ def _parse_coords(text: str) -> tuple[Fraction, ...]:
     try:
         if limit and any(abs(int(e)) > limit for e in exponents):
             raise ValueError(f"a decimal exponent exceeds {limit}")
-        return tuple(Fraction(part.strip()) for part in text.split(","))
+        # a plain ASCII integer is read as an int, everything else by Fraction
+        parts = map(str.strip, text.split(","))
+        return tuple(int(p) if _INT_TOKEN.fullmatch(p) else Fraction(p) for p in parts)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"cannot parse coordinates {text!r}: {exc}") from None
 

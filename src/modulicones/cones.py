@@ -26,7 +26,8 @@ of the current basis, so every division in a pivot is exact (`_phase1`);
 `Fraction` appears only in the coefficients a membership certificate returns.
 Every `Certificate` is re-verified by direct integer arithmetic before it is
 returned, so a bug in the pivoting can only surface as an exception, never as
-a wrong answer.
+a wrong answer.  The re-check runs on ints even for a rational target: the
+target is scaled once by the lcm of its denominators.
 """
 
 from __future__ import annotations
@@ -89,26 +90,30 @@ class Certificate:
         return self.kind != "non-membership"
 
     def verify(self, target: Sequence, generators: Sequence[Sequence], lineality: Sequence[Sequence] = ()) -> bool:
-        """Re-check the certificate against the query it came from, in ints:
-        the coefficients are brought to their common denominator ``den`` and
-        the integer combination is compared with ``den * target``."""
+        """Re-check the certificate against the query it came from, in ints,
+        also for a rational target: the target is scaled once to the int row
+        ``t * target`` (`linalg._int_row`), which keeps every sign and
+        equality below.  The coefficients are brought to their common
+        denominator ``den`` and the integer combination, times ``t``, is
+        compared with ``den * t * target``."""
+        v, t = _int_row(target)
         if self.kind == "non-membership":
             phi = self.functional
             return (
                 all(_int_dot(phi, g) >= 0 for g in generators)
                 and all(_int_dot(phi, l) == 0 for l in lineality)
-                and _int_dot(phi, target) < 0
+                and _int_dot(phi, v) < 0
             )
         if any(c < 0 for _, c in self.coefficients):
             return False
         terms = [(c, generators[i]) for i, c in self.coefficients]
         terms += [(c, lineality[i]) for i, c in self.lineality_coefficients]
         den = lcm(*(c.denominator for c, _ in terms))
-        acc = [0] * len(target)
+        acc = [0] * len(v)
         for c, g in terms:
-            q = c.numerator * (den // c.denominator)
+            q = t * c.numerator * (den // c.denominator)
             acc = [a + q * b for a, b in zip(acc, g, strict=True)]
-        return acc == [den * x for x in target]
+        return acc == [den * x for x in v]
 
 
 def certify(target: Sequence, generators: Sequence[Sequence], lineality: Sequence[Sequence] = ()) -> Certificate:
@@ -162,20 +167,24 @@ def _phase1(columns: Sequence[Sequence], target: Sequence) -> tuple[Optional[lis
     m = len(target)
     k = len(columns)
     cols, col_scales = zip(*map(_int_row, columns)) if columns else ((), ())
+    for c in cols:
+        _check_length(m, c, "column")
     rhs, t_scale = _int_row(target)
-    signs = [-1 if t < 0 else 1 for t in rhs]
+    # row i of [A | I | b], negated where b_i < 0 so that b >= 0
     tableau: list[list[int]] = []
-    for i in range(m):
-        row = [signs[i] * c[i] for c in cols]
-        row += [int(j == i) for j in range(m)]
-        row.append(signs[i] * rhs[i])
+    for i, (entries, b) in enumerate(zip(zip(*cols) if cols else [()] * m, rhs)):
+        row = [*entries, *[0] * m, b] if b >= 0 else [*(-a for a in entries), *[0] * m, -b]
+        row[k + i] = 1
         tableau.append(row)
     basis = list(range(k, k + m))
     # Reduced-cost row for "minimize the sum of slacks"; every basic variable
     # is a slack with cost 1, so the initial reduced cost of column j is its
-    # cost minus the column sum.  The last entry tracks minus the objective.
-    # It is pivoted as one more row, tableau[m], but never chosen as one.
-    tableau.append([int(k <= j < k + m) - sum(row[j] for row in tableau) for j in range(k + m + 1)])
+    # cost minus the column sum, which is 0 on the slacks.  The last entry
+    # tracks minus the objective.  It is pivoted as one more row, tableau[m],
+    # but never chosen as one.
+    cost = [-x for x in map(sum, zip(*tableau))] if m else [0] * (k + 1)
+    cost[k : k + m] = [0] * m
+    tableau.append(cost)
     d = 1
     while True:
         enter = next((j for j in range(k + m) if tableau[m][j] < 0), None)  # Bland's rule
@@ -210,8 +219,8 @@ def _phase1(columns: Sequence[Sequence], target: Sequence) -> tuple[Optional[lis
                 x[b] = Fraction(tableau[i][-1] * col_scales[b], d * t_scale)
         return x, None
     # Dual solution read off the slack reduced costs, unflipped row by row:
-    # d times the rational w_i = signs[i] * (1 - obj[k + i] / d).
-    return None, tuple(signs[i] * (d - obj[k + i]) for i in range(m))
+    # d times the rational w_i = sign(b_i) * (1 - obj[k + i] / d).
+    return None, tuple(d - obj[k + i] if b >= 0 else obj[k + i] - d for i, b in enumerate(rhs))
 
 
 # --------------------------------------------------------------------------

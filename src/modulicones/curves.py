@@ -31,6 +31,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from operator import mul
 from typing import Sequence
 
@@ -279,6 +280,7 @@ def eff_cone(s: SpaceId) -> Cone:
     return Cone.from_vrep(picard_number(s), _boundary_rays(s))
 
 
+@lru_cache(maxsize=None)
 def _boundary_rays(s: SpaceId) -> tuple[IntVec, ...]:
     """The primitive boundary classes of ``s``, one per label in label order.
 
@@ -290,7 +292,9 @@ def _boundary_rays(s: SpaceId) -> tuple[IntVec, ...]:
     separating functional, and where that certificate is verified again
     against the same list (the ``counterexample`` verb and check 02).
     `eff_cone` passes the rays through `Cone.from_vrep`, which drops
-    duplicates and sorts them.
+    duplicates and sorts them.  Cached per space: the tuple is immutable,
+    and `eff_cone` still builds a fresh `Cone` from it on every call, so no
+    caller sees a representation another caller computed.
     """
     return tuple(primitive(_scaled_class(s, {label: 1})[0]) for label in enumerate_boundaries(s))
 
@@ -432,17 +436,19 @@ def nem_rays_inductive(n: int) -> tuple[IntVec, ...]:
     by either ``(n-i-2)/(n-i)`` or ``(i+1)/(i-1)``; the ``2^(floor(n/2)-2)``
     resulting vectors, made primitive, are exactly the extremal rays.  For
     ``n = 5`` the picture degenerates to the single ray of a half-line.
+    Over the product of all the chosen denominators, entry ``t`` is the
+    product of the first ``t`` numerators times the remaining denominators,
+    so each vector is built in ints.
     """
     if n < 5:
         raise ValueError(f"need n >= 5, got {n}")
     d = n // 2 - 1
     rays = []
     for choices in itertools.product((0, 1), repeat=d - 1):
-        entries = [Fraction(1)]
-        for i, pick in zip(range(2, d + 1), choices):
-            ratio = Fraction(n - i - 2, n - i) if pick == 0 else Fraction(i + 1, i - 1)
-            entries.append(entries[-1] * ratio)
-        rays.append(primitive(tuple(entries)))
+        ratios = [(n - i - 2, n - i) if pick == 0 else (i + 1, i - 1) for i, pick in zip(range(2, d + 1), choices)]
+        heads = itertools.accumulate((p for p, _ in ratios), mul, initial=1)
+        tails = [*itertools.accumulate((q for _, q in reversed(ratios)), mul, initial=1)][::-1]
+        rays.append(primitive(tuple(map(mul, heads, tails))))
     return tuple(sorted(set(rays)))
 
 

@@ -324,19 +324,6 @@ def test_cli_family_builds_no_fraction(g, n, monkeypatch, capsys):
     assert built == []
 
 
-def _counting_fraction_new(monkeypatch) -> list:
-    """Count every `Fraction` construction from here to the end of the test."""
-    built = []
-    real_new = Fraction.__new__
-
-    def counted(cls, *args, **kwargs):
-        built.append(args)
-        return real_new(cls, *args, **kwargs)
-
-    monkeypatch.setattr(Fraction, "__new__", counted)
-    return built
-
-
 MAP_BUILDS = [
     ("q0", lambda: q_map(9, 5, 0)),
     ("q1", lambda: q_map(9, 5, 1)),
@@ -352,11 +339,11 @@ MAP_BUILDS = [
 ]
 
 
-def test_map_builders_and_m21_cones_build_no_fraction(monkeypatch):
+def test_map_builders_and_m21_cones_build_no_fraction(count_fractions):
     # the first round warms the basis and nem caches
     maps = [build() for _, build in MAP_BUILDS]
     cones_before = {k: c.rays for k, c in m21_cones().items()}
-    built = _counting_fraction_new(monkeypatch)
+    built = count_fractions()
     assert [build() for _, build in MAP_BUILDS] == maps
     assert {k: c.rays for k, c in m21_cones().items()} == cones_before
     assert built == []
@@ -364,23 +351,23 @@ def test_map_builders_and_m21_cones_build_no_fraction(monkeypatch):
 
 
 @pytest.mark.parametrize("build", [build for _, build in MAP_BUILDS], ids=[k for k, _ in MAP_BUILDS])
-def test_map_call_on_ints_builds_one_fraction_per_target_coordinate_at_most(build, monkeypatch):
+def test_map_call_on_ints_builds_one_fraction_per_target_coordinate_at_most(build, count_fractions):
     linear_map = build()
     point = tuple(range(1, len(linear_map.source_names) + 1))
     expected = tuple(
         sum(F(c) * col[j] for c, col in zip(point, linear_map.columns))
         for j in range(len(linear_map.target_names))
     )
-    built = _counting_fraction_new(monkeypatch)
+    built = count_fractions()
     assert linear_map(point) == expected
     assert len(built) <= len(linear_map.target_names)
     if linear_map.den == 1:
         assert built == []
 
 
-def test_m21_pushforward_is_one_map_call(monkeypatch):
+def test_m21_pushforward_is_one_map_call(count_fractions):
     point = (10, 6, 3, 1)
     expected = (F(1, 2), 3, 10)
-    built = _counting_fraction_new(monkeypatch)
+    built = count_fractions()
     assert m21_pushforward(point) == expected
     assert len(built) <= len(fixtures.M21_BASIS)

@@ -151,6 +151,30 @@ def test_member_parses_rational_coordinates(capsys):
     assert "member: yes" in out
 
 
+@pytest.mark.parametrize(
+    "coords",
+    [
+        "3,0,1,0,2,0,0,-4,0,1,0,0,6,0,0,2,1",
+        "-1,2,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0",
+        "3,0,1,0,2,0,0,4,0,1,0,0,6,0,0,2,1",
+        "0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0",
+        "1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17",
+    ],
+)
+def test_integer_member_query_builds_a_fraction_only_per_printed_coefficient(capsys, coords, count_fractions):
+    argv = ["member", "--which", "eff", "--n", "12", "--m", "2", f"--coords={coords}"]
+    cli.main(argv)  # the space's classes are cached from here on
+    capsys.readouterr()
+    built = count_fractions()
+    code, out, _ = run_cli(capsys, *argv)
+    if code == 1:
+        assert out.startswith("member: no\n")
+        assert built == []
+    else:
+        assert code == 0 and out.startswith("member: yes\n")
+        assert len(built) <= out.count(" * ")
+
+
 @pytest.mark.parametrize("big", ["1e4300", "1e-4300", "1e5000", "-1e10000000"])
 def test_member_with_an_unprintable_coordinate_writes_nothing_and_exits_2(capsys, big):
     # 1e4300 parses, but its coefficient has more digits than str() allows;

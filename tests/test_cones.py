@@ -166,6 +166,26 @@ def test_certificate_verify_rejects_mismatched_lengths(cert, target, generators)
         cert.verify(target, generators)
 
 
+def test_certify_rejects_a_column_of_the_wrong_length():
+    with pytest.raises(ValueError, match="column has length 3, expected 2"):
+        certify((1, 1), [(1, 0), (0, 1, 0)])
+
+
+@pytest.mark.parametrize(
+    "target, generators",
+    [
+        ((F(1, 2), F(-1, 3), 2), [(1, 0, 0), (0, 1, 0), (0, 0, 1)]),  # no
+        ((F(1, 2), F(1, 3), 2), [(1, 0, 0), (0, 1, 0), (0, 0, 1)]),  # yes
+        ((F(5, 6), F(1, 3), F(7, 4)), [(1, 1, 0), (0, 1, 1), (1, 0, 1)]),  # yes
+    ],
+)
+def test_certificate_verify_builds_no_fraction_for_a_rational_target(target, generators, count_fractions):
+    cert = certify(target, generators)
+    built = count_fractions()
+    assert cert.verify(target, generators)
+    assert built == []
+
+
 def test_dual_description_builds_no_fraction(monkeypatch):
     nem = nem_hrep(SpaceId(9, 1))
     eff = eff_cone(SpaceId(8, 2))

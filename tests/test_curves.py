@@ -1,4 +1,6 @@
 import hashlib
+import itertools
+import math
 import re
 from fractions import Fraction
 
@@ -73,6 +75,30 @@ def test_nem_unpointed_branching_matches_double_description(n):
     ind = nem_rays_inductive(n)
     assert len(ind) == 2 ** (n // 2 - 2)
     assert ray_set(nem_hrep(SpaceId(n, 0)).rays) == ray_set(ind)
+
+
+def _branching_rays_in_fractions(n):
+    """The branching rule as stated: running products of `Fraction` ratios."""
+    d = n // 2 - 1
+    rays = set()
+    for choices in itertools.product((0, 1), repeat=d - 1):
+        entries = [Fraction(1)]
+        for i, pick in zip(range(2, d + 1), choices):
+            ratio = Fraction(n - i - 2, n - i) if pick == 0 else Fraction(i + 1, i - 1)
+            entries.append(entries[-1] * ratio)
+        den = math.lcm(*(e.denominator for e in entries))
+        ints = [e.numerator * (den // e.denominator) for e in entries]
+        g = math.gcd(*ints)
+        rays.add(tuple(x // g for x in ints))
+    return tuple(sorted(rays))
+
+
+@pytest.mark.parametrize("n", range(5, 21))
+def test_branching_rays_are_the_fraction_products_built_in_ints(n, count_fractions):
+    built = count_fractions()
+    got = nem_rays_inductive(n)
+    assert built == []
+    assert got == _branching_rays_in_fractions(n)
 
 
 def test_distinguished_extremal_rays():
