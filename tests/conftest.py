@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -6,14 +7,17 @@ import pytest
 @pytest.fixture
 def count_fractions(monkeypatch):
     """``count_fractions()`` starts recording the arguments of every
-    `Fraction` built from then to the end of the test, in the list it returns."""
+    `Fraction` built from then to the end of the test, in the list it returns.
+    ``count_fractions(module)`` records only those built by code in
+    ``module`` itself, not inside `Fraction` arithmetic."""
 
-    def start() -> list:
+    def start(module=None) -> list:
         built = []
         real_new = Fraction.__new__
 
         def counted(cls, *args, **kwargs):
-            built.append(args)
+            if module is None or sys._getframe(1).f_globals.get("__name__") == module.__name__:
+                built.append(args)
             return real_new(cls, *args, **kwargs)
 
         monkeypatch.setattr(Fraction, "__new__", counted)

@@ -1,5 +1,4 @@
 import itertools
-import sys
 from fractions import Fraction
 
 import pytest
@@ -230,18 +229,10 @@ def test_forgetful_pullback_counts_an_even_split_once(n):
 
 
 @pytest.mark.parametrize("s", [SpaceId(n, m) for n in (4, 5, 7, 10) for m in (2, 3) if m < n - 1])
-def test_relations_build_only_the_halved_entries(s, monkeypatch):
-    built = []
-    real_new = Fraction.__new__
-
-    def counted(cls, *args, **kwargs):
-        # constructions in `spaces` itself, not inside `Fraction` arithmetic
-        if sys._getframe(1).f_globals.get("__name__") == spaces.__name__:
-            built.append(args)
-        return real_new(cls, *args, **kwargs)
-
+def test_relations_build_only_the_halved_entries(s, count_fractions):
     expected = relations_and_basis(s)
-    monkeypatch.setattr(Fraction, "__new__", counted)
+    # constructions in `spaces` itself, not inside `Fraction` arithmetic
+    built = count_fractions(spaces)
     relations_and_basis.cache_clear()
     spec = relations_and_basis(s)
     assert spec == expected
