@@ -40,12 +40,7 @@ from .bridge import (
 from .cones import Cone
 from .curves import _boundary_rays, counterexample_ftau, eff_cone, nem_hrep
 from .porta import cone_json_dumps, latex_inequalities, latex_rays, porta_write
-from .spaces import (
-    SpaceId,
-    enumerate_boundaries,
-    picard_number,
-    relations_and_basis,
-)
+from .spaces import SpaceId, boundary_count, picard_number, relations_and_basis
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -126,24 +121,27 @@ def _serialize_cone(cone: Cone, rep: str) -> str:
 
 
 def _run_space(args: argparse.Namespace) -> int:
+    if args.n is None or args.m is None:
+        raise ValueError("space requires --n and --m")
     s = SpaceId(args.n, args.m)
-    print(f"space {s}")
-    print(f"boundary divisors: {len(enumerate_boundaries(s))}")
-    print(f"picard number: {picard_number(s)}")
+    # 2^10 > 10^3, so a count of about 2^(m-1) has more digits than the
+    # int-to-str limit once 3(m-1) > 10 * limit: refused before it is built
+    limit = sys.get_int_max_str_digits()
+    if limit and 3 * (s.m - 1) > 10 * limit:
+        raise ValueError(f"the boundary count of {s} exceeds {limit} digits")
+    # build every line before writing any: an unprintable count leaves stdout empty
+    lines = [f"space {s}", f"boundary divisors: {boundary_count(s)}", f"picard number: {picard_number(s)}"]
     if s.m > 3:
-        print("ordered basis: none (the boundary classes are not independent "
-              "enough to provide one here)")
-        return EXIT_OK
-    spec = relations_and_basis(s)
-    print("ordered basis: " + ", ".join(spec.ordered_basis))
-    print(f"relations: {len(spec.relations)}")
-    for row in spec.relations:
-        terms = [
-            f"{c} * {label}"
-            for label, c in zip(spec.boundaries, row)
-            if c != 0
-        ]
-        print("  0 = " + " + ".join(terms).replace("+ -", "- "))
+        lines.append("ordered basis: none (the boundary classes are not independent "
+                     "enough to provide one here)")
+    else:
+        spec = relations_and_basis(s)
+        lines.append("ordered basis: " + ", ".join(spec.ordered_basis))
+        lines.append(f"relations: {len(spec.relations)}")
+        for row in spec.relations:
+            terms = [f"{c} * {label}" for label, c in zip(spec.boundaries, row) if c != 0]
+            lines.append("  0 = " + " + ".join(terms).replace("+ -", "- "))
+    print("\n".join(lines))
     return EXIT_OK
 
 
@@ -320,10 +318,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    missing_space = args.verb in ("space",) and (args.n is None or args.m is None)
-    if missing_space:
-        print("error: space requires --n and --m", file=sys.stderr)
-        return EXIT_USAGE
     try:
         return args.handler(args)
     except (ValueError, KeyError) as exc:

@@ -24,10 +24,11 @@ Farkas functional separating the point from the cone.  The simplex pivots an
 integer tableau over one common denominator ``D``, the absolute determinant
 of the current basis, so every division in a pivot is exact (`_phase1`);
 `Fraction` appears only in the coefficients a membership certificate returns.
-Every `Certificate` is re-verified by direct integer arithmetic before it is
-returned, so a bug in the pivoting can only surface as an exception, never as
-a wrong answer.  The re-check runs on ints even for a rational target: the
-target is scaled once by the lcm of its denominators.
+`certify` re-verifies every `Certificate` by direct integer arithmetic
+before it returns it, so a bug in the pivoting can only surface as an
+exception, never as a wrong answer; the target is scaled once to ints for
+this.  `Cone.contains` alone returns a stored H-row the point violates
+unverified.
 """
 
 from __future__ import annotations
@@ -243,9 +244,9 @@ def dual_description(
 
     Adjacency of two rays is decided combinatorially from the bitmasks of
     the processed rows each ray is tight on (Fukuda and Prodon, "Double
-    description method revisited", 1996).  Those tight sets are exact, and a
-    ray combined from two adjacent rays inherits its set from theirs, so dot
-    products recompute tight sets only after a row cuts the lineality space.
+    description method revisited", 1996).  Those tight sets are exact and
+    need no dot product: a ray combined from two adjacent rays inherits its
+    set from theirs, and a ray projected at a lineality cut keeps its own.
     A pair with too few common tight rows is rejected on a popcount; for the
     rest, the rays tight on every common row are the AND of per-row bitsets
     over the rays, and the pair is adjacent iff that AND is the pair itself.
@@ -273,10 +274,9 @@ def dual_description(
     done: list[IntVec] = []
     masks: list[int] = []
 
-    def tight_mask(r: IntVec) -> int:
-        return sum(1 << t for t, row in enumerate(done) if sum(map(mul, row, r)) == 0)
-
     for a in rows:
+        bit = 1 << len(done)
+        done.append(a)
         lin_vals = [sum(map(mul, a, l)) for l in lin]
         hit = next((i for i, v in enumerate(lin_vals) if v != 0), None)
         if hit is not None:
@@ -290,24 +290,25 @@ def dual_description(
             # extreme in the new cone H + R_{>=0} l0, because a @ l0 > 0 while
             # a vanishes on every projected ray.  Each projection is scaled
             # by d0 > 0 to stay integral; only its direction matters.
+            # Every earlier row vanishes on l0, so a projected ray keeps its
+            # mask, plus `bit`; l0 is tight on every earlier row but not `a`.
             l0, d0 = lin[hit], lin_vals[hit]
             if d0 < 0:
                 l0, d0 = tuple(-x for x in l0), -d0
             rest = [(l, v) for i, (l, v) in enumerate(zip(lin, lin_vals)) if i != hit]
             lin, lin_pivots = rref([[d0 * x - v * y for x, y in zip(l, l0)] for l, v in rest])
-            new_rays = [[d0 * x - sum(map(mul, a, r)) * y for x, y in zip(r, l0)] for r in rays] + [l0]
-            done.append(a)
-            seen: dict[IntVec, None] = {}
-            for r in new_rays:
+            projected = [
+                ([d0 * x - sum(map(mul, a, r)) * y for x, y in zip(r, l0)], mk | bit)
+                for r, mk in zip(rays, masks)
+            ]
+            seen: dict[IntVec, int] = {}
+            for r, mk in projected + [(l0, bit - 1)]:
                 p = _primitive_or_none(_reduce_mod(lin, lin_pivots, r))
                 if p is not None:
-                    seen.setdefault(p)
-            rays = list(seen)
-            masks = [tight_mask(r) for r in rays]
+                    seen.setdefault(p, mk)
+            rays, masks = list(seen), list(seen.values())
             continue
         vals = [sum(map(mul, a, r)) for r in rays]
-        done.append(a)
-        bit = 1 << (len(done) - 1)
         if all(v >= 0 for v in vals):
             masks = [mk | (bit if v == 0 else 0) for mk, v in zip(masks, vals)]
             continue
@@ -328,8 +329,7 @@ def dual_description(
         # construction.  Every processed row vanishes on the lineality and
         # `primitive` divides by a positive gcd, so neither `_reduce_mod` nor
         # the scaling changes which rows are tight, and a duplicate
-        # combination has the same tight set.  Only a lineality cut (above)
-        # computes tight sets by dot products.
+        # combination has the same tight set.
         #
         # The third-ray test reads the masks transposed: bit k of cols[t] is
         # set when processed row t is tight at ray k.  The AND of cols[t]

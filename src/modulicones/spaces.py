@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .linalg import IntVec, Vec, rref
 
@@ -59,10 +59,6 @@ class SpaceId:
             raise ValueError("n >= 4 required")
         if not 0 <= self.m <= self.n:
             raise ValueError(f"m must lie in 0..{self.n}, got {self.m}")
-
-    @property
-    def is_fully_pointed(self) -> bool:
-        return self.m >= self.n - 1
 
     @property
     def distinguished(self) -> frozenset[int]:
@@ -159,7 +155,8 @@ def keel_relations(n: int) -> list[IntVec]:
     Two four-point partition classes agree whenever they share a cross-ratio
     degeneration; the returned family fixes points 1, 2 and runs over the
     remaining choices, which is well known to cut the boundary count down to
-    the rank of the divisor-class space.
+    the rank of the divisor-class space.  No verb builds them; they are kept
+    as the reference the tests check `picard_number`'s closed form against.
     """
     s = fully_pointed(n)
 
@@ -279,32 +276,32 @@ def relations_and_basis(s: SpaceId) -> BasisSpec:
     return BasisSpec(s, names, tuple(_m3_relations_raw(s.n)), boundaries)
 
 
+def boundary_count(s: SpaceId) -> int:
+    """The number of boundary divisors of ``s``, in closed form.
+
+    A label is a pair ``(A, k)`` of distinguished points ``A`` and ``k``
+    undistinguished points on one side, ``2 <= |A| + k <= n - 2``, up to its
+    mirror.  Of the ``2^m (n - m + 1)`` pairs, the ``1 + m + [m < n]`` with
+    ``|A| + k <= 1`` mirror those with ``|A| + k >= n - 1``.  Only ``m = 0``
+    with even n, where the pair count is odd, has a self-mirror label, so
+    the half is rounded up.
+    """
+    n, m = s.n, s.m
+    return (2**m * (n - m + 1) + 1) // 2 - (m + 1 + (m < n))
+
+
 def picard_number(s: SpaceId) -> int:
-    if s.m <= 3:
-        return len(relations_and_basis(s).ordered_basis)
-    if s.is_fully_pointed:
-        return 2 ** (s.n - 1) - 1 - s.n * (s.n - 1) // 2
-    return len(enumerate_boundaries(s)) - _relation_rank(s)
+    """The boundary count of ``s`` less the rank ``r`` of its relations.
 
-
-def _relation_rank(s: SpaceId) -> int:
-    # General-m fallback: push the fully pointed relations down and measure.
-    from .linalg import rank
-
-    full = fully_pointed(s.n)
-    rows = [
-        sum_to_vector(s, quotient_pushforward_sum(full, _vector_to_sum(full, r), s))
-        for r in keel_relations(s.n)
-    ]
-    return rank(rows)
-
-
-def _vector_to_sum(s: SpaceId, row: Sequence) -> dict[BoundaryLabel, Fraction | int]:
-    return {
-        label: c
-        for label, c in zip(enumerate_boundaries(s), row, strict=True)
-        if c != 0
-    }
+    Keel's relations span the Specht module ``S^(n-2,2)``, of dimension
+    ``n(n-3)/2``, and those of ``s`` are its ``S_{n-m}``-invariants: by
+    Young's rule, the Kostka number ``K_{(n-2,2),(n-m,1^m)} = C(m, 2)`` for
+    ``m <= n - 2``, and all of it, ``r = n(n-3)/2``, for ``m >= n - 1``.
+    For ``m <= 3``, ``r`` is the number of stored relations.
+    """
+    n, m = s.n, s.m
+    r = m * (m - 1) // 2 if m <= n - 2 else n * (n - 3) // 2
+    return boundary_count(s) - r
 
 
 # --------------------------------------------------------------------------

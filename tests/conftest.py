@@ -1,7 +1,10 @@
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+
+from modulicones import cones
 
 
 @pytest.fixture
@@ -24,3 +27,26 @@ def count_fractions(monkeypatch):
         return built
 
     return start
+
+
+@pytest.fixture(scope="session")
+def counted_dual_description():
+    """``counted_dual_description(*args)`` is ``(dual_description(*args),
+    calls)``, where ``calls`` counts the `cones.rank` calls of the run: one
+    per ray the final sweep ranks.  Session-scoped, so Hypothesis tests can
+    use it; each call patches `cones.rank` only while it runs."""
+
+    def run(*args):
+        calls = 0
+        real_rank = cones.rank
+
+        def counted(rows):
+            nonlocal calls
+            calls += 1
+            return real_rank(rows)
+
+        with mock.patch.object(cones, "rank", counted):
+            out = cones.dual_description(*args)
+        return out, calls
+
+    return run

@@ -65,6 +65,48 @@ def test_space_requires_both_counts(capsys):
     assert "--m" in err
 
 
+def _space_subprocess(n, m):
+    # the timeout fails the test where the count is enumerated, not computed
+    return subprocess.run(
+        [sys.executable, "-m", "modulicones", "space", "--n", str(n), "--m", str(m)],
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+
+
+def test_space_counts_a_large_fully_marked_space_in_closed_form():
+    proc = _space_subprocess(30, 30)
+    assert proc.returncode == 0
+    assert "boundary divisors: 536870881\n" in proc.stdout
+    assert "picard number: 536870476\n" in proc.stdout
+
+
+def test_space_refuses_an_unprintable_count_with_empty_stdout():
+    proc = _space_subprocess(20000, 20000)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: the boundary count of X(20000,20000) exceeds ")
+
+
+def test_space_writes_nothing_when_str_refuses_the_count(capsys):
+    # Under the default limit of 4300 digits, X(14300,14300) passes the digit
+    # guard, so its 4305-digit count is built and `str` refuses it; the lines
+    # are built before any is written.  X(14200,14200) has 4275 digits.
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code, out, err = run_cli(capsys, "space", "--n", "14300", "--m", "14300")
+        assert code == 2
+        assert out == ""
+        assert "4300 digits" in err
+        code, out, _ = run_cli(capsys, "space", "--n", "14200", "--m", "14200")
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert code == 0
+    assert len(out.splitlines()[1]) == len("boundary divisors: ") + 4275
+
+
 # --- cone ---------------------------------------------------------------------
 
 

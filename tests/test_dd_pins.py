@@ -9,7 +9,10 @@ H-to-V cases are every cone of the ``rays`` benchmark pool, plus the nem
 two-marked effective cones and of the genus-two pointed cone that
 ``--which m21-mov`` reads its rays from.  ``cut`` is a
 small case whose last inequality cuts the lineality space after rays have
-been combined.
+been combined.  Each case also asserts that the final sweep ranks exactly the
+rays it returns, which the digest alone would not notice: an adjacency test
+that lets a non-adjacent pair through leaves the output unchanged as long as
+the sweep drops the extra ray.
 """
 
 import hashlib
@@ -89,6 +92,9 @@ CASES = {
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_dual_description_is_pinned(name):
-    out = dual_description(*CASES[name]())
+def test_dual_description_is_pinned(name, counted_dual_description):
+    out, rank_calls = counted_dual_description(*CASES[name]())
     assert hashlib.sha256(repr(out).encode()).hexdigest() == PINS[name]
+    # the final sweep keeps every ray it ranks: the adjacency test let no
+    # non-extreme combination through for the sweep to drop
+    assert rank_calls == len(out[0])

@@ -357,12 +357,19 @@ def h_representations(draw):
 @example((4, [[1, *s] for s in itertools.product((1, -1), repeat=3)], []))
 @example((4, [[0, 0, 0, 1], [1, 1, 0, -1], [1, -1, 0, -1], [1, 0, 1, -1], [1, 0, -1, -1]], []))
 @example((4, [[1, *(s * (j == i) for j in range(3))] for i in range(3) for s in (1, -1)], []))
+# The cone x4 == 0, x1 >= 0, x2 <= 0, x3 >= x1 with two redundant rows.  An
+# intermediate cone has a face with four extreme rays; a third-ray test that
+# accepted a pair whose AND holds two more rays would combine a diagonal pair
+# of it, and the final sweep would drop the result: the output is the same,
+# and only the count of ranked rays shows the extra combination.
+@example((4, [[0, 0, 0, -1], [0, 0, 0, 1], [0, -1, 0, 0], [1, 0, 0, 0], [-1, 0, 1, 0], [0, 0, 1, 0], [1, -1, 0, 0]], []))
 @settings(max_examples=300)
 @given(h_representations())
-def test_dual_description_matches_brute_force(hrep):
+def test_dual_description_matches_brute_force(counted_dual_description, hrep):
     dim, inequalities, equations = hrep
-    rays, lin = dual_description(dim, inequalities, equations)
+    (rays, lin), rank_calls = counted_dual_description(dim, inequalities, equations)
     assert (rays, lin) == brute_force_vrep(dim, inequalities, equations)
+    assert rank_calls == len(rays)  # the final sweep drops no ray it ranks
 
 
 @given(

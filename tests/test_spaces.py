@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -9,6 +10,7 @@ from modulicones.spaces import (
     BoundaryLabel,
     SpaceId,
     boundary_class,
+    boundary_count,
     canonical_label,
     enumerate_boundaries,
     express_in_basis,
@@ -34,6 +36,41 @@ def test_boundary_and_picard_counts(n, m):
     s = SpaceId(n, m)
     assert len(enumerate_boundaries(s)) == BOUNDARY_COUNTS[m](n)
     assert picard_number(s) == PICARD[m](n)
+
+
+@pytest.mark.parametrize("s", [SpaceId(n, m) for n in range(4, 15) for m in range(n + 1)], ids=str)
+def test_boundary_count_matches_the_enumerated_labels(s):
+    assert boundary_count(s) == len(enumerate_boundaries(s))
+
+
+def _relation_rank(s):
+    """The rank of Keel's relations pushed down to ``s``, over its labels:
+    the reference the closed form of `picard_number` is checked against."""
+    full = fully_pointed(s.n)
+    labels = enumerate_boundaries(full)
+    rows = [
+        sum_to_vector(s, quotient_pushforward_sum(full, {l: c for l, c in zip(labels, row) if c}, s))
+        for row in keel_relations(s.n)
+    ]
+    return rank(rows)
+
+
+def _closed_form_rank(s):
+    return comb(s.m, 2) if s.m <= s.n - 2 else s.n * (s.n - 3) // 2
+
+
+@pytest.mark.parametrize("s", [SpaceId(n, m) for n in range(4, 11) for m in range(n + 1)], ids=str)
+def test_picard_number_is_the_boundary_count_less_the_pushed_relation_rank(s):
+    r = _relation_rank(s)
+    assert r == _closed_form_rank(s)
+    assert picard_number(s) == len(enumerate_boundaries(s)) - r
+
+
+@pytest.mark.parametrize("s", [SpaceId(n, m) for n in range(4, 13) for m in range(min(n, 3) + 1)], ids=str)
+def test_stored_relations_number_the_closed_form_rank(s):
+    spec = relations_and_basis(s)
+    assert len(spec.relations) == _closed_form_rank(s)
+    assert picard_number(s) == len(spec.ordered_basis)
 
 
 @pytest.mark.parametrize("n", [5, 6, 7, 8])
