@@ -13,9 +13,10 @@ Seven verbs::
 Every invocation is deterministic: identical flags produce byte-identical
 output.  Exit codes: 0 when everything requested passed, 1 when a check or
 membership query failed, 2 for unusable arguments, unsupported
-combinations or an output file that cannot be written.  ``export`` resolves
-relative output paths against the ``MODULICONES_OUTDIR`` environment variable
-when it is set.
+combinations (``verify-paper`` under ``python -O``, which strips its
+asserts, among them) or an output file that cannot be written.  ``export``
+resolves relative output paths against the ``MODULICONES_OUTDIR``
+environment variable when it is set.
 """
 
 from __future__ import annotations
@@ -107,13 +108,13 @@ def _select_cone(args: argparse.Namespace) -> tuple[Cone, str]:
         cone, _ = _mg1_family(args.g, args.n, args.target)
         return cone, f"mg1-g{args.g}-n{args.n}-{args.target}"
     if which == "m21-mov":
-        rays = m21_cones()["push_nem"].extreme_rays()
+        rays, _ = m21_cones()["push_nem"].canonical_vrep()
         return Cone.from_vrep(3, rays), "m21-mov"
     raise ValueError(f"unknown cone selector {which!r}")
 
 
-def _serialize_cone(cone: Cone, rep: str) -> str:
-    return porta_write(cone, "hrep" if rep == "hrep" else "vrep")
+def _porta_rep(rep: str) -> str:
+    return "hrep" if rep == "hrep" else "vrep"
 
 
 # --------------------------------------------------------------------------
@@ -147,7 +148,7 @@ def _run_space(args: argparse.Namespace) -> int:
 
 def _run_cone(args: argparse.Namespace) -> int:
     cone, _ = _select_cone(args)
-    sys.stdout.write(_serialize_cone(cone, args.rep))
+    sys.stdout.write(porta_write(cone, _porta_rep(args.rep)))
     return EXIT_OK
 
 
@@ -195,6 +196,8 @@ def _run_counterexample(args: argparse.Namespace) -> int:
 
 
 def _run_verify(args: argparse.Namespace) -> int:
+    if not __debug__:
+        raise ValueError("verify-paper cannot run under python -O: its checks are assert statements")
     groups = None
     if args.sections is not None:
         try:
@@ -213,18 +216,15 @@ def _run_verify(args: argparse.Namespace) -> int:
 
 def _run_export(args: argparse.Namespace) -> int:
     cone, slug = _select_cone(args)
+    rep = _porta_rep(args.rep)
     if args.format == "porta":
-        text = _serialize_cone(cone, args.rep)
-        extension = ".ieq" if args.rep == "hrep" else ".poi"
+        text = porta_write(cone, rep)
+        extension = ".ieq" if rep == "hrep" else ".poi"
     elif args.format == "json":
-        if args.rep == "hrep":
-            cone.inequalities  # populate the representation being exported
-        else:
-            cone.rays
-        text = cone_json_dumps(cone)
+        text = cone_json_dumps(cone, rep)
         extension = ".json"
     else:  # latex
-        text = latex_inequalities(cone) if args.rep == "hrep" else latex_rays(cone)
+        text = latex_inequalities(cone) if rep == "hrep" else latex_rays(cone)
         extension = ".tex"
     name = args.out if args.out is not None else slug + extension
     if not os.path.isabs(name):

@@ -1,14 +1,15 @@
 """Rational polyhedral cones with exact H- and V-representations.
 
-A cone is stored through whichever representations it has been given or has
-computed so far:
+A `Cone` is a value built from one of two representations:
 
 * H-representation -- inequality rows ``a`` with ``a @ x >= 0`` and equation
   rows ``e`` with ``e @ x == 0``;
 * V-representation -- generating rays plus a basis of the lineality space.
 
-Conversions happen only in the lazy `Cone` properties and in
-`Cone.canonical_vrep`, and both run the double description method
+It keeps the one it was built from and computes the other once, through one
+cached V->H conversion and one cached H->V conversion (`Cone.canonical_vrep`),
+so no answer depends on what was read before it.  Every conversion in the
+package goes through them, and both run the double description method
 (`dual_description`) on integer rows from end to end: the lineality basis is
 kept as the integer rows of `linalg.rref`, the package's one elimination,
 rays are projected and reduced by integer cross-multiplication, and adjacency
@@ -27,15 +28,16 @@ of the current basis, so every division in a pivot is exact (`_phase1`);
 `certify` re-verifies every `Certificate` by direct integer arithmetic
 before it returns it, so a bug in the pivoting can only surface as an
 exception, never as a wrong answer; the target is scaled once to ints for
-this.  `Cone.contains` alone returns a stored H-row the point violates
-unverified.
+this.  `Cone.contains` alone returns an H-row the point violates unverified,
+and only on a cone built from an H-representation.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from operator import mul
 from typing import Optional, Sequence
@@ -367,20 +369,15 @@ def dual_description(
         rays = [r for r, _ in kept] + list(combos)
         masks = [mk for _, mk in kept] + list(combos.values())
 
-    # Final sweep: reduce modulo the final lineality, drop rays that are not
-    # extreme (the tight rows of an extreme ray have rank exactly
-    # codim(lineality) - 1), and sort into canonical order.  The tight rows
+    # Final sweep: drop rays that are not extreme (the tight rows of an
+    # extreme ray have rank exactly codim(lineality) - 1) and sort into
+    # canonical order.  Every ray is already primitive, distinct and reduced
+    # modulo the final lineality: a cut re-reduces every ray, and a ray made
+    # after the last cut was reduced by the final lineality.  The tight rows
     # are found again by dot products, not read from the masks, so the
     # extremality check does not rest on the bookkeeping it checks.
     extreme_rank = dim - len(lin) - 1
-    final: set[IntVec] = set()
-    for r in rays:
-        p = _primitive_or_none(_reduce_mod(lin, lin_pivots, r))
-        if p is None:
-            continue
-        tight = [row for row in done if sum(map(mul, row, p)) == 0]
-        if rank(tight) == extreme_rank:
-            final.add(p)
+    final = [r for r in rays if rank([row for row in done if sum(map(mul, row, r)) == 0]) == extreme_rank]
     return sorted(final), sorted(lin)
 
 
@@ -393,11 +390,14 @@ def dual_description(
 class Cone:
     """A rational polyhedral cone; construct via `from_hrep` / `from_vrep`.
 
-    Whichever representation is missing gets computed (and cached) on first
-    property access.  Representations obtained by conversion are canonical --
-    primitive, irredundant, lexicographically sorted -- while caller-supplied
-    rows are kept as given up to primitive scaling, deduplication, and ray
-    sorting; `canonical_vrep` never trusts caller-supplied rays.
+    A cone is a value: it keeps the representation it was built from, as
+    given up to primitive scaling, deduplication and ray sorting, and never
+    changes after construction.  The other representation is computed once,
+    on first access, by one of two cached conversions: V->H (`_hrep`, the
+    facets of the given rays by polar duality) and H->V (`canonical_vrep`,
+    the extreme rays of the given or computed inequalities).  Both are
+    canonical -- primitive, irredundant, lexicographically sorted --
+    and `canonical_vrep` never trusts caller-supplied rays.
     """
 
     ambient_dim: int
@@ -405,7 +405,6 @@ class Cone:
     _eqs: Optional[tuple[IntVec, ...]] = None
     _rays: Optional[tuple[IntVec, ...]] = None
     _lineality: Optional[tuple[IntVec, ...]] = None
-    _cache: dict = field(default_factory=dict, repr=False)
 
     @classmethod
     def from_hrep(
@@ -439,64 +438,55 @@ class Cone:
 
     @property
     def has_hrep(self) -> bool:
+        """Whether the cone was built from an H-representation."""
         return self._ineqs is not None
 
     @property
     def has_vrep(self) -> bool:
+        """Whether the cone was built from a V-representation."""
         return self._rays is not None
+
+    @cached_property
+    def _hrep(self) -> tuple[tuple[IntVec, ...], tuple[IntVec, ...]]:
+        if self.has_hrep:
+            return self._ineqs, self._eqs
+        # Polar duality: the facet normals of the cone are exactly the
+        # extreme rays of {y : y @ r >= 0 for all rays, y @ l == 0 on the
+        # lineality}, and the equations cutting out its span are that
+        # dual's lineality.
+        ineqs, eqs = dual_description(self.ambient_dim, self._rays, self._lineality)
+        return tuple(ineqs), tuple(eqs)
+
+    @cached_property
+    def _vrep(self) -> tuple[tuple[IntVec, ...], tuple[IntVec, ...]]:
+        rays, lin = dual_description(self.ambient_dim, *self._hrep)
+        return tuple(rays), tuple(lin)
 
     @property
     def inequalities(self) -> tuple[IntVec, ...]:
-        self._ensure_hrep()
-        return self._ineqs
+        return self._hrep[0]
 
     @property
     def equations(self) -> tuple[IntVec, ...]:
-        self._ensure_hrep()
-        return self._eqs
+        return self._hrep[1]
 
     @property
     def rays(self) -> tuple[IntVec, ...]:
-        self._ensure_vrep()
-        return self._rays
+        return self._rays if self.has_vrep else self._vrep[0]
 
     @property
     def lineality(self) -> tuple[IntVec, ...]:
-        self._ensure_vrep()
-        return self._lineality
-
-    def _ensure_hrep(self) -> None:
-        if self._ineqs is None:
-            # Polar duality: the facet normals of the cone are exactly the
-            # extreme rays of {y : y @ r >= 0 for all rays, y @ l == 0 on the
-            # lineality}, and the equations cutting out its span are that
-            # dual's lineality.
-            ineqs, eqs = dual_description(self.ambient_dim, self._rays, self._lineality)
-            object.__setattr__(self, "_ineqs", tuple(ineqs))
-            object.__setattr__(self, "_eqs", tuple(eqs))
-
-    def _ensure_vrep(self) -> None:
-        if self._rays is None:
-            rays, lin = dual_description(self.ambient_dim, self._ineqs, self._eqs)
-            object.__setattr__(self, "_rays", tuple(rays))
-            object.__setattr__(self, "_lineality", tuple(lin))
-            self._cache["canonical_vrep"] = (self._rays, self._lineality)
+        return self._lineality if self.has_vrep else self._vrep[1]
 
     def canonical_vrep(self) -> tuple[tuple[IntVec, ...], tuple[IntVec, ...]]:
-        """(extreme rays, lineality basis) in canonical form, input-independent."""
-        if "canonical_vrep" not in self._cache:
-            rays, lin = dual_description(self.ambient_dim, self.inequalities, self.equations)
-            self._cache["canonical_vrep"] = (tuple(rays), tuple(lin))
-        return self._cache["canonical_vrep"]
-
-    def extreme_rays(self) -> tuple[IntVec, ...]:
-        """Kept for the ``m21-mov`` selector and checks 10 and 13, which need
-        the irredundant rays of cones built from redundant generators."""
-        return self.canonical_vrep()[0]
+        """(extreme rays, lineality basis) in canonical form, input-independent:
+        the H->V conversion of the H-representation, given or computed."""
+        return self._vrep
 
     def contains(self, point: Sequence) -> Certificate:
-        """`certify` against the stored rays; with an H-representation, a
-        violated row is returned as the functional without a solve."""
+        """`certify` against the rays; for a cone built from an
+        H-representation, a violated row is returned as the functional
+        without a solve."""
         point = tuple(point)
         if len(point) != self.ambient_dim:
             raise ValueError(f"expected a vector of length {self.ambient_dim}, got {len(point)}")

@@ -266,12 +266,15 @@ def pi_star_map(n: int) -> LinearMap:
 # effective cones
 
 
+@lru_cache(maxsize=None)
 def eff_cone(s: SpaceId) -> Cone:
     """Cone spanned by the boundary classes; the effective cone for m <= 2.
 
     For at most one distinguished point this cone is simplicial on the
     basis classes.  With three or more distinguished points the boundary
-    classes stop spanning the effective cone, so no cone is offered.
+    classes stop spanning the effective cone, so no cone is offered.  Every
+    caller shares one cone per space, which is safe because a `Cone` never
+    changes after construction.
     """
     if s.m > 2:
         raise ValueError(
@@ -280,7 +283,6 @@ def eff_cone(s: SpaceId) -> Cone:
     return Cone.from_vrep(picard_number(s), _boundary_rays(s))
 
 
-@lru_cache(maxsize=None)
 def _boundary_rays(s: SpaceId) -> tuple[IntVec, ...]:
     """The primitive boundary classes of ``s``, one per label in label order.
 
@@ -292,9 +294,7 @@ def _boundary_rays(s: SpaceId) -> tuple[IntVec, ...]:
     separating functional, and where that certificate is verified again
     against the same list (the ``counterexample`` verb and check 02).
     `eff_cone` passes the rays through `Cone.from_vrep`, which drops
-    duplicates and sorts them.  Cached per space: the tuple is immutable,
-    and `eff_cone` still builds a fresh `Cone` from it on every call, so no
-    caller sees a representation another caller computed.
+    duplicates and sorts them.
     """
     return tuple(primitive(_scaled_class(s, {label: 1})[0]) for label in enumerate_boundaries(s))
 

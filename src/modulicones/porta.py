@@ -153,15 +153,18 @@ def porta_read(text: str) -> Cone:
 # --------------------------------------------------------------------------
 
 
-def cone_to_json(cone: Cone) -> dict:
-    """JSON-ready dict carrying whichever representations the cone holds."""
+def cone_to_json(cone: Cone, rep: Optional[str] = None) -> dict:
+    """JSON-ready dict carrying the representation the cone was built from,
+    plus ``rep`` in {"hrep", "vrep"} when it is given."""
+    if rep not in (None, "hrep", "vrep"):
+        raise ValueError(f"unknown representation {rep!r}; use 'hrep' or 'vrep'")
     obj: dict = {"ambient_dim": cone.ambient_dim}
-    if cone.has_hrep:
+    if cone.has_hrep or rep == "hrep":
         obj["hrep"] = {
             "inequalities": [list(a) for a in cone.inequalities],
             "equations": [list(e) for e in cone.equations],
         }
-    if cone.has_vrep:
+    if cone.has_vrep or rep == "vrep":
         obj["vrep"] = {
             "rays": [list(r) for r in cone.rays],
             "lineality": [list(l) for l in cone.lineality],
@@ -186,8 +189,8 @@ def cone_from_json(obj: dict) -> Cone:
     raise ValueError("cone JSON needs an 'hrep' or 'vrep' entry")
 
 
-def cone_json_dumps(cone: Cone) -> str:
-    return json.dumps(cone_to_json(cone), indent=2, sort_keys=True) + "\n"
+def cone_json_dumps(cone: Cone, rep: Optional[str] = None) -> str:
+    return json.dumps(cone_to_json(cone, rep), indent=2, sort_keys=True) + "\n"
 
 
 # --------------------------------------------------------------------------

@@ -34,7 +34,7 @@ from .bridge import (
     pointed_pushforward,
     x71_mori_data,
 )
-from .cones import Cone, certify, dual_description
+from .cones import Cone, certify
 from .curves import (
     _boundary_rays,
     class_l7,
@@ -247,10 +247,9 @@ def check_surface_effective_cone() -> None:
     assert len(eff.rays) == 4, eff.rays
     assert _ray_set(eff.rays) == _ray_set(fixtures.EFF_X52_RAYS), eff.rays
 
-    dual_rays, dual_lineality = dual_description(3, eff.rays)
-    assert not dual_lineality, dual_lineality
-    assert tuple(dual_rays) == fixtures.NEF_X52_RAYS, (
-        f"computed dual {tuple(dual_rays)}, recorded {fixtures.NEF_X52_RAYS}"
+    assert not eff.equations, eff.equations
+    assert eff.inequalities == fixtures.NEF_X52_RAYS, (
+        f"computed dual {eff.inequalities}, recorded {fixtures.NEF_X52_RAYS}"
     )
 
 
@@ -308,9 +307,9 @@ def check_genus_two_pointed() -> None:
         fixtures.M21_D,
         fixtures.M21_E,
     )
-    got_nem = set(cones["push_nem"].extreme_rays())
+    got_nem = set(cones["push_nem"].canonical_vrep()[0])
     assert got_nem == {a, b, d, e}, got_nem
-    got_nef = set(cones["push_nef"].extreme_rays())
+    got_nef = set(cones["push_nef"].canonical_vrep()[0])
     assert got_nef == {a, b, d}, got_nef
     assert m21_pushforward((5, 12, 6, 2)) == (1, 6, 5)
     assert tuple(3 * x + y for x, y in zip(b, d)) == tuple(4 * z for z in c)
@@ -353,7 +352,7 @@ def check_serialization_round_trips() -> None:
     assert text.count(">= 0") == 9, text
     assert porta_write(porta_read(text), "hrep") == text
 
-    moving = Cone.from_vrep(3, m21_cones()["push_nem"].extreme_rays())
+    moving = Cone.from_vrep(3, m21_cones()["push_nem"].canonical_vrep()[0])
     assert set(moving.rays) == {
         fixtures.M21_A,
         fixtures.M21_B,

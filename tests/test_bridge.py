@@ -156,9 +156,9 @@ def test_genus_two_cone_comparison():
         fixtures.M21_D,
         fixtures.M21_E,
     )
-    assert set(cones["push_nem"].extreme_rays()) == {A, B, D, E}
-    assert set(cones["push_nef"].extreme_rays()) == {A, B, D}
-    assert set(cones["nef"].extreme_rays()) == {A, B, C}
+    assert set(cones["push_nem"].canonical_vrep()[0]) == {A, B, D, E}
+    assert set(cones["push_nef"].canonical_vrep()[0]) == {A, B, D}
+    assert set(cones["nef"].canonical_vrep()[0]) == {A, B, C}
     assert rank(cones["eff"].rays) == len(cones["eff"].rays)
     assert tuple(3 * b + d for b, d in zip(B, D)) == tuple(4 * c for c in C)
     # chain: nef inside pushed-nef inside pushed-nem inside effective

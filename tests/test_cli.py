@@ -312,6 +312,18 @@ def test_verify_paper_reports_a_failing_check(capsys, monkeypatch):
     assert "1 passed, 1 failed" in out
 
 
+def test_verify_paper_refuses_to_pass_vacuously_under_optimize():
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "modulicones", "verify-paper", "--sections", "6"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
 def test_verify_paper_section_filter(capsys):
     code, out, _ = run_cli(capsys, "verify-paper", "--sections", "0,10")
     assert code == 0

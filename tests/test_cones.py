@@ -1,8 +1,10 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from modulicones import cones, linalg
+from modulicones.bridge import m21_cones
 from modulicones.cones import (
     Certificate,
     Cone,
@@ -11,6 +13,7 @@ from modulicones.cones import (
 )
 from modulicones.curves import eff_cone, nem_hrep
 from modulicones.linalg import vec
+from modulicones.porta import cone_json_dumps
 from modulicones.spaces import SpaceId
 
 F = Fraction
@@ -72,6 +75,38 @@ def test_contains_solves_at_most_once(monkeypatch, make, point, member, solves):
     assert bool(cert) is member
     assert cert.verify(point, cone.rays, cone.lineality)
     assert len(calls) == solves
+
+
+READ_ORDER_CONES = pytest.mark.parametrize(
+    "make",
+    [
+        lambda: Cone.from_vrep(eff_cone(SpaceId(10, 2)).ambient_dim, eff_cone(SpaceId(10, 2)).rays),
+        lambda: m21_cones()["push_nem"],
+    ],
+    ids=["eff-x10-2", "push-nem"],
+)
+
+
+@READ_ORDER_CONES
+def test_certificates_do_not_depend_on_read_order(make):
+    cone = make()  # built from rays, nothing read yet
+    rng = random.Random(0)
+    points = [tuple(rng.randint(-6, 12) for _ in range(cone.ambient_dim)) for _ in range(40)]
+    before = [cone.contains(p) for p in points]
+    assert sum(not cert for cert in before) >= 10
+    cone.inequalities
+    assert [cone.contains(p) for p in points] == before
+
+
+@READ_ORDER_CONES
+def test_json_and_built_from_do_not_depend_on_read_order(make):
+    cone = make()
+    text = cone_json_dumps(cone)
+    assert (cone.has_hrep, cone.has_vrep) == (False, True)
+    cone.inequalities
+    cone.canonical_vrep()
+    assert cone_json_dumps(cone) == text
+    assert (cone.has_hrep, cone.has_vrep) == (False, True)
 
 
 def test_certify_is_falsy_outside_and_truthy_inside():

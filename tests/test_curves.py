@@ -444,8 +444,6 @@ def test_boundary_rays_and_transport_build_no_fraction(monkeypatch):
         got = _ftau_transport(n, ftau_sum())
         assert got == expected
         assert all(type(c) is int for formal in got for c in formal.values())
-    # with the `_columns` table warm, a ray is its int column made primitive;
-    # earlier tests may have cached the rays, so the body must run again here
-    _boundary_rays.cache_clear()
+    # with the `_columns` table warm, a ray is its int column made primitive
     assert [_boundary_rays(s) for s in grid] == list(rays.values())
     assert built == []

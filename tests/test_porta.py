@@ -51,12 +51,14 @@ def test_porta_rejects_missing_dim():
 
 def test_cone_json_round_trip():
     cone = Cone.from_hrep(2, [(1, 0), (-1, 3)])
-    cone.canonical_vrep()  # populate both representations
-    obj = cone_to_json(cone)
+    assert sorted(cone_to_json(cone)) == ["ambient_dim", "hrep"]
+    obj = cone_to_json(cone, "vrep")  # both representations
     back = cone_from_json(json.loads(json.dumps(obj)))
     assert back.inequalities == cone.inequalities
     assert back.rays == cone.rays
-    assert cone_json_dumps(back) == cone_json_dumps(cone)
+    assert cone_json_dumps(back) == cone_json_dumps(cone, "vrep")
+    with pytest.raises(ValueError, match="unknown representation"):
+        cone_to_json(cone, "rays")
 
 
 def test_latex_outputs_mention_every_row():
