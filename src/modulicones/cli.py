@@ -39,7 +39,7 @@ from .bridge import (
     pointed_pushforward,
 )
 from .cones import Cone
-from .curves import _boundary_rays, counterexample_ftau, eff_cone, nem_hrep
+from .curves import _counterexample_ftau, eff_cone, nem_hrep
 from .porta import cone_json_dumps, latex_inequalities, latex_rays, porta_write
 from .spaces import SpaceId, boundary_count, picard_number, relations_and_basis
 
@@ -86,7 +86,9 @@ def _require(args: argparse.Namespace, *names: str) -> None:
     missing = [name for name in names if getattr(args, name) is None]
     if missing:
         flags = ", ".join(f"--{name}" for name in missing)
-        raise ValueError(f"--which {args.which} requires {flags}")
+        # the cone verbs select by --which, push by --map
+        selector = f"--which {args.which}" if "which" in args else f"{args.verb} --map {args.map}"
+        raise ValueError(f"{selector} requires {flags}")
 
 
 def _select_cone(args: argparse.Namespace) -> tuple[Cone, str]:
@@ -186,12 +188,11 @@ def _run_push(args: argparse.Namespace) -> int:
 
 
 def _run_counterexample(args: argparse.Namespace) -> int:
-    cls, cert = counterexample_ftau(args.n)
-    s = cls.space
-    print(f"space {s}")
+    cls, cert, rays = _counterexample_ftau(args.n)
+    print(f"space {cls.space}")
     print(f"effective class outside the boundary cone: {_fmt_vec(cls.coords)}")
     print(f"separating functional: {_fmt_vec(cert.functional)}")
-    print(f"certificate verified: {'yes' if cert.verify(cls.coords, _boundary_rays(s)) else 'NO'}")
+    print(f"certificate verified: {'yes' if cert.verify(cls.coords, rays) else 'NO'}")
     return EXIT_OK
 
 
@@ -320,7 +321,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, OverflowError) as exc:
         message = exc.args[0] if exc.args else str(exc)
         print(f"error: {message}", file=sys.stderr)
         return EXIT_USAGE

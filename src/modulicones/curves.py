@@ -47,12 +47,12 @@ from .spaces import (
     canonical_label,
     enumerate_boundaries,
     express_in_basis,
-    forgetful_pullback_sum,
     fully_pointed,
     picard_number,
     quotient_pushforward_sum,
     relabel_sum,
     relations_and_basis,
+    transport_sum,
 )
 
 __all__ = [
@@ -487,22 +487,25 @@ def counterexample_ftau(n: int) -> tuple[DivisorClass, Certificate]:
     to three distinguished points, and certifies non-membership in the cone
     spanned by all boundary classes there.
     """
+    cls, cert, _ = _counterexample_ftau(n)
+    return cls, cert
+
+
+def _counterexample_ftau(n: int) -> tuple[DivisorClass, Certificate, tuple[IntVec, ...]]:
+    """:func:`counterexample_ftau` plus the boundary rays of ``X(n, 3)`` it
+    was certified against, so a caller re-verifies without rebuilding them."""
     if n < 6:
         raise ValueError(f"need n >= 6, got {n}")
-    sum6 = quotient_pushforward_sum(fully_pointed(6), ftau_sum(), SpaceId(6, 3))
-    if n == 6:
-        terms = sum6
-    else:
-        lifted = forgetful_pullback_sum(SpaceId(6, 3), sum6, SpaceId(n, n - 3))
-        terms = quotient_pushforward_sum(SpaceId(n, n - 3), lifted, SpaceId(n, 3))
-    s = SpaceId(n, 3)
-    cls = express_in_basis(s, terms)
-    cert = certify(cls.coords, _boundary_rays(s))
+    s6, s = SpaceId(6, 3), SpaceId(n, 3)
+    sum6 = quotient_pushforward_sum(fully_pointed(6), ftau_sum(), s6)
+    cls = express_in_basis(s, sum6 if n == 6 else transport_sum(s6, sum6, s))
+    rays = _boundary_rays(s)
+    cert = certify(cls.coords, rays)
     if cert:
         raise ArithmeticError(
             f"the transported class unexpectedly lies in the boundary cone of {s}"
         )
-    return cls, cert
+    return cls, cert, rays
 
 
 def class_l7() -> tuple[FormalSum, DivisorClass]:

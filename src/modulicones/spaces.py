@@ -28,8 +28,15 @@ basis, the combination of basis labels the stored relations equate it with.
 The sum is taken in ints for int coefficients and divided by ``D`` once, so
 only the returned `DivisorClass` holds `Fraction` coordinates.  The
 pushforward and pullback multiplicities are ints too: an int-coefficient
-boundary sum stays int through `quotient_pushforward_sum`,
-`forgetful_pullback_sum` and `relabel_sum`.
+boundary sum stays int through `quotient_pushforward_sum`, `transport_sum`
+and `relabel_sum`.
+
+`transport_sum` pulls a sum back along the map forgetting new points and
+pushes it down along a symmetrization in one step, by orbit type.  Every sum
+on that route is symmetric in the new points, so the preimages of a label
+are counted by how many new points join its side, a binomial coefficient,
+and never listed one by one.  The cost is polynomial in the number of
+points, where the space in between has exponentially many labels.
 """
 
 from __future__ import annotations
@@ -39,7 +46,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm
+from math import comb, factorial, lcm
 from typing import Iterable, Mapping
 
 from .linalg import IntVec, Vec, rref
@@ -437,7 +444,7 @@ def boundary_class(s: SpaceId, label: BoundaryLabel) -> DivisorClass:
 
 
 # --------------------------------------------------------------------------
-# quotient pushforward and forgetful pullback
+# quotient pushforward and transport
 # --------------------------------------------------------------------------
 
 
@@ -497,37 +504,57 @@ def quotient_pushforward_sum(src: SpaceId, formal: FormalSum, dst: SpaceId) -> d
     return dict(out)
 
 
-def forgetful_pullback_sum(src: SpaceId, formal: FormalSum, dst: SpaceId) -> dict[BoundaryLabel, Fraction | int]:
-    """Pull a formal boundary sum back along the map forgetting the
-    distinguished points of ``dst`` beyond those of ``src``.
+def transport_sum(src: SpaceId, formal: FormalSum, dst: SpaceId) -> dict[BoundaryLabel, Fraction | int]:
+    """Pull a formal boundary sum back along the map forgetting ``p = dst.n -
+    src.n`` new points, then push it along the symmetrization to ``dst``.
 
-    One forgotten point at a time: a boundary divisor pulls back to the sum
-    of the two boundary divisors distributing the extra point over the two
-    components.  Each preimage carries the ramification index of the source
-    divisor over its own: a side of exactly two undistinguished points is
-    ramified (index 2), and once the new distinguished point joins that side
-    the preimage is not, so that preimage carries coefficient 2.  The other
-    preimage keeps the two-point side and carries 1.  When the source has
-    no distinguished point and the label splits the points evenly, both
-    preimages are the same divisor, and it is counted once.
+    This is the quotient pushforward to ``dst`` of the forgetful pullback
+    to ``mid = X(dst.n, src.m + p)``, where the ``p`` new points are
+    distinguished, computed by orbit type without building a label of
+    ``mid``.  Forgetting points pulls a boundary divisor back to the sum of
+    the divisors whose sides restrict to it (Keel, 1992).  So a source label
+    ``(s, A)`` with coefficient ``c`` pulls back, for each ``t`` in
+    ``0..p``, to the ``C(p, t)`` labels of ``mid`` whose side holds ``A``
+    and ``t`` of the new points.  Each carries ``c`` times the ramification
+    factor: 2 when the source label is ramified and its preimage is not
+    (its own side is two undistinguished points and ``t > 0``, or the other
+    side is and ``t < p``), else 1.  All of them push to the one label
+    ``(s + t, A & dst.distinguished)`` of ``dst`` with the same degree,
+    read off one representative subset.  The image coefficient is therefore
+    ``c * C(p, t) * factor * degree``, and the cost is ``O(|formal| * p)``
+    instead of the ``2^n`` labels of ``mid``.  An int-coefficient sum stays
+    int.
+
+    ``src.m >= 1`` is required: without a distinguished point an even split
+    and its mirror are one divisor, which the orbit count would take twice.
+    ``dst.m <= src.m`` is required too, so that every new point is
+    symmetrized on the way down.
     """
-    if dst.n - src.n != dst.m - src.m or dst.n < src.n:
-        raise ValueError(f"no point-forgetting map {dst} -> {src}")
-    cur_space, cur = src, dict(formal)
-    while cur_space.n < dst.n:
-        bigger = SpaceId(cur_space.n + 1, cur_space.m + 1)
-        new_point = bigger.m
-        out: dict[BoundaryLabel, Fraction | int] = defaultdict(int)
-        for label, coeff in cur.items():
-            ramified = _is_ramified(cur_space, label)
-            for image in dict.fromkeys((
-                canonical_label(bigger, label.size, label.marks),
-                canonical_label(bigger, label.size + 1, label.marks | {new_point}),
-            )):
-                factor = 2 if ramified and not _is_ramified(bigger, image) else 1
-                out[image] += coeff * factor
-        cur_space, cur = bigger, dict(out)
-    return cur
+    p = dst.n - src.n
+    if src.m < 1 or dst.m > src.m or p < 0:
+        raise ValueError(f"no orbit-type transport {src} -> {dst}")
+    mid = SpaceId(dst.n, src.m + p)
+    new_points = range(src.m + 1, src.m + p + 1)
+    free = range(src.m + p + 1, dst.n + 1)
+    out: dict[BoundaryLabel, Fraction | int] = defaultdict(int)
+    for label, coeff in formal.items():
+        size, marks = label.size, label.marks
+        if not _is_valid(src, size, marks):
+            raise ValueError(f"no boundary divisor ({size}, {sorted(marks)}) on {src}")
+        coeff = _exact(coeff)
+        own_ramified = size == 2 and not marks
+        other_ramified = src.n - size == 2 and len(marks) == src.m
+        kept = marks & dst.distinguished
+        for t in range(p + 1):
+            factor = 2 if (own_ramified and t > 0) or (other_ramified and t < p) else 1
+            members = marks | frozenset(new_points[:t]) | frozenset(free[: size - len(marks)])
+            dst_stab, dst_trivial = _pushforward_degree(dst, members)
+            mid_stab, mid_trivial = _pushforward_degree(mid, members)
+            deg, rest = divmod(dst_stab * mid_trivial, dst_trivial * mid_stab)
+            if rest:
+                raise AssertionError(f"the multiplicity of {label} pushed from {mid} to {dst} is not an integer")
+            out[canonical_label(dst, size + t, kept)] += coeff * comb(p, t) * factor * deg
+    return dict(out)
 
 
 def relabel_sum(n: int, formal: FormalSum, swap: Mapping[int, int]) -> dict[BoundaryLabel, Fraction | int]:

@@ -36,9 +36,8 @@ from .bridge import (
 )
 from .cones import Cone, certify
 from .curves import (
-    _boundary_rays,
+    _counterexample_ftau,
     class_l7,
-    counterexample_ftau,
     curve_ck,
     eff_cone,
     eff_xn2_derivation,
@@ -127,9 +126,8 @@ def check_counterexample() -> None:
 
     coords = {}
     for n in (6, 7, 8):
-        s = SpaceId(n, 3)
-        cls, cert = counterexample_ftau(n)
-        assert cert.kind == "non-membership" and cert.verify(cls.coords, _boundary_rays(s)), n
+        cls, cert, rays = _counterexample_ftau(n)
+        assert cert.kind == "non-membership" and cert.verify(cls.coords, rays), n
         coords[n] = cls.coords
 
     recorded = {

@@ -6,7 +6,9 @@ combination order, separating functionals) of each query, so any change in
 the pivots or in the certificates shows up here.  The pins for ``eff`` at
 n = 13..16 and for ``counterexample`` at n = 10..12, which complete the
 benchmark's certify pool, were recorded later, from the code before boundary
-classes moved to integer columns.
+classes moved to integer columns.  The pin over ``counterexample`` at
+n = 6..18 was recorded from the label-by-label transport, before it moved to
+orbit types.
 """
 
 import hashlib
@@ -36,6 +38,7 @@ PINS = {
     "eff-x15-2": "747a444c7104b40c40c5b66f4a290627e4d9bd0d6970c4ac6ba4270197290fcf",
     "eff-x16-2": "53774d54cc33ff9806319807f0b346489d3e26304814ef558911c83be93bdefa",
     "counterexample-x10-12": "870b31222e5fb49a44ab8304ab87a77a657a88fce84bad551048a98dc5ed94c6",
+    "counterexample-x6-18": "e2029d0759085e6faa271076bdda395eab09e771d805d1e23cfa240028f5fb3d",
 }
 
 
@@ -97,3 +100,9 @@ def test_larger_counterexample_outputs_are_pinned(capsys):
     digest, codes = _digest(capsys, [["counterexample", "--n", str(n)] for n in range(10, 13)])
     assert codes == [0] * 3
     assert digest == PINS["counterexample-x10-12"]
+
+
+def test_counterexample_outputs_up_to_eighteen_points_are_pinned(capsys):
+    digest, codes = _digest(capsys, [["counterexample", "--n", str(n)] for n in range(6, 19)])
+    assert codes == [0] * 13
+    assert digest == PINS["counterexample-x6-18"]

@@ -276,6 +276,40 @@ def test_push_refuses_the_wrong_number_of_coordinates(flags, expected, extra, ca
     assert f"takes {expected} coordinates, got {expected + extra}" in line
 
 
+@pytest.mark.parametrize(
+    "flags, missing",
+    [
+        (("--map", "hyperelliptic"), "--g"),
+        (("--map", "pointed", "--n", "2"), "--g"),
+    ],
+    ids=["hyperelliptic", "pointed"],
+)
+def test_push_names_its_missing_flags(flags, missing, capsys):
+    code, out, err = run_cli(capsys, "push", *flags, "--coords", "1,0,0")
+    assert (code, out) == (2, "")
+    assert err == f"error: push {' '.join(flags[:2])} requires {missing}\n"
+
+
+HUGE = str(10**20)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("cone", "--which", "nem", "--n", HUGE, "--m", "1"),
+        ("cone", "--which", "hyperelliptic", "--g", HUGE),
+        ("cone", "--which", "mg1", "--g", HUGE, "--n", "2"),
+        ("member", "--which", "nem", "--n", HUGE, "--m", "1", "--coords", "1"),
+    ],
+    ids=["cone-nem", "cone-hyperelliptic", "cone-mg1", "member-nem"],
+)
+def test_an_index_sized_overflow_is_a_usage_error(argv, capsys):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    (line,) = err.splitlines()
+    assert line.startswith("error:")
+
+
 # --- counterexample -----------------------------------------------------------
 
 

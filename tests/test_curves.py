@@ -33,12 +33,12 @@ from modulicones.spaces import (
     canonical_label,
     enumerate_boundaries,
     express_in_basis,
-    forgetful_pullback_sum,
     fully_pointed,
     picard_number,
     quotient_pushforward_sum,
     relations_and_basis,
 )
+from transport_oracle import forgetful_pullback_sum
 
 F = Fraction
 
@@ -416,10 +416,16 @@ def test_fixture_rays_are_int_tuples():
 
 
 def _ftau_transport(n, terms):
-    """The sums `counterexample_ftau` builds on its way to ``X(n, 3)``."""
+    """The sums `counterexample_ftau` builds on its way to ``X(n, 3)``, and
+    those of the label-by-label route it replaced."""
     sum6 = quotient_pushforward_sum(fully_pointed(6), terms, SpaceId(6, 3))
     lifted = forgetful_pullback_sum(SpaceId(6, 3), sum6, SpaceId(n, n - 3))
-    return [sum6, lifted, quotient_pushforward_sum(SpaceId(n, n - 3), lifted, SpaceId(n, 3))]
+    return [
+        sum6,
+        lifted,
+        quotient_pushforward_sum(SpaceId(n, n - 3), lifted, SpaceId(n, 3)),
+        spaces.transport_sum(SpaceId(6, 3), sum6, SpaceId(n, 3)),
+    ]
 
 
 def test_boundary_rays_and_transport_build_no_fraction(monkeypatch):

@@ -41,13 +41,13 @@ from modulicones.spaces import (
     SpaceId,
     enumerate_boundaries,
     express_in_basis,
-    forgetful_pullback_sum,
     fully_pointed,
     keel_relations,
     picard_number,
     quotient_pushforward_sum,
     relations_and_basis,
 )
+from transport_oracle import forgetful_pullback_sum
 
 F = Fraction
 

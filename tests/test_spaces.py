@@ -14,7 +14,6 @@ from modulicones.spaces import (
     canonical_label,
     enumerate_boundaries,
     express_in_basis,
-    forgetful_pullback_sum,
     fully_pointed,
     keel_relations,
     picard_number,
@@ -23,6 +22,7 @@ from modulicones.spaces import (
     relations_and_basis,
     sum_to_vector,
 )
+from transport_oracle import forgetful_pullback_sum
 
 F = Fraction
 
