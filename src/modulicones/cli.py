@@ -39,7 +39,7 @@ from .bridge import (
     pointed_pushforward,
 )
 from .cones import Cone
-from .curves import _counterexample_ftau, eff_cone, nem_hrep
+from .curves import counterexample_ftau, eff_cone, nem_hrep
 from .porta import cone_json_dumps, latex_inequalities, latex_rays, porta_write
 from .spaces import SpaceId, boundary_count, picard_number, relations_and_basis
 
@@ -188,7 +188,7 @@ def _run_push(args: argparse.Namespace) -> int:
 
 
 def _run_counterexample(args: argparse.Namespace) -> int:
-    cls, cert, rays = _counterexample_ftau(args.n)
+    cls, cert, rays = counterexample_ftau(args.n)
     print(f"space {cls.space}")
     print(f"effective class outside the boundary cone: {_fmt_vec(cls.coords)}")
     print(f"separating functional: {_fmt_vec(cert.functional)}")

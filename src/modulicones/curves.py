@@ -49,7 +49,6 @@ from .spaces import (
     express_in_basis,
     fully_pointed,
     picard_number,
-    quotient_pushforward_sum,
     relabel_sum,
     relations_and_basis,
     transport_sum,
@@ -480,25 +479,20 @@ def l7_sum() -> FormalSum:
     return terms
 
 
-def counterexample_ftau(n: int) -> tuple[DivisorClass, Certificate]:
+def counterexample_ftau(n: int) -> tuple[DivisorClass, Certificate, tuple[IntVec, ...]]:
     """Effective class on ``X(n, 3)`` lying outside the boundary cone.
 
-    Transports the six-point fibre class up to ``n`` points, pushes it down
-    to three distinguished points, and certifies non-membership in the cone
-    spanned by all boundary classes there.
+    Transports the six-point fibre class to ``n`` points and down to three
+    distinguished points in one step (`transport_sum` from the fully pointed
+    six-point space), and certifies non-membership in the cone spanned by
+    all boundary classes there.  Returns the class, the certificate and the
+    boundary rays of ``X(n, 3)`` it was certified against, so a caller
+    re-verifies without rebuilding them.
     """
-    cls, cert, _ = _counterexample_ftau(n)
-    return cls, cert
-
-
-def _counterexample_ftau(n: int) -> tuple[DivisorClass, Certificate, tuple[IntVec, ...]]:
-    """:func:`counterexample_ftau` plus the boundary rays of ``X(n, 3)`` it
-    was certified against, so a caller re-verifies without rebuilding them."""
     if n < 6:
         raise ValueError(f"need n >= 6, got {n}")
-    s6, s = SpaceId(6, 3), SpaceId(n, 3)
-    sum6 = quotient_pushforward_sum(fully_pointed(6), ftau_sum(), s6)
-    cls = express_in_basis(s, sum6 if n == 6 else transport_sum(s6, sum6, s))
+    s = SpaceId(n, 3)
+    cls = express_in_basis(s, transport_sum(fully_pointed(6), ftau_sum(), s))
     rays = _boundary_rays(s)
     cert = certify(cls.coords, rays)
     if cert:
@@ -518,6 +512,6 @@ def class_l7() -> tuple[FormalSum, DivisorClass]:
     terms = l7_sum()
     swapped = relabel_sum(7, terms, {1: 7, 7: 1})
     s = SpaceId(7, 1)
-    pushed = quotient_pushforward_sum(fully_pointed(7), swapped, s)
+    pushed = transport_sum(fully_pointed(7), swapped, s)
     coords = express_in_basis(s, pushed).coords
     return terms, DivisorClass(s, primitive(coords))

@@ -28,15 +28,15 @@ basis, the combination of basis labels the stored relations equate it with.
 The sum is taken in ints for int coefficients and divided by ``D`` once, so
 only the returned `DivisorClass` holds `Fraction` coordinates.  The
 pushforward and pullback multiplicities are ints too: an int-coefficient
-boundary sum stays int through `quotient_pushforward_sum`, `transport_sum`
-and `relabel_sum`.
+boundary sum stays int through `transport_sum` and `relabel_sum`.
 
-`transport_sum` pulls a sum back along the map forgetting new points and
-pushes it down along a symmetrization in one step, by orbit type.  Every sum
-on that route is symmetric in the new points, so the preimages of a label
-are counted by how many new points join its side, a binomial coefficient,
-and never listed one by one.  The cost is polynomial in the number of
-points, where the space in between has exponentially many labels.
+`transport_sum` is the one push of boundary sums.  It pulls a sum back along
+the map forgetting new points and pushes it down along a symmetrization in
+one step, by orbit type; with no new point it is the plain symmetrization.
+Every sum on that route is symmetric in the new points, so the preimages of
+a label are counted by how many new points join its side, a binomial
+coefficient, and never listed one by one.  The cost is polynomial in the
+number of points, where the space in between has exponentially many labels.
 """
 
 from __future__ import annotations
@@ -448,14 +448,6 @@ def boundary_class(s: SpaceId, label: BoundaryLabel) -> DivisorClass:
 # --------------------------------------------------------------------------
 
 
-def _lift_to_pointed(src: SpaceId, label: BoundaryLabel) -> frozenset[int]:
-    """A representative subset of {1..n} over the label, filling the
-    undistinguished slots with the smallest free symmetrized points."""
-    free = iter(range(src.m + 1, src.n + 1))
-    extra = frozenset(itertools.islice(free, label.size - len(label.marks)))
-    return label.marks | extra
-
-
 def _pushforward_degree(s: SpaceId, members: frozenset[int]) -> tuple[int, int]:
     """Degree with which the pointed boundary divisor of the subset
     ``members`` maps onto its image in ``s``, as ``(stab, trivial)``: the
@@ -483,27 +475,6 @@ def _pushforward_degree(s: SpaceId, members: frozenset[int]) -> tuple[int, int]:
     return stab, trivial
 
 
-def quotient_pushforward_sum(src: SpaceId, formal: FormalSum, dst: SpaceId) -> dict[BoundaryLabel, Fraction | int]:
-    """Push a formal boundary sum along the further symmetrization map.
-
-    Each label's multiplicity is the ratio of its pushforward degrees to
-    ``dst`` and from ``src``, an integer; an int-coefficient sum stays int.
-    """
-    if dst.n != src.n or dst.m > src.m:
-        raise ValueError(f"no symmetrization map {src} -> {dst}")
-    out: dict[BoundaryLabel, Fraction | int] = defaultdict(int)
-    for label, coeff in formal.items():
-        members = _lift_to_pointed(src, label)
-        dst_stab, dst_trivial = _pushforward_degree(dst, members)
-        src_stab, src_trivial = _pushforward_degree(src, members)
-        deg, rest = divmod(dst_stab * src_trivial, dst_trivial * src_stab)
-        if rest:
-            raise AssertionError(f"the multiplicity of {label} pushed from {src} to {dst} is not an integer")
-        image = canonical_label(dst, len(members), members & dst.distinguished)
-        out[image] += _exact(coeff) * deg
-    return dict(out)
-
-
 def transport_sum(src: SpaceId, formal: FormalSum, dst: SpaceId) -> dict[BoundaryLabel, Fraction | int]:
     """Pull a formal boundary sum back along the map forgetting ``p = dst.n -
     src.n`` new points, then push it along the symmetrization to ``dst``.
@@ -523,10 +494,13 @@ def transport_sum(src: SpaceId, formal: FormalSum, dst: SpaceId) -> dict[Boundar
     read off one representative subset.  The image coefficient is therefore
     ``c * C(p, t) * factor * degree``, and the cost is ``O(|formal| * p)``
     instead of the ``2^n`` labels of ``mid``.  An int-coefficient sum stays
-    int.
+    int.  With ``p = 0`` there is nothing to pull back: ``mid`` is ``src``,
+    the factor is 1, and this is the plain symmetrization ``src -> dst``,
+    each label pushed with the ratio of its degrees onto ``dst`` and ``src``.
 
-    ``src.m >= 1`` is required: without a distinguished point an even split
-    and its mirror are one divisor, which the orbit count would take twice.
+    ``src.m >= 1`` is required, also for ``p = 0``: without a distinguished
+    point an even split and its mirror are one divisor, which the orbit
+    count would take twice.
     ``dst.m <= src.m`` is required too, so that every new point is
     symmetrized on the way down.
     """

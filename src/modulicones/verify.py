@@ -36,8 +36,8 @@ from .bridge import (
 )
 from .cones import Cone, certify
 from .curves import (
-    _counterexample_ftau,
     class_l7,
+    counterexample_ftau,
     curve_ck,
     eff_cone,
     eff_xn2_derivation,
@@ -126,7 +126,7 @@ def check_counterexample() -> None:
 
     coords = {}
     for n in (6, 7, 8):
-        cls, cert, rays = _counterexample_ftau(n)
+        cls, cert, rays = counterexample_ftau(n)
         assert cert.kind == "non-membership" and cert.verify(cls.coords, rays), n
         coords[n] = cls.coords
 

@@ -248,7 +248,7 @@ def test_certificates_build_no_fraction_in_the_pivot_loop(monkeypatch):
     eff = eff_cone(SpaceId(10, 2))
     lined = Cone.from_vrep(4, [(1, 0, 0, 0), (1, 2, 0, 0), (0, 1, 3, 0)], [(0, 0, 1, 1)])
     r = eff.rays
-    facet = eff_cone(SpaceId(10, 2)).inequalities[0]  # a separate cone: eff stays V-only
+    facet = eff_cone(SpaceId(10, 2)).inequalities[0]  # the same cached cone, still V-built: a Cone never changes
     queries = [
         (eff, tuple(3 * a + 2 * b + c for a, b, c in zip(r[0], r[5], r[-1])), True),
         (eff, tuple(-x for x in r[3]), False),

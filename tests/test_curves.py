@@ -35,10 +35,9 @@ from modulicones.spaces import (
     express_in_basis,
     fully_pointed,
     picard_number,
-    quotient_pushforward_sum,
     relations_and_basis,
 )
-from transport_oracle import forgetful_pullback_sum
+from transport_oracle import forgetful_pullback_sum, quotient_pushforward_sum
 
 F = Fraction
 
@@ -361,13 +360,14 @@ def test_decomposition_face_n6():
     ],
 )
 def test_moving_but_not_boundary_generated(n, coords):
-    cls, cert = counterexample_ftau(n)
+    cls, cert, rays = counterexample_ftau(n)
     assert cls.coords == vec(coords)
     assert cert.kind == "non-membership"
     s = SpaceId(n, 3)
     gens = [
         primitive(boundary_class(s, lbl).coords) for lbl in enumerate_boundaries(s)
     ]
+    assert list(rays) == gens
     assert cert.verify(cls.coords, gens)
 
 
@@ -416,15 +416,17 @@ def test_fixture_rays_are_int_tuples():
 
 
 def _ftau_transport(n, terms):
-    """The sums `counterexample_ftau` builds on its way to ``X(n, 3)``, and
-    those of the label-by-label route it replaced."""
+    """The route first: the one sum `counterexample_ftau` builds, by
+    `transport_sum` from the fully pointed six-point space to ``X(n, 3)``.
+    Then, for reference, the sums of the label-by-label oracle route through
+    ``X(6, 3)`` and ``X(n, n - 3)``."""
     sum6 = quotient_pushforward_sum(fully_pointed(6), terms, SpaceId(6, 3))
     lifted = forgetful_pullback_sum(SpaceId(6, 3), sum6, SpaceId(n, n - 3))
     return [
+        spaces.transport_sum(fully_pointed(6), terms, SpaceId(n, 3)),
         sum6,
         lifted,
         quotient_pushforward_sum(SpaceId(n, n - 3), lifted, SpaceId(n, 3)),
-        spaces.transport_sum(SpaceId(6, 3), sum6, SpaceId(n, 3)),
     ]
 
 

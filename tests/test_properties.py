@@ -18,7 +18,7 @@ from modulicones.spaces import (
     express_in_basis,
     fully_pointed,
     keel_relations,
-    quotient_pushforward_sum,
+    transport_sum,
 )
 
 rationals = st.fractions(
@@ -468,7 +468,7 @@ def test_relations_vanish_in_every_basis(n, data):
     full = fully_pointed(n)
     labels = enumerate_boundaries(full)
     formal = {l: c for l, c in zip(labels, relation) if c}
-    cls = express_in_basis(SpaceId(n, m), quotient_pushforward_sum(full, formal, SpaceId(n, m)))
+    cls = express_in_basis(SpaceId(n, m), transport_sum(full, formal, SpaceId(n, m)))
     assert all(c == 0 for c in cls.coords)
 
 
@@ -497,13 +497,13 @@ def test_express_in_basis_reads_int_and_fraction_coefficients_alike(n, data):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=4, max_value=12), st.data())
 def test_int_pushforward_matches_the_fraction_pushforward(n, data):
-    src_m = data.draw(st.sampled_from((0, 1, 2, 3, n)))
+    src_m = data.draw(st.sampled_from((1, 2, 3, n)))
     dst_m = data.draw(st.integers(min_value=0, max_value=min(src_m, 3)))
     src, dst = SpaceId(n, src_m), SpaceId(n, dst_m)
     formal = data.draw(boundary_sums(n, src_m))
-    pushed = quotient_pushforward_sum(src, formal, dst)
+    pushed = transport_sum(src, formal, dst)
     assert all(type(c) is int for c in pushed.values())
-    assert pushed == quotient_pushforward_sum(src, {l: Fraction(c) for l, c in formal.items()}, dst)
+    assert pushed == transport_sum(src, {l: Fraction(c) for l, c in formal.items()}, dst)
 
 
 def _oracle_primitive(row):

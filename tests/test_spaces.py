@@ -17,12 +17,12 @@ from modulicones.spaces import (
     fully_pointed,
     keel_relations,
     picard_number,
-    quotient_pushforward_sum,
     relabel_sum,
     relations_and_basis,
     sum_to_vector,
+    transport_sum,
 )
-from transport_oracle import forgetful_pullback_sum
+from transport_oracle import forgetful_pullback_sum, quotient_pushforward_sum
 
 F = Fraction
 
@@ -49,7 +49,7 @@ def _relation_rank(s):
     full = fully_pointed(s.n)
     labels = enumerate_boundaries(full)
     rows = [
-        sum_to_vector(s, quotient_pushforward_sum(full, {l: c for l, c in zip(labels, row) if c}, s))
+        sum_to_vector(s, transport_sum(full, {l: c for l, c in zip(labels, row) if c}, s))
         for row in keel_relations(s.n)
     ]
     return rank(rows)
@@ -96,9 +96,9 @@ def test_pushforward_degree_rule():
     def lab(*pts):
         return canonical_label(src, len(pts), frozenset(pts))
 
-    moved = quotient_pushforward_sum(src, {lab(3, 6): F(1)}, dst)
+    moved = transport_sum(src, {lab(3, 6): F(1)}, dst)
     assert moved == {canonical_label(dst, 2, {3}): F(2)}
-    fixed = quotient_pushforward_sum(src, {lab(1, 2): F(1)}, dst)
+    fixed = transport_sum(src, {lab(1, 2): F(1)}, dst)
     assert fixed == {canonical_label(dst, 2, {1, 2}): F(6)}
 
 
@@ -128,7 +128,7 @@ def test_relations_collapse_in_every_quotient(n, m):
     s = SpaceId(n, m)
     for relation in keel_relations(n):
         formal = {l: c for l, c in zip(labels, relation) if c}
-        cls = express_in_basis(s, quotient_pushforward_sum(full, formal, s))
+        cls = express_in_basis(s, transport_sum(full, formal, s))
         assert all(c == 0 for c in cls.coords), (n, m)
 
 
@@ -150,7 +150,7 @@ def _ftau_sum():
 
 def test_moving_divisor_pushdown_n6():
     s = SpaceId(6, 3)
-    pushed = express_in_basis(s, quotient_pushforward_sum(fully_pointed(6), _ftau_sum(), s))
+    pushed = express_in_basis(s, transport_sum(fully_pointed(6), _ftau_sum(), s))
     assert pushed.coords == tuple(2 * F(c) for c in (1, 0, 0, 1, -3, -1, -1, 1))
 
 
@@ -174,7 +174,7 @@ def test_cotangent_class_symmetrization():
             formal[lbl] = formal.get(lbl, F(0)) + 1
     assert len(formal) == 15 and all(v == 1 for v in formal.values())
     swapped = relabel_sum(7, formal, {1: 7, 7: 1})
-    cls = express_in_basis(SpaceId(7, 1), quotient_pushforward_sum(src, swapped, SpaceId(7, 1)))
+    cls = express_in_basis(SpaceId(7, 1), transport_sum(src, swapped, SpaceId(7, 1)))
     assert cls.coords == tuple(48 * F(c) for c in (10, 6, 3, 1))
     assert primitive(cls.coords) == (10, 6, 3, 1)
 

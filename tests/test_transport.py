@@ -1,7 +1,9 @@
 """`spaces.transport_sum` against the label-by-label route it replaces.
 
 The oracle is the forgetful pullback of `transport_oracle`, which walks every
-label of the space in between, followed by `quotient_pushforward_sum`.
+label of the space in between, followed by that module's label-by-label
+`quotient_pushforward_sum`.  With no new point (``p = 0``) the oracle is that
+pushforward alone, so the plain symmetrization is checked here too.
 """
 
 import random
@@ -10,8 +12,8 @@ from fractions import Fraction
 import pytest
 
 from modulicones import spaces
-from modulicones.spaces import SpaceId, canonical_label, enumerate_boundaries, quotient_pushforward_sum, transport_sum
-from transport_oracle import forgetful_pullback_sum
+from modulicones.spaces import SpaceId, canonical_label, enumerate_boundaries, fully_pointed, transport_sum
+from transport_oracle import forgetful_pullback_sum, quotient_pushforward_sum
 
 F = Fraction
 
@@ -69,6 +71,11 @@ def test_transport_refuses_a_label_foreign_to_the_source():
         transport_sum(src, {spaces.BoundaryLabel(2, frozenset({4})): 1}, SpaceId(8, 3))
 
 
+# (src, dst): the space in between is X(40, 37), then X(40, 40) on the route
+# `counterexample_ftau` takes
+FORTY_POINT_ROUTES = [(SpaceId(6, 3), SpaceId(40, 3)), (fully_pointed(6), SpaceId(40, 3))]
+
+
 def test_transport_to_forty_points_builds_no_label_of_the_space_in_between(monkeypatch):
     built = []
     real = spaces.canonical_label
@@ -77,10 +84,11 @@ def test_transport_to_forty_points_builds_no_label_of_the_space_in_between(monke
         built.append(s)
         return real(s, size, marks)
 
-    src, dst = SpaceId(6, 3), SpaceId(40, 3)
-    formal = {label: 1 for label in enumerate_boundaries(src)}
+    formals = [{label: 1 for label in enumerate_boundaries(src)} for src, _ in FORTY_POINT_ROUTES]
     monkeypatch.setattr(spaces, "canonical_label", counted)
-    out = transport_sum(src, formal, dst)
-    assert SpaceId(40, 37) not in built
-    assert set(built) == {dst}
-    assert out and all(label == canonical_label(dst, label.size, label.marks) for label in out)
+    for (src, dst), formal in zip(FORTY_POINT_ROUTES, formals):
+        built.clear()
+        out = transport_sum(src, formal, dst)
+        assert SpaceId(dst.n, src.m + dst.n - src.n) not in built, src
+        assert set(built) == {dst}, src
+        assert out and all(label == canonical_label(dst, label.size, label.marks) for label in out), src

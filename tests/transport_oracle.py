@@ -1,17 +1,27 @@
-"""The label-by-label forgetful pullback, kept as the oracle that
-`spaces.transport_sum` is tested against.
+"""The label-by-label forgetful pullback and quotient pushforward, kept as
+the oracle that `spaces.transport_sum` is tested against.
 
-It walks one forgotten point at a time through every label of the spaces in
-between, so it costs about ``2^n`` labels; `transport_sum` groups those labels
-by orbit type instead.
+The pullback walks one forgotten point at a time through every label of the
+spaces in between, so it costs about ``2^n`` labels, and the pushforward
+lifts each label to one representative subset of its own; `transport_sum`
+groups those labels by orbit type instead.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections import defaultdict
 from fractions import Fraction
 
-from modulicones.spaces import BoundaryLabel, FormalSum, SpaceId, _is_ramified, canonical_label
+from modulicones.spaces import (
+    BoundaryLabel,
+    FormalSum,
+    SpaceId,
+    _exact,
+    _is_ramified,
+    _pushforward_degree,
+    canonical_label,
+)
 
 
 def forgetful_pullback_sum(src: SpaceId, formal: FormalSum, dst: SpaceId) -> dict[BoundaryLabel, Fraction | int]:
@@ -45,3 +55,32 @@ def forgetful_pullback_sum(src: SpaceId, formal: FormalSum, dst: SpaceId) -> dic
                 out[image] += coeff * factor
         cur_space, cur = bigger, dict(out)
     return cur
+
+
+def _lift_to_pointed(src: SpaceId, label: BoundaryLabel) -> frozenset[int]:
+    """A representative subset of {1..n} over the label, filling the
+    undistinguished slots with the smallest free symmetrized points."""
+    free = iter(range(src.m + 1, src.n + 1))
+    extra = frozenset(itertools.islice(free, label.size - len(label.marks)))
+    return label.marks | extra
+
+
+def quotient_pushforward_sum(src: SpaceId, formal: FormalSum, dst: SpaceId) -> dict[BoundaryLabel, Fraction | int]:
+    """Push a formal boundary sum along the further symmetrization map.
+
+    Each label's multiplicity is the ratio of its pushforward degrees to
+    ``dst`` and from ``src``, an integer; an int-coefficient sum stays int.
+    """
+    if dst.n != src.n or dst.m > src.m:
+        raise ValueError(f"no symmetrization map {src} -> {dst}")
+    out: dict[BoundaryLabel, Fraction | int] = defaultdict(int)
+    for label, coeff in formal.items():
+        members = _lift_to_pointed(src, label)
+        dst_stab, dst_trivial = _pushforward_degree(dst, members)
+        src_stab, src_trivial = _pushforward_degree(src, members)
+        deg, rest = divmod(dst_stab * src_trivial, dst_trivial * src_stab)
+        if rest:
+            raise AssertionError(f"the multiplicity of {label} pushed from {src} to {dst} is not an integer")
+        image = canonical_label(dst, len(members), members & dst.distinguished)
+        out[image] += _exact(coeff) * deg
+    return dict(out)
