@@ -17,11 +17,10 @@ zero there and ``-omega`` on the pointed side, and for ``g = 2`` the class
 ``lambda`` is not independent — it is eliminated via
 ``(1/10) delta_irr + (1/5) delta_1``.  Inequality rows are integer tuples;
 at ``g = 2`` they are scaled by 10 so that elimination stays integral, which
-changes no cone.  The family's witnesses are ints too, and become exact
-``Fraction`` values only in :func:`mg1_inequality_family`.  Map columns are
-int rows over one known denominator, which absorbs the ×10 at ``g = 2``, and
-the curve images are doubled int rows; a ``Fraction`` is built only when a
-map or an image returns its value.
+changes no cone.  The family's witnesses are ints too, their rows at the
+same scale.  Map columns are int rows over one known denominator, which
+absorbs the ×10 at ``g = 2``, and the curve images are doubled int rows; a
+``Fraction`` is built only when a map or an image returns its value.
 
 The genus-two pointed space gets special treatment (its own basis
 ``(Delta_irr, Delta_1, W)``): the seven-point one-marked quotient maps onto
@@ -41,10 +40,9 @@ from . import fixtures
 from .cones import Cone
 from .linalg import IntVec, Vec, primitive, vec
 from .curves import LinearMap, curve_ck, nem_hrep
-from .spaces import CurveClass, DivisorClass, SpaceId, relations_and_basis
+from .spaces import CurveClass, SpaceId, relations_and_basis
 
 __all__ = [
-    "ComboWitness",
     "MoriData",
     "hyperelliptic_curve_image",
     "hyperelliptic_pullback_cone",
@@ -251,20 +249,6 @@ def pointed_curve_image(g: int, n: int, k: int, target: str = "mg") -> Vec:
 # the transported inequality families
 
 
-@dataclass(frozen=True)
-class ComboWitness:
-    """Nonnegative multipliers certifying one transported positivity row.
-
-    ``c1 * (row_a(1) + 2 row_b(1)) + c2 * ((2n-3) row_a(n-1) + n row_b(n-1))``
-    equals ``2(5n^2-13n+6) * row`` exactly (``3 * row`` in the degenerate
-    two-tail case, where the leading constant vanishes).
-    """
-
-    c1: Fraction
-    c2: Fraction
-    row: Vec
-
-
 def _mg1_rows(g: int, n: int, target: str) -> dict[tuple, IntVec]:
     rows: dict[tuple, IntVec] = {}
     for k in range(1, n):
@@ -312,13 +296,22 @@ def _mg1_rows(g: int, n: int, target: str) -> dict[tuple, IntVec]:
 Witness = tuple[int, int, IntVec]
 
 
-def _mg1_family(g: int, n: int, target: str) -> tuple[Cone, dict[tuple[int, int], Witness]]:
-    """:func:`mg1_inequality_family` with int witnesses ``(c1, c2, row)``.
+def mg1_inequality_family(
+    g: int, n: int, target: str = "mg"
+) -> tuple[Cone, dict[tuple[int, int], Witness]]:
+    """The five transported inequality families, with reduction witnesses.
 
-    ``row`` is the positivity row as :func:`_row` builds it (scaled by 10 at
-    ``g = 2``).  Every check of the public function runs here: the sign of
-    the multipliers and the exact identity, each raising
-    :class:`ArithmeticError`.
+    Returns the cone they cut out together with, per valid ``(k, m)``, the
+    int multipliers ``(c1, c2, row)`` certifying that the combined slope rows
+    dominate the positivity row ``4(2(k+m)+3) delta_irr + (k+1)(m+1) lambda``:
+    ``c1 * (row_a(1) + 2 row_b(1)) + c2 * ((2n-3) row_a(n-1) + n row_b(n-1))``
+    equals ``2(5n^2-13n+6) * row`` exactly (``3 * row`` in the degenerate
+    two-tail case, where the leading constant vanishes).  ``row`` is the
+    positivity row as :func:`_row` builds it, so it is scaled by 10 at
+    ``g = 2``; the identity is linear in the rows and holds at either scale.
+    A negative multiplier or a failed identity raises
+    :class:`ArithmeticError`; it would mean the rows were transcribed
+    inconsistently.
     """
     _check_pointed_params(g, n, target)
     if n < 2:
@@ -329,7 +322,7 @@ def _mg1_family(g: int, n: int, target: str) -> tuple[Cone, dict[tuple[int, int]
 
 
 def _mg1_witnesses(g: int, n: int, target: str, rows: dict[tuple, IntVec]) -> dict[tuple[int, int], Witness]:
-    """The int witnesses of :func:`_mg1_family` for its rows ``rows``
+    """The witnesses of :func:`mg1_inequality_family` for its rows ``rows``
     (``_mg1_rows(g, n, target)``), without building the cone; raises
     :class:`ArithmeticError` on a negative multiplier or a failed identity."""
     # the two slope combinations the multipliers act on; neither depends on (k, m)
@@ -356,27 +349,6 @@ def _mg1_witnesses(g: int, n: int, target: str, rows: dict[tuple, IntVec]) -> di
     return witnesses
 
 
-def mg1_inequality_family(
-    g: int, n: int, target: str = "mg"
-) -> tuple[Cone, dict[tuple[int, int], ComboWitness]]:
-    """The five transported inequality families, with reduction witnesses.
-
-    Returns the cone they cut out together with, per valid ``(k, m)``, the
-    exact multiplier pair certifying that the combined slope rows dominate
-    the positivity row ``4(2(k+m)+3) delta_irr + (k+1)(m+1) lambda``.  A
-    failed identity raises :class:`ArithmeticError`; it would mean the rows
-    were transcribed inconsistently.  The rows, the identities and the
-    witnesses are built as ints by :func:`_mg1_family`; this is the API edge
-    where the witnesses become exact fractions (the row unscaled at
-    ``g = 2``).
-    """
-    cone, witnesses = _mg1_family(g, n, target)
-    return cone, {
-        key: ComboWitness(Fraction(c1), Fraction(c2), _as_vec(g, row))
-        for key, (c1, c2, row) in witnesses.items()
-    }
-
-
 # --------------------------------------------------------------------------
 # the genus-two pointed space
 
@@ -394,12 +366,8 @@ _M21 = LinearMap(
 )
 
 
-def m21_pushforward(coords: Sequence[Fraction | int] | DivisorClass) -> Vec:
-    """Push a seven-point one-marked class to ``(Delta_irr, Delta_1, W)``."""
-    if isinstance(coords, DivisorClass):
-        if coords.space != _M21.source:
-            raise ValueError(f"class lives on {coords.space}, map starts at {_M21.source}")
-        coords = coords.coords
+def m21_pushforward(coords: Sequence[Fraction | int]) -> Vec:
+    """Push seven-point one-marked coordinates to ``(Delta_irr, Delta_1, W)``."""
     return _M21(coords)
 
 

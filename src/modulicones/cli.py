@@ -31,11 +31,11 @@ from typing import Sequence
 
 from . import fixtures, verify
 from .bridge import (
-    _mg1_family,
     hyperelliptic_pullback_cone,
     hyperelliptic_pushforward,
     m21_cones,
     m21_pushforward,
+    mg1_inequality_family,
     pointed_pushforward,
 )
 from .cones import Cone
@@ -107,7 +107,7 @@ def _select_cone(args: argparse.Namespace) -> tuple[Cone, str]:
         return hyperelliptic_pullback_cone(args.g), f"hyperelliptic-g{args.g}"
     if which == "mg1":
         _require(args, "g", "n")
-        cone, _ = _mg1_family(args.g, args.n, args.target)
+        cone, _ = mg1_inequality_family(args.g, args.n, args.target)
         return cone, f"mg1-g{args.g}-n{args.n}-{args.target}"
     if which == "m21-mov":
         rays, _ = m21_cones()["push_nem"].canonical_vrep()
@@ -318,7 +318,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    # some argparse versions read `--flag=--` as an empty list, past `type` and `choices`
+    for name, value in vars(args).items():
+        if isinstance(value, list):
+            parser.error(f"argument --{name}: expected one argument")
     try:
         return args.handler(args)
     except (ValueError, KeyError, OverflowError) as exc:

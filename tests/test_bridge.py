@@ -123,8 +123,8 @@ def test_family_rows_are_pushed_nem_rows():
 def test_inequality_family_witnesses(n):
     cone, witnesses = mg1_inequality_family(n, n, "mg1")
     assert len(witnesses) == n * (n - 1) // 2
-    for w in witnesses.values():
-        assert w.c1 >= 0 and w.c2 >= 0
+    for c1, c2, _ in witnesses.values():
+        assert c1 >= 0 and c2 >= 0
 
 
 def test_inequality_family_on_the_unpointed_target():
@@ -136,8 +136,7 @@ def test_inequality_family_on_the_unpointed_target():
 
 def test_degenerate_two_tail_multipliers():
     _, witnesses = mg1_inequality_family(2, 2, "mg1")
-    assert witnesses[(1, 0)].c1 == 1
-    assert witnesses[(1, 0)].c2 == 2
+    assert witnesses[(1, 0)][:2] == (1, 2)
 
 
 def test_pushforward_to_the_pointed_genus_two_space():
@@ -237,20 +236,18 @@ def test_pullback_cone_hrep_digest(g):
 
 
 def test_witness_values_at_genus_two():
-    # g = 2 is the one target where lambda is eliminated: the row keeps its
-    # exact fractions (1/10 and 1/5 of lambda on delta_irr and delta_1)
+    # g = 2 is the one target where lambda is eliminated (1/10 and 1/5 of
+    # lambda on delta_irr and delta_1): the row comes scaled by 10
     _, witnesses = mg1_inequality_family(2, 2, "mg1")
-    assert {k: (w.c1, w.c2, w.row) for k, w in witnesses.items()} == {
+    assert {k: (c1, c2, tuple(F(x, 10) for x in row)) for k, (c1, c2, row) in witnesses.items()} == {
         (1, 0): (1, 2, (F(101, 5), F(2, 5), F(0))),
     }
-    for w in witnesses.values():
-        assert all(type(x) is F for x in (w.c1, w.c2, *w.row))
 
 
 def test_witness_values_at_genus_five():
     _, witnesses = mg1_inequality_family(5, 4, "mg1")
     tail = (0,) * 5
-    assert {k: (w.c1, w.c2, w.row) for k, w in witnesses.items()} == {
+    assert witnesses == {
         (1, 0): (68, 0, (2, 20) + tail),
         (2, 0): (90, 2, (3, 28) + tail),
         (2, 1): (60, 24, (6, 36) + tail),
@@ -258,8 +255,6 @@ def test_witness_values_at_genus_five():
         (3, 1): (56, 36, (8, 44) + tail),
         (3, 2): (0, 68, (12, 52) + tail),
     }
-    for w in witnesses.values():
-        assert all(type(x) is F for x in (w.c1, w.c2, *w.row))
 
 
 def test_failed_multiplier_identity_raises(monkeypatch):
@@ -296,14 +291,9 @@ def test_inequality_rows_are_machine_integers(g, monkeypatch):
 @pytest.mark.parametrize("n", range(2, 13))
 def test_int_witnesses_are_the_public_witnesses(n, target):
     for g in range(n + 1 if target == "mg" else max(n, 2), 14):
-        cone, ints = bridge._mg1_family(g, n, target)
-        public_cone, witnesses = mg1_inequality_family(g, n, target)
-        assert cone.inequalities == public_cone.inequalities, g
-        assert ints.keys() == witnesses.keys(), g
-        for key, (c1, c2, row) in ints.items():
+        _, witnesses = mg1_inequality_family(g, n, target)
+        for key, (c1, c2, row) in witnesses.items():
             assert all(type(x) is int for x in (c1, c2, *row)), (g, key)
-            w = witnesses[key]
-            assert (F(c1), F(c2), bridge._as_vec(g, row)) == (w.c1, w.c2, w.row), (g, key)
 
 
 @pytest.mark.parametrize("g, n", [(14, 13), (2, 2)])

@@ -1,11 +1,10 @@
 """SHA-256 pins of ``cone --which mg1 ... --rep hrep`` as the CLI prints it.
 
-The CLI builds the transported family with the int witnesses of
-`bridge._mg1_family`, not through the public `mg1_inequality_family` that
-the `FAMILY_HREP_SHA256` pins in ``test_bridge.py`` read.  These pins hold
-the CLI path's bytes for every candidate the ``paper`` benchmark workload
-can draw: n = 8..13 with g = n+1..n+3 on ``mg`` and g = n..n+2 on ``mg1``.
-The digests were recorded before the witnesses moved to ints.
+The CLI builds the transported family with `bridge.mg1_inequality_family`,
+the one path the `FAMILY_HREP_SHA256` pins in ``test_bridge.py`` read too.
+These pins hold its bytes for every candidate the ``paper`` benchmark
+workload can draw: n = 8..13 with g = n+1..n+3 on ``mg`` and g = n..n+2 on
+``mg1``.  The digests were recorded before the witnesses moved to ints.
 """
 
 import hashlib
