@@ -160,8 +160,7 @@ def _run_member(args: argparse.Namespace) -> int:
     cert = cone.contains(point)
     # build every line before writing any: an unprintable coefficient leaves stdout empty
     if cert:
-        rays = cone.rays
-        terms = [f"{c} * {_fmt_vec(rays[i])}" for i, c in cert.coefficients]
+        terms = [f"{c} * {_fmt_vec(cone.generators[i])}" for i, c in cert.coefficients]
         lines = ["member: yes", "combination: " + (" + ".join(terms) if terms else "0")]
     else:
         lines = ["member: no", f"separating functional: {_fmt_vec(cert.functional)}"]

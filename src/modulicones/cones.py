@@ -6,30 +6,36 @@ A `Cone` is a value built from one of two representations:
   rows ``e`` with ``e @ x == 0``;
 * V-representation -- generating rays plus a basis of the lineality space.
 
-It keeps the one it was built from and computes the other once, through one
-cached V->H conversion and one cached H->V conversion (`Cone.canonical_vrep`),
-so no answer depends on what was read before it.  Every conversion in the
-package goes through them, and both run the double description method
-(`dual_description`) on integer rows from end to end: the lineality basis is
-kept as the integer rows of `linalg.rref`, the package's one elimination,
-rays are projected and reduced by integer cross-multiplication, and adjacency
-is decided combinatorially from the tight sets of the rays: a pair passes
-when it has enough common tight rows and the AND of the transposed tight-row
-bitsets over those rows leaves no third ray.  A combined ray inherits its
-tight set from the two rays it combines; a final sweep finds each ray's
-tight rows again by dot products and keeps the rays whose tight rows have
-rank one less than the codimension of the lineality (`linalg.rank`, forward
-elimination only).  Each membership query is one call to `certify`, one phase-1
-simplex solve, which produces either explicit nonnegative coefficients or a
-Farkas functional separating the point from the cone.  The simplex pivots an
-integer tableau over one common denominator ``D``, the absolute determinant
-of the current basis, so every division in a pivot is exact (`_phase1`);
-`Fraction` appears only in the coefficients a membership certificate returns.
-`certify` re-verifies every `Certificate` by direct integer arithmetic
-before it returns it, so a bug in the pivoting can only surface as an
-exception, never as a wrong answer; the target is scaled once to ints for
-this.  `Cone.contains` alone returns an H-row the point violates unverified,
-and only on a cone built from an H-representation.
+A query reads a cone as one generator list, `Cone.generators`: the rays, then
+each lineality vector followed by its negative (the Minkowski-Weyl form that
+PORTA's ``CONE_SECTION`` writes), so a membership certificate is one
+nonnegative combination and a separating functional is nonnegative on every
+listed generator, hence zero on the lineality space.
+
+A cone keeps the representation it was built from and computes the other once,
+through one cached V->H conversion and one cached H->V conversion
+(`Cone.canonical_vrep`), so no answer depends on what was read before it.
+Every conversion in the package goes through them, and both run the double
+description method (`dual_description`) on integer rows from end to end: the
+lineality basis is kept as the integer rows of `linalg.rref`, the package's
+one elimination, rays are projected and reduced by integer
+cross-multiplication, and adjacency is decided combinatorially from the tight
+sets of the rays: a pair passes when it has enough common tight rows and the
+AND of the transposed tight-row bitsets over those rows leaves no third ray.
+A combined ray inherits its tight set from the two rays it combines; a final
+sweep finds each ray's tight rows again by dot products and keeps the rays
+whose tight rows have rank one less than the codimension of the lineality
+(`linalg.rank`, forward elimination only).  Each membership query is one call
+to `certify`, one phase-1 simplex solve, which produces either explicit
+nonnegative coefficients or a Farkas functional separating the point from the
+cone.  The simplex pivots an integer tableau over one common denominator
+``D``, the absolute determinant of the current basis, so every division in a
+pivot is exact (`_phase1`); `Fraction` appears only in the coefficients a
+membership certificate returns.  `certify` re-verifies every `Certificate` by
+direct integer arithmetic before it returns it, so a bug in the pivoting can
+only surface as an exception, never as a wrong answer; the target is scaled
+once to ints for this.  `Cone.contains` alone returns an H-row the point
+violates unverified, and only on a cone built from an H-representation.
 """
 
 from __future__ import annotations
@@ -75,24 +81,24 @@ def _reduce_mod(
 
 @dataclass(frozen=True)
 class Certificate:
-    """Machine-checkable witness for a cone query.
+    """Machine-checkable witness for a cone query against one generator list.
 
     ``membership``: the target equals the nonnegative combination
-    ``sum(c * generators[i] for i, c in coefficients)`` plus the (sign-free)
-    combination recorded in ``lineality_coefficients``.
-    ``non-membership``: ``functional`` is nonnegative on every generator,
-    zero on the lineality space, and strictly negative on the target.
+    ``sum(c * generators[i] for i, c in coefficients)``.
+    ``non-membership``: ``functional`` is nonnegative on every generator and
+    strictly negative on the target.  A lineality vector enters the list as
+    the pair ``l, -l`` (`Cone.generators`), so a functional nonnegative on
+    both vanishes on it.
     """
 
     kind: str  # "membership" | "non-membership"
     coefficients: tuple[tuple[int, Fraction], ...] = ()
-    lineality_coefficients: tuple[tuple[int, Fraction], ...] = ()
     functional: Optional[IntVec] = None
 
     def __bool__(self) -> bool:
         return self.kind != "non-membership"
 
-    def verify(self, target: Sequence, generators: Sequence[Sequence], lineality: Sequence[Sequence] = ()) -> bool:
+    def verify(self, target: Sequence, generators: Sequence[Sequence]) -> bool:
         """Re-check the certificate against the query it came from, in ints,
         also for a rational target: the target is scaled once to the int row
         ``t * target`` (`linalg._int_row`), which keeps every sign and
@@ -102,41 +108,29 @@ class Certificate:
         v, t = _int_row(target)
         if self.kind == "non-membership":
             phi = self.functional
-            return (
-                all(_int_dot(phi, g) >= 0 for g in generators)
-                and all(_int_dot(phi, l) == 0 for l in lineality)
-                and _int_dot(phi, v) < 0
-            )
+            return all(_int_dot(phi, g) >= 0 for g in generators) and _int_dot(phi, v) < 0
         if any(c < 0 for _, c in self.coefficients):
             return False
-        terms = [(c, generators[i]) for i, c in self.coefficients]
-        terms += [(c, lineality[i]) for i, c in self.lineality_coefficients]
-        den = lcm(*(c.denominator for c, _ in terms))
+        den = lcm(*(c.denominator for _, c in self.coefficients))
         acc = [0] * len(v)
-        for c, g in terms:
+        for i, c in self.coefficients:
             q = t * c.numerator * (den // c.denominator)
-            acc = [a + q * b for a, b in zip(acc, g, strict=True)]
+            acc = [a + q * b for a, b in zip(acc, generators[i], strict=True)]
         return acc == [den * x for x in v]
 
 
-def certify(target: Sequence, generators: Sequence[Sequence], lineality: Sequence[Sequence] = ()) -> Certificate:
+def certify(target: Sequence, generators: Sequence[Sequence]) -> Certificate:
     """The one entry point for a cone query, one phase-1 solve: a truthy
-    membership certificate when ``target`` lies in the cone generated by
-    ``generators`` plus the span of ``lineality``, a falsy non-membership
-    certificate otherwise, verified before it is returned."""
-    x, w = _phase1([*generators, *(col for l in lineality for col in (l, tuple(-a for a in l)))], target)
+    membership certificate when ``target`` is a nonnegative combination of
+    ``generators``, a falsy non-membership certificate otherwise, verified
+    before it is returned.  A cone with a lineality space is queried through
+    `Cone.generators`, which lists each lineality vector with its negative."""
+    x, w = _phase1(generators, target)
     if x is None:
         cert = Certificate("non-membership", functional=primitive(tuple(-a for a in w)))
     else:
-        k = len(generators)
-        cert = Certificate(
-            "membership",
-            coefficients=tuple((i, c) for i, c in enumerate(x[:k]) if c != 0),
-            lineality_coefficients=tuple(
-                (j, c) for j in range(len(lineality)) if (c := x[k + 2 * j] - x[k + 2 * j + 1]) != 0
-            ),
-        )
-    if not cert.verify(target, generators, lineality):
+        cert = Certificate("membership", coefficients=tuple((i, c) for i, c in enumerate(x) if c != 0))
+    if not cert.verify(target, generators):
         raise AssertionError(f"simplex produced an invalid {cert.kind} certificate")
     return cert
 
@@ -478,13 +472,20 @@ class Cone:
     def lineality(self) -> tuple[IntVec, ...]:
         return self._lineality if self.has_vrep else self._vrep[1]
 
+    @cached_property
+    def generators(self) -> tuple[IntVec, ...]:
+        """The cone as one generator list, the form `certify`, `member` and
+        PORTA's ``CONE_SECTION`` read: the rays, then each lineality vector
+        followed by its negative."""
+        return (*self.rays, *(g for l in self.lineality for g in (l, tuple(-x for x in l))))
+
     def canonical_vrep(self) -> tuple[tuple[IntVec, ...], tuple[IntVec, ...]]:
         """(extreme rays, lineality basis) in canonical form, input-independent:
         the H->V conversion of the H-representation, given or computed."""
         return self._vrep
 
     def contains(self, point: Sequence) -> Certificate:
-        """`certify` against the rays; for a cone built from an
+        """`certify` against `generators`; for a cone built from an
         H-representation, a violated row is returned as the functional
         without a solve."""
         point = tuple(point)
@@ -500,27 +501,10 @@ class Cone:
             for a in self._ineqs:
                 if _int_dot(a, v) < 0:
                     return Certificate("non-membership", functional=a)
-            cert = certify(point, self.rays, self.lineality)
-            if not cert:
-                raise AssertionError("H-representation and V-representation disagree")
-            return cert
-        return certify(point, self._rays, self._lineality)
-
-    def dual(self) -> "Cone":
-        """Polar dual ``{y : y @ x >= 0 for all x in the cone}``.
-
-        A purely formal role swap -- generator rows become inequality rows and
-        vice versa -- so no conversion is triggered.  Kept because a
-        completeness certificate for ray lists checks a facet list as the
-        ray list of the dual cone.
-        """
-        return Cone(
-            self.ambient_dim,
-            _ineqs=self._rays,
-            _eqs=self._lineality,
-            _rays=self._ineqs,
-            _lineality=self._eqs,
-        )
+        cert = certify(point, self.generators)
+        if not cert and self.has_hrep:
+            raise AssertionError("H-representation and V-representation disagree")
+        return cert
 
     def __repr__(self) -> str:  # pragma: no cover
         parts = [f"dim={self.ambient_dim}"]

@@ -5,8 +5,8 @@ The PORTA dialect is deliberately tiny: a ``DIM = d`` header, then either an
 ``+3x1 -x2 >= 0``; equations use ``==``) or a ``CONE_SECTION`` (``.poi``,
 V-representation, integer ray rows), closed by ``END``.  Coefficients are
 integers only; anything else, and any PORTA keyword outside this dialect, is
-rejected with the offending line number.  Lineality vectors are emitted into
-``CONE_SECTION`` as opposite ray pairs, which generate the same cone.
+rejected with the offending line number.  ``CONE_SECTION`` lists
+`Cone.generators`, the rays and then each lineality vector as ``l, -l``.
 
 JSON carries exact integers for cone data, so nothing ever moves through
 floats.
@@ -51,11 +51,7 @@ def porta_write(cone: Cone, which: str) -> str:
         lines += [f"{_row_lhs(e)} == 0" for e in cone.equations]
     elif which == "vrep":
         lines.append("CONE_SECTION")
-        rows = list(cone.rays)
-        for l in cone.lineality:
-            rows.append(l)
-            rows.append(tuple(-x for x in l))
-        lines += [" ".join(str(x) for x in r) for r in rows]
+        lines += [" ".join(str(x) for x in r) for r in cone.generators]
     else:
         raise ValueError(f"unknown representation {which!r}; use 'hrep' or 'vrep'")
     lines.append("END")

@@ -2,6 +2,7 @@ import ast
 import contextlib
 import io
 import json
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from modulicones import cli, verify
+from modulicones.bridge import mg1_inequality_family
 from modulicones.curves import nem_hrep
 from modulicones.porta import porta_write
 from modulicones.spaces import SpaceId
@@ -233,6 +235,31 @@ def test_member_with_an_unprintable_coordinate_writes_nothing_and_exits_2(capsys
     )
     assert (code, out) == (2, "")
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("g, n, target", [(3, 2, "mg1"), (4, 2, "mg"), (8, 3, "mg"), (6, 5, "mg1")])
+def test_member_prints_the_lineality_terms_of_its_combination(g, n, target, capsys):
+    cone, _ = mg1_inequality_family(g, n, target)
+    assert cone.lineality
+    # member and PORTA index one generator list: rays, then each l and -l
+    assert section_rows(porta_write(cone, "vrep"), "CONE_SECTION") == [
+        " ".join(map(str, v)) for v in cone.generators
+    ]
+    ray, first = cone.rays[0], cone.lineality[0]
+    points = [p for l in cone.lineality for p in (l, tuple(-x for x in l))]
+    points.append(tuple(r + 2 * x for r, x in zip(ray, first)))
+    for point in points:
+        code, out, _ = run_cli(
+            capsys,
+            "member", "--which", "mg1", "--g", str(g), "--n", str(n), "--target", target,
+            "--coords=" + ",".join(map(str, point)),
+        )
+        assert code == 0 and out.startswith("member: yes\ncombination: "), (point, out)
+        terms = re.findall(r"(\S+) \* \(([^)]*)\)", out.splitlines()[1])
+        vectors = [tuple(int(x) for x in v.split(", ")) for _, v in terms]
+        assert all(v in cone.generators for v in vectors), (point, out)
+        total = [sum(Fraction(c) * v[i] for (c, _), v in zip(terms, vectors)) for i in range(len(point))]
+        assert total == list(point), (point, out)
 
 
 # --- push ---------------------------------------------------------------------
