@@ -20,7 +20,9 @@ at ``g = 2`` they are scaled by 10 so that elimination stays integral, which
 changes no cone.  The family's witnesses are ints too, their rows at the
 same scale.  Map columns are int rows over one known denominator, which
 absorbs the ×10 at ``g = 2``, and the curve images are doubled int rows; a
-``Fraction`` is built only when a map or an image returns its value.
+``Fraction`` is built only when a map or an image returns its value.  The
+slope rows ``a_k``, ``b_k`` are written once, in `_slope_rows`, for the
+hyperelliptic cone, the transported family and the family's witnesses.
 
 The genus-two pointed space gets special treatment (its own basis
 ``(Delta_irr, Delta_1, W)``): the seven-point one-marked quotient maps onto
@@ -172,17 +174,14 @@ def hyperelliptic_curve_image(g: int, k: int) -> Vec:
 def hyperelliptic_pullback_cone(g: int) -> Cone:
     """Effective classes whose hyperelliptic restriction stays transportable.
 
-    The ``2(g-1)`` inequalities pair a lower and an upper slope condition per
-    index; each row is the image of the corresponding unpointed-cone row
-    under :func:`hyperelliptic_pushforward`, built as an integer row.
+    The ``2(g-1)`` inequalities are the slope rows ``b_k`` and ``a_k`` of
+    `_slope_rows` for ``k = 1..g-1``, in that order; each is the image of the
+    corresponding unpointed-cone row under :func:`hyperelliptic_pushforward`.
     """
     if g < 2:
         raise ValueError(f"need g >= 2, got {g}")
-    rows = []
-    for i in range(1, g):
-        rows.append(_row("mg", g, lam=i, irr=4 * (2 * i + 1), deltas=((i, -(2 * i - 1)),)))
-        rows.append(_row("mg", g, irr=-4 * i, deltas=((i, i + 1),)))
-    return Cone.from_hrep(len(mg_basis(g)), tuple(rows))
+    rows = tuple(row for k in range(1, g) for row in reversed(_slope_rows("mg", g, k)))
+    return Cone.from_hrep(len(mg_basis(g)), rows)
 
 
 # --------------------------------------------------------------------------
@@ -249,13 +248,18 @@ def pointed_curve_image(g: int, n: int, k: int, target: str = "mg") -> Vec:
 # the transported inequality families
 
 
+def _slope_rows(target: str, g: int, k: int) -> tuple[IntVec, IntVec]:
+    """The slope rows ``(a_k, b_k)`` on ``target``; their ``delta`` index
+    ``g - k`` folds to ``k`` on ``mg``."""
+    a = _row(target, g, irr=-4 * k, deltas=((g - k, k + 1),))
+    b = _row(target, g, lam=k, irr=4 * (2 * k + 1), deltas=((g - k, -(2 * k - 1)),))
+    return a, b
+
+
 def _mg1_rows(g: int, n: int, target: str) -> dict[tuple, IntVec]:
     rows: dict[tuple, IntVec] = {}
     for k in range(1, n):
-        rows[("a", k)] = _row(target, g, irr=-4 * k, deltas=((g - k, k + 1),))
-        rows[("b", k)] = _row(
-            target, g, lam=k, irr=4 * (2 * k + 1), deltas=((g - k, -(2 * k - 1)),)
-        )
+        rows[("a", k)], rows[("b", k)] = _slope_rows(target, g, k)
         for m in range(0, k):
             rows[("c", k, m)] = _row(
                 target,
@@ -318,16 +322,19 @@ def mg1_inequality_family(
         raise ValueError(f"need n >= 2, got {n}")
     rows = _mg1_rows(g, n, target)
     dim = len(mg_basis(g) if target == "mg" else mg1_basis(g))
-    return Cone.from_hrep(dim, tuple(rows.values())), _mg1_witnesses(g, n, target, rows)
+    return Cone.from_hrep(dim, tuple(rows.values())), _mg1_witnesses(g, n, target)
 
 
-def _mg1_witnesses(g: int, n: int, target: str, rows: dict[tuple, IntVec]) -> dict[tuple[int, int], Witness]:
-    """The witnesses of :func:`mg1_inequality_family` for its rows ``rows``
-    (``_mg1_rows(g, n, target)``), without building the cone; raises
-    :class:`ArithmeticError` on a negative multiplier or a failed identity."""
+def _mg1_witnesses(g: int, n: int, target: str) -> dict[tuple[int, int], Witness]:
+    """The witnesses of :func:`mg1_inequality_family`, without building its
+    rows or its cone: they need only the slope rows at ``k = 1`` and
+    ``k = n - 1`` (`_slope_rows`); raises :class:`ArithmeticError` on a
+    negative multiplier or a failed identity."""
     # the two slope combinations the multipliers act on; neither depends on (k, m)
-    low = [a + 2 * b for a, b in zip(rows[("a", 1)], rows[("b", 1)])]
-    high = [(2 * n - 3) * a + n * b for a, b in zip(rows[("a", n - 1)], rows[("b", n - 1)])]
+    a1, b1 = _slope_rows(target, g, 1)
+    a_top, b_top = _slope_rows(target, g, n - 1)
+    low = [a + 2 * b for a, b in zip(a1, b1)]
+    high = [(2 * n - 3) * a + n * b for a, b in zip(a_top, b_top)]
     constant = 3 if n == 2 else 2 * (5 * n * n - 13 * n + 6)
     witnesses: dict[tuple[int, int], Witness] = {}
     for k in range(1, n):

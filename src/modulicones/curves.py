@@ -298,13 +298,16 @@ def _boundary_rays(s: SpaceId) -> tuple[IntVec, ...]:
     return tuple(primitive(_scaled_class(s, {label: 1})[0]) for label in enumerate_boundaries(s))
 
 
-def eff_xn2_derivation(n: int) -> tuple[dict[str, tuple[IntVec, ...]], tuple[Certificate, ...]]:
+def eff_xn2_derivation(n: int) -> tuple[dict[str, tuple[IntVec, ...]], dict[int, tuple[int, int, int]]]:
     """Inequality families certifying ``b*_j >= 0`` over the two-marked cone.
 
     Returns the four families of valid inequalities (as functionals on
     divisor coordinates of ``X(n, 2)``) together with, for each
-    ``2 <= j <= n-2``, a conic-combination certificate expressing the
-    functional ``b*_j`` in terms of them.
+    ``2 <= j <= n-2``, the positive int multipliers ``(c1, c3, c4) =
+    (n-j-1, j-1, (n-j-1)(j-1)(n-4))`` of the stated combination
+    ``c1 * ineq1_j + c3 * ineq3_j + c4 * ineq4 = (n-2)(n-3)(n-4) * b*_j``.
+    The identity is checked in ints; a failure raises
+    :class:`ArithmeticError`: the rows would be transcribed inconsistently.
     """
     if n < 5:
         raise ValueError(f"need n >= 5, got {n}")
@@ -318,22 +321,22 @@ def eff_xn2_derivation(n: int) -> tuple[dict[str, tuple[IntVec, ...]], tuple[Cer
         fam3.append(_row(s, (f"b*{j}", c), (3, (n - j - 1) * (j - 2)), ("b*2", -(n - 4) * (n - j - 1))))
     ineq4 = _row(s, ("b*2", 1), (f"b*{n - 2}", 1), (3, -1))
 
-    certs = []
-    for idx, j in enumerate(range(2, n - 1)):
-        gens = (fam1[idx], fam3[idx], ineq4)
-        cert = certify(_row(s, (f"b*{j}", 1)), gens)
-        if not cert:
-            raise ArithmeticError(
-                f"b*_{j} is not a conic combination of the derived inequalities"
-            )
-        certs.append(cert)
+    constant = (n - 2) * (n - 3) * (n - 4)
+    multipliers = {}
+    for j, row1, row3 in zip(range(2, n - 1), fam1, fam3):
+        c1, c3 = n - j - 1, j - 1
+        c4 = c1 * c3 * (n - 4)
+        unit = _row(s, (f"b*{j}", constant))
+        if any(c1 * x + c3 * y + c4 * z != u for x, y, z, u in zip(row1, row3, ineq4, unit)):
+            raise ArithmeticError(f"the stated combination does not yield b*_{j}")
+        multipliers[j] = (c1, c3, c4)
     families = {
         "ineq1": tuple(fam1),
         "ineq2": tuple(fam2),
         "ineq3": tuple(fam3),
         "ineq4": (ineq4,),
     }
-    return families, tuple(certs)
+    return families, multipliers
 
 
 # --------------------------------------------------------------------------

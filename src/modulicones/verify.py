@@ -24,7 +24,6 @@ from typing import Callable, Iterable, Sequence
 
 from . import fixtures
 from .bridge import (
-    _mg1_rows,
     _mg1_witnesses,
     hyperelliptic_curve_image,
     hyperelliptic_pushforward,
@@ -34,7 +33,7 @@ from .bridge import (
     pointed_pushforward,
     x71_mori_data,
 )
-from .cones import Cone, certify
+from .cones import Cone
 from .curves import (
     class_l7,
     counterexample_ftau,
@@ -254,17 +253,7 @@ def check_surface_effective_cone() -> None:
 def check_two_marked_derivation() -> None:
     """The stated combination of derived rows yields each starred unit."""
     for n in range(5, 11):
-        families, _ = eff_xn2_derivation(n)
-        dim = picard_number(SpaceId(n, 2))
-        last = families["ineq4"][0]
-        constant = (n - 2) * (n - 3) * (n - 4)
-        for j in range(2, n - 1):
-            combo = tuple(
-                (n - j - 1) * a + (j - 1) * b + (n - j - 1) * (j - 1) * (n - 4) * c
-                for a, b, c in zip(families["ineq1"][j - 2], families["ineq3"][j - 2], last)
-            )
-            want = tuple(constant if k == (n - 4) + (j - 2) else 0 for k in range(dim))
-            assert combo == want, (n, j, _fmt(combo))
+        eff_xn2_derivation(n)  # raises on any failed combination
 
 
 def check_transport_consistency() -> None:
@@ -289,10 +278,8 @@ def check_transport_consistency() -> None:
     for n in range(3, 21):
         assert 5 * n * n - 13 * n + 6 > 0, n
         for g, target in ((n, "mg1"), (n + 1, "mg")):
-            # raises on any failed exact identity behind the family
-            witnesses = _mg1_witnesses(g, n, target, _mg1_rows(g, n, target))
-            bad = {key: (c1, c2) for key, (c1, c2, _) in witnesses.items() if c1 < 0 or c2 < 0}
-            assert not bad, (n, target, bad)
+            # raises on a negative multiplier or a failed exact identity
+            _mg1_witnesses(g, n, target)
 
 
 def check_genus_two_pointed() -> None:
@@ -329,17 +316,14 @@ def check_containment_chain() -> None:
     for s in fixtures.NEF_RAYS:
         nem = nem_hrep(s)
         for ray in fixtures.NEF_RAYS[s]:
-            cert = certify(ray, nem.rays)
-            assert cert and cert.verify(ray, nem.rays), (s, "nef", ray)
+            assert nem.contains(ray), (s, "nef", ray)
         eff = eff_cone(s)
         for ray in fixtures.NEM_RAYS[s]:
-            cert = certify(ray, eff.rays)
-            assert cert and cert.verify(ray, eff.rays), (s, "nem", ray)
+            assert eff.contains(ray), (s, "nem", ray)
 
     surface_eff = eff_cone(SpaceId(5, 2))
     for ray in fixtures.NEF_X52_RAYS:
-        cert = certify(ray, surface_eff.rays)
-        assert cert and cert.verify(ray, surface_eff.rays), ray
+        assert surface_eff.contains(ray), ray
 
 
 def check_serialization_round_trips() -> None:

@@ -195,7 +195,8 @@ def test_parameter_validation(call):
 
 
 # SHA-256 of the PORTA H-representation, recorded before the rows became
-# integer: the integer row builder must cut out byte-identical cones.
+# integer: the integer row builder must cut out byte-identical cones.  The
+# text keeps the row order, which the row-set and ray-pin tests do not see.
 FAMILY_HREP_SHA256 = {
     (2, 2, "mg1"): "494834aa7112b7c858d3ce57cfd7ca7d39c2fcb17339ebf5ab9c3212037fbb70",
     (3, 2, "mg"): "de404f1575eb2ac9623400051259fabb58a1593a9baa5087b0e418b9b72a9647",
@@ -258,15 +259,13 @@ def test_witness_values_at_genus_five():
 
 
 def test_failed_multiplier_identity_raises(monkeypatch):
-    real_rows = bridge._mg1_rows
+    real_slope_rows = bridge._slope_rows
 
-    def perturbed(g, n, target):
-        rows = dict(real_rows(g, n, target))
-        row = rows[("a", 1)]
-        rows[("a", 1)] = (row[0] + 1,) + tuple(row[1:])
-        return rows
+    def perturbed(target, g, k):
+        a, b = real_slope_rows(target, g, k)
+        return ((a[0] + 1,) + a[1:] if k == 1 else a), b
 
-    monkeypatch.setattr(bridge, "_mg1_rows", perturbed)
+    monkeypatch.setattr(bridge, "_slope_rows", perturbed)
     for g, n, target in ((2, 2, "mg1"), (5, 4, "mg1"), (6, 3, "mg")):
         with pytest.raises(ArithmeticError):
             mg1_inequality_family(g, n, target)

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from modulicones import curves, fixtures, linalg, spaces, verify
+from modulicones import cones, curves, fixtures, linalg, spaces, verify
 from modulicones.bridge import hyperelliptic_pushforward, pointed_pushforward
 from modulicones.cones import certify
 from modulicones.curves import (
@@ -219,13 +219,24 @@ def test_marked_attach_images_match_the_full_rows(n):
 
 @pytest.mark.parametrize("n", range(6, 11))
 def test_two_marked_attach_derives_the_effective_system(n):
-    fams, certs = eff_xn2_derivation(n)
+    fams, multipliers = eff_xn2_derivation(n)
     rmap = r_map(n, n - 2)
     for j in range(2, n - 2):
         col = rmap.column(f"b*{j}")
         assert tuple((n - 4) * (n - 3) * x for x in col) == fams["ineq1"][j - 2]
-    for cert in certs:
-        assert bool(cert)
+    assert sorted(multipliers) == list(range(2, n - 1))
+    assert all(type(c) is int and c >= 1 for cs in multipliers.values() for c in cs)
+
+
+@pytest.mark.parametrize("n", range(5, 13))
+def test_two_marked_derivation_is_a_stated_combination(n, monkeypatch, count_fractions):
+    """The derivation checks its stated int combination: no simplex solve
+    and no `Fraction` built in `curves`."""
+    calls, phase1 = [], cones._phase1
+    monkeypatch.setattr(cones, "_phase1", lambda *args: calls.append(args) or phase1(*args))
+    built = count_fractions(curves)
+    eff_xn2_derivation(n)
+    assert calls == [] and built == []
 
 
 @pytest.mark.parametrize("n", range(5, 11))
