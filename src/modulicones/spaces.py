@@ -32,11 +32,11 @@ boundary sum stays int through `transport_sum` and `relabel_sum`.
 
 `transport_sum` is the one push of boundary sums.  It pulls a sum back along
 the map forgetting new points and pushes it down along a symmetrization in
-one step, by orbit type; with no new point it is the plain symmetrization.
-Every sum on that route is symmetric in the new points, so the preimages of
-a label are counted by how many new points join its side, a binomial
-coefficient, and never listed one by one.  The cost is polynomial in the
-number of points, where the space in between has exponentially many labels.
+one step, by one rule: a label whose side gains ``t`` of the ``p`` new points
+is reached ``C(p, t)`` ways, each with the ratio of its pushforward degrees
+onto the target and onto the source (`_pushforward_degree`).  With no new
+point it is the plain symmetrization.  No label of a space in between is
+built, so the cost is polynomial in the number of points.
 """
 
 from __future__ import annotations
@@ -204,19 +204,22 @@ def _is_ramified(s: SpaceId, label: BoundaryLabel) -> bool:
     )
 
 
-def _relation(s: SpaceId, terms: Iterable[tuple[int, Iterable[int], int]]) -> tuple:
+def _relation(s: SpaceId, terms: Iterable[tuple[int, Iterable[int], int]]) -> IntVec:
     """A relation over the raw label list, from ``(size, marks, coefficient)``
     terms against the b-normalized classes: the class of a ramified label is
-    half its divisor, so its raw coefficient is halved.  The halved entries
-    are `Fraction` values and every other entry an int."""
-    acc: dict[BoundaryLabel, Fraction | int] = defaultdict(int)
+    half its divisor, so its raw coefficient is halved, and comes out even."""
+    acc: dict[BoundaryLabel, int] = defaultdict(int)
     for size, marks, coeff in terms:
-        label = canonical_label(s, size, marks)
-        acc[label] += Fraction(coeff, 2) if _is_ramified(s, label) else coeff
+        acc[canonical_label(s, size, marks)] += coeff
+    for label in acc:
+        if _is_ramified(s, label):
+            acc[label], odd = divmod(acc[label], 2)
+            if odd:
+                raise AssertionError(f"the relation coefficient of the ramified label {label} on {s} is odd")
     return sum_to_vector(s, acc)
 
 
-def _m2_relation_raw(n: int) -> tuple:
+def _m2_relation_raw(n: int) -> IntVec:
     """The single relation of an m = 2 space over its raw label list:
     ``sum (n-i)(n-i-1) b_i == sum (i-1)(n-i-1) b*_i``."""
     terms = []
@@ -226,7 +229,7 @@ def _m2_relation_raw(n: int) -> tuple:
     return _relation(SpaceId(n, 2), terms)
 
 
-def _m3_relations_raw(n: int) -> list[tuple]:
+def _m3_relations_raw(n: int) -> list[IntVec]:
     """The three relations of an m = 3 space over its raw label list."""
     r1, r2, r3 = [], [], []
     for i in range(2, n - 1):
@@ -245,13 +248,11 @@ _M3_EXCLUDED_MARKS = ({1, 2}, {1, 3}, {2, 3})
 @dataclass(frozen=True)
 class BasisSpec:
     """Ordered basis of the divisor-class space, plus the relations (as
-    vectors over the full boundary-label list) that were quotiented out.
-    A relation's entries are ints, except the halved coefficients of
-    ramified labels, which are `Fraction` values."""
+    int vectors over the full boundary-label list) that were quotiented out."""
 
     space: SpaceId
     ordered_basis: tuple[str, ...]
-    relations: tuple[tuple, ...]
+    relations: tuple[IntVec, ...]
     boundaries: tuple[BoundaryLabel, ...]
 
 
@@ -448,10 +449,11 @@ def boundary_class(s: SpaceId, label: BoundaryLabel) -> DivisorClass:
 # --------------------------------------------------------------------------
 
 
-def _pushforward_degree(s: SpaceId, members: frozenset[int]) -> tuple[int, int]:
-    """Degree with which the pointed boundary divisor of the subset
-    ``members`` maps onto its image in ``s``, as ``(stab, trivial)``: the
-    degree is ``stab / trivial``.
+def _pushforward_degree(s: SpaceId, size: int, marked: int) -> tuple[int, int]:
+    """Degree with which a pointed boundary divisor maps onto its image in
+    ``s``, as ``(stab, trivial)``: the degree is ``stab / trivial``.  The
+    divisor is given by one side: its ``size`` and how many distinguished
+    points of ``s`` it holds (``marked``).
 
     ``stab`` counts the permutations of the undistinguished points preserving
     the unordered side pair, and ``trivial`` those that act trivially on the
@@ -459,16 +461,16 @@ def _pushforward_degree(s: SpaceId, members: frozenset[int]) -> tuple[int, int]:
     rigid -- its transposition moves nothing -- and for m = 0 an even split
     can also be swapped wholesale.
     """
-    n, dist = s.n, s.distinguished
-    a = len(members - dist)
-    b = (n - len(members)) - (s.m - len(members & dist))
+    n = s.n
+    a = size - marked
+    b = (n - size) - (s.m - marked)
     stab = factorial(a) * factorial(b)
-    if s.m == 0 and 2 * len(members) == n:
+    if s.m == 0 and 2 * size == n:
         stab *= 2
     trivial = 1
-    if len(members) == 2 and a == 2:
+    if size == 2 and a == 2:
         trivial *= 2
-    if n - len(members) == 2 and b == 2:
+    if n - size == 2 and b == 2:
         trivial *= 2
     if s.m == 0 and n == 4:
         trivial *= 2  # the wholesale swap of a 2|2 split is also trivial
@@ -479,24 +481,15 @@ def transport_sum(src: SpaceId, formal: FormalSum, dst: SpaceId) -> dict[Boundar
     """Pull a formal boundary sum back along the map forgetting ``p = dst.n -
     src.n`` new points, then push it along the symmetrization to ``dst``.
 
-    This is the quotient pushforward to ``dst`` of the forgetful pullback
-    to ``mid = X(dst.n, src.m + p)``, where the ``p`` new points are
-    distinguished, computed by orbit type without building a label of
-    ``mid``.  Forgetting points pulls a boundary divisor back to the sum of
-    the divisors whose sides restrict to it (Keel, 1992).  So a source label
-    ``(s, A)`` with coefficient ``c`` pulls back, for each ``t`` in
-    ``0..p``, to the ``C(p, t)`` labels of ``mid`` whose side holds ``A``
-    and ``t`` of the new points.  Each carries ``c`` times the ramification
-    factor: 2 when the source label is ramified and its preimage is not
-    (its own side is two undistinguished points and ``t > 0``, or the other
-    side is and ``t < p``), else 1.  All of them push to the one label
-    ``(s + t, A & dst.distinguished)`` of ``dst`` with the same degree,
-    read off one representative subset.  The image coefficient is therefore
-    ``c * C(p, t) * factor * degree``, and the cost is ``O(|formal| * p)``
-    instead of the ``2^n`` labels of ``mid``.  An int-coefficient sum stays
-    int.  With ``p = 0`` there is nothing to pull back: ``mid`` is ``src``,
-    the factor is 1, and this is the plain symmetrization ``src -> dst``,
-    each label pushed with the ratio of its degrees onto ``dst`` and ``src``.
+    A source label ``(size, A)`` is ``1 / deg_src`` times the image of one
+    pointed divisor over it, ``deg_src`` being the degree of that map.
+    Forgetting points pulls the pointed divisor back to the divisors whose
+    sides restrict to it (Keel, 1992): for each ``t`` in ``0..p``, the
+    ``C(p, t)`` whose side gains ``t`` new points.  Each maps onto the label
+    ``(size + t, A & dst.distinguished)`` of ``dst`` with one degree
+    ``deg_dst``.  So a coefficient ``c`` sends ``c * C(p, t) * deg_dst /
+    deg_src`` there, an integer, and an int-coefficient sum stays int.  With
+    ``p = 0`` this is the plain symmetrization ``src -> dst``.
 
     ``src.m >= 1`` is required, also for ``p = 0``: without a distinguished
     point an even split and its mirror are one divisor, which the orbit
@@ -507,27 +500,20 @@ def transport_sum(src: SpaceId, formal: FormalSum, dst: SpaceId) -> dict[Boundar
     p = dst.n - src.n
     if src.m < 1 or dst.m > src.m or p < 0:
         raise ValueError(f"no orbit-type transport {src} -> {dst}")
-    mid = SpaceId(dst.n, src.m + p)
-    new_points = range(src.m + 1, src.m + p + 1)
-    free = range(src.m + p + 1, dst.n + 1)
     out: dict[BoundaryLabel, Fraction | int] = defaultdict(int)
     for label, coeff in formal.items():
         size, marks = label.size, label.marks
         if not _is_valid(src, size, marks):
             raise ValueError(f"no boundary divisor ({size}, {sorted(marks)}) on {src}")
         coeff = _exact(coeff)
-        own_ramified = size == 2 and not marks
-        other_ramified = src.n - size == 2 and len(marks) == src.m
+        src_stab, src_trivial = _pushforward_degree(src, size, len(marks))
         kept = marks & dst.distinguished
         for t in range(p + 1):
-            factor = 2 if (own_ramified and t > 0) or (other_ramified and t < p) else 1
-            members = marks | frozenset(new_points[:t]) | frozenset(free[: size - len(marks)])
-            dst_stab, dst_trivial = _pushforward_degree(dst, members)
-            mid_stab, mid_trivial = _pushforward_degree(mid, members)
-            deg, rest = divmod(dst_stab * mid_trivial, dst_trivial * mid_stab)
+            dst_stab, dst_trivial = _pushforward_degree(dst, size + t, len(kept))
+            deg, rest = divmod(dst_stab * src_trivial, dst_trivial * src_stab)
             if rest:
-                raise AssertionError(f"the multiplicity of {label} pushed from {mid} to {dst} is not an integer")
-            out[canonical_label(dst, size + t, kept)] += coeff * comb(p, t) * factor * deg
+                raise AssertionError(f"the multiplicity of {label} transported from {src} to {dst} is not an integer")
+            out[canonical_label(dst, size + t, kept)] += coeff * comb(p, t) * deg
     return dict(out)
 
 

@@ -8,7 +8,8 @@ n = 13..16 and for ``counterexample`` at n = 10..12, which complete the
 benchmark's certify pool, were recorded later, from the code before boundary
 classes moved to integer columns.  The pin over ``counterexample`` at
 n = 6..18 was recorded from the label-by-label transport, before it moved to
-orbit types.
+orbit types, and the pin at n = 19..40 from the orbit-type transport through
+the space in between, before its multiplicity became the degree ratio.
 """
 
 import hashlib
@@ -39,6 +40,7 @@ PINS = {
     "eff-x16-2": "53774d54cc33ff9806319807f0b346489d3e26304814ef558911c83be93bdefa",
     "counterexample-x10-12": "870b31222e5fb49a44ab8304ab87a77a657a88fce84bad551048a98dc5ed94c6",
     "counterexample-x6-18": "e2029d0759085e6faa271076bdda395eab09e771d805d1e23cfa240028f5fb3d",
+    "counterexample-x19-40": "4901d242b58288b6a469124e0e801cae7180606de197562fd6c97d87dfab606b",
 }
 
 
@@ -106,3 +108,9 @@ def test_counterexample_outputs_up_to_eighteen_points_are_pinned(capsys):
     digest, codes = _digest(capsys, [["counterexample", "--n", str(n)] for n in range(6, 19)])
     assert codes == [0] * 13
     assert digest == PINS["counterexample-x6-18"]
+
+
+def test_counterexample_outputs_up_to_forty_points_are_pinned(capsys):
+    digest, codes = _digest(capsys, [["counterexample", "--n", str(n)] for n in range(19, 41)])
+    assert codes == [0] * 22
+    assert digest == PINS["counterexample-x19-40"]

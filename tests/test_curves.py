@@ -228,6 +228,19 @@ def test_two_marked_attach_derives_the_effective_system(n):
     assert all(type(c) is int and c >= 1 for cs in multipliers.values() for c in cs)
 
 
+@pytest.mark.parametrize("n", range(5, 16))
+def test_two_marked_ineq2_is_ineq1_with_the_marked_points_swapped(n):
+    """Swapping points 1 and 2 sends ``b*_k`` to ``b*_{n-k}`` and fixes
+    ``b_k``; it takes each ``ineq1_j`` to ``ineq2_j``."""
+    names = relations_and_basis(SpaceId(n, 2)).ordered_basis
+    slot = {name: i for i, name in enumerate(names)}
+    swap = [slot[f"b*{n - int(name[2:])}"] if name.startswith("b*") else slot[name] for name in names]
+    fams, _ = eff_xn2_derivation(n)
+    assert len(fams["ineq1"]) == len(fams["ineq2"]) == n - 3
+    for row1, row2 in zip(fams["ineq1"], fams["ineq2"]):
+        assert tuple(row1[i] for i in swap) == row2
+
+
 @pytest.mark.parametrize("n", range(5, 13))
 def test_two_marked_derivation_is_a_stated_combination(n, monkeypatch, count_fractions):
     """The derivation checks its stated int combination: no simplex solve

@@ -273,12 +273,9 @@ def test_relations_build_only_the_halved_entries(s, count_fractions):
     relations_and_basis.cache_clear()
     spec = relations_and_basis(s)
     assert spec == expected
-    # each construction halves the raw coefficient of a ramified label
-    assert all(len(args) == 2 and args[1] == 2 for args in built)
-    # and only the entries of ramified labels are not ints
-    for row in spec.relations:
-        for label, c in zip(spec.boundaries, row):
-            assert type(c) is int or spaces._is_ramified(s, label), (label, c)
+    # the halved coefficients of ramified labels are ints too
+    assert built == []
+    assert all(type(c) is int for row in spec.relations for c in row)
 
 
 @pytest.mark.parametrize("n", [5, 6, 7])

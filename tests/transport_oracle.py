@@ -76,8 +76,8 @@ def quotient_pushforward_sum(src: SpaceId, formal: FormalSum, dst: SpaceId) -> d
     out: dict[BoundaryLabel, Fraction | int] = defaultdict(int)
     for label, coeff in formal.items():
         members = _lift_to_pointed(src, label)
-        dst_stab, dst_trivial = _pushforward_degree(dst, members)
-        src_stab, src_trivial = _pushforward_degree(src, members)
+        dst_stab, dst_trivial = _pushforward_degree(dst, len(members), len(members & dst.distinguished))
+        src_stab, src_trivial = _pushforward_degree(src, len(members), len(members & src.distinguished))
         deg, rest = divmod(dst_stab * src_trivial, dst_trivial * src_stab)
         if rest:
             raise AssertionError(f"the multiplicity of {label} pushed from {src} to {dst} is not an integer")
