@@ -15,20 +15,27 @@ listed generator, hence zero on the lineality space.
 A cone keeps the representation it was built from and computes the other once,
 through one cached V->H conversion and one cached H->V conversion
 (`Cone.canonical_vrep`), so no answer depends on what was read before it.
-Every conversion in the package goes through them, and both run the double
-description method (`dual_description`) on integer rows from end to end: the
-lineality basis is kept as the integer rows of `linalg.rref`, the package's
-one elimination, rays are projected and reduced by integer
-cross-multiplication, and adjacency is decided combinatorially from the tight
-sets of the rays: a pair passes when it has enough common tight rows and the
-AND of the transposed tight-row bitsets over those rows leaves no third ray.
-A combined ray inherits its tight set from the two rays it combines; a final
-sweep finds each ray's tight rows again by dot products and keeps the rays
-whose tight rows have rank one less than the codimension of the lineality
-(`linalg.rank`, forward elimination only).  Each membership query is one call
-to `certify`, one phase-1 simplex solve, which produces either explicit
-nonnegative coefficients or a Farkas functional separating the point from the
-cone.  The simplex pivots an integer tableau over one common denominator
+Every conversion in the package goes through them.  By polarity both are one
+computation, the extreme rays of ``{x : v @ x >= 0 for every row v}``, and
+both first look for structure: ``dim`` independent rows (a simplicial cone)
+or ``dim + 1`` rows of rank ``dim`` whose one relation has no zero entry and
+both signs (a circuit) have their rays in closed form, read off one integer
+`linalg.rref` of the rows and an identity (`_closed_form_rays`).  The boundary
+classes generate such cones: simplicial for at most one marked point, a
+circuit for two.  Every other input -- and any with equations or lineality --
+goes to the double description method (`dual_description`), which works on
+integer rows from end to end: the lineality basis is kept as the integer
+rows of `linalg.rref`, the package's one elimination, rays are projected and
+reduced by integer cross-multiplication, and adjacency is decided
+combinatorially from the tight sets of the rays: a pair passes when it has
+enough common tight rows and the AND of the transposed tight-row bitsets
+over those rows leaves no third ray.  A combined ray inherits its tight set
+from the two rays it combines; a final sweep finds each ray's tight rows
+again by dot products and keeps the rays whose tight rows have rank one less
+than the codimension of the lineality (`linalg.rank`, forward elimination
+only).  Each membership query is one call to `certify`, one phase-1 simplex
+solve, which produces either explicit nonnegative coefficients or a Farkas
+functional separating the point from the cone.  The simplex pivots an integer tableau over one common denominator
 ``D``, the absolute determinant of the current basis, so every division in a
 pivot is exact (`_phase1`); `Fraction` appears only in the coefficients a
 membership certificate returns.  `certify` re-verifies every `Certificate` by
@@ -375,6 +382,49 @@ def dual_description(
     return sorted(final), sorted(lin)
 
 
+def _closed_form_rays(
+    dim: int, vectors: Sequence[Sequence[int]], equations: Sequence[Sequence[int]]
+) -> Optional[tuple[IntVec, ...]]:
+    """The extreme rays of ``{x : v @ x >= 0 for every v in vectors}`` -- the
+    facet normals of the cone the vectors span -- in closed form, primitive
+    and sorted as `dual_description` returns them, or None.
+
+    Two shapes have one (Ziegler, *Lectures on Polytopes*, 1995, ch. 6).
+    ``dim`` independent vectors span a simplicial cone, and the rays are the
+    dual basis ``e*_r`` (``v_k @ e*_r == [k == r]``).  ``dim + 1`` vectors of
+    rank ``dim`` form a circuit when their one relation ``sum l_k v_k == 0``
+    has no zero entry and takes both signs: every ``dim`` of them are
+    independent, and a facet of their cone is spanned by all but a pair
+    ``i, j`` with ``l_i > 0 > l_j``.  With ``z`` the last vector, rescaled so
+    that ``l_z == -1``, and ``e*`` the dual basis of the others, that facet's
+    normal is ``e*_i`` when ``j == z`` and ``l_i e*_j - l_j e*_i`` otherwise:
+    it vanishes on ``v_z = sum l_r v_r`` and is positive on ``v_i``, ``v_j``.
+
+    One `rref` of ``[V^T | I]``, the vectors as columns, finds both: row
+    ``r`` is ``c_r`` times ``(unit_r + l_r unit_z | e*_r)`` with ``c_r > 0``.
+    Any other input -- equations, another vector count (screened before any
+    elimination), the first ``dim`` vectors dependent, a zero or one-signed
+    relation -- gives None, and the caller runs `dual_description`.
+    """
+    n = len(vectors)
+    if equations or n not in (dim, dim + 1):
+        return None
+    rows, pivots = rref([[*col, *(int(i == r) for i in range(dim))] for r, col in enumerate(zip(*vectors))])
+    if pivots != list(range(dim)):
+        return None
+    dual = [row[n:] for row in rows]  # c_r * e*_r
+    if n == dim:
+        return tuple(sorted(map(primitive, dual)))
+    rel = [row[dim] for row in rows]  # c_r * l_r
+    plus = [r for r, x in enumerate(rel) if x > 0]
+    if not plus or not all(rel):
+        return None
+    minus = [r for r, x in enumerate(rel) if x < 0]
+    facets = [primitive(dual[i]) for i in plus]
+    facets += [primitive([rel[i] * a - rel[j] * b for a, b in zip(dual[j], dual[i])]) for i in plus for j in minus]
+    return tuple(sorted(facets))
+
+
 # --------------------------------------------------------------------------
 # the Cone class
 # --------------------------------------------------------------------------
@@ -389,8 +439,10 @@ class Cone:
     changes after construction.  The other representation is computed once,
     on first access, by one of two cached conversions: V->H (`_hrep`, the
     facets of the given rays by polar duality) and H->V (`canonical_vrep`,
-    the extreme rays of the given or computed inequalities).  Both are
-    canonical -- primitive, irredundant, lexicographically sorted --
+    the extreme rays of the given or computed inequalities).  Each reads a
+    simplicial or circuit input in closed form (`_closed_form_rays`) and runs
+    `dual_description` on anything else.  Both are canonical -- primitive,
+    irredundant, lexicographically sorted, the same bytes either way --
     and `canonical_vrep` never trusts caller-supplied rays.
     """
 
@@ -448,11 +500,17 @@ class Cone:
         # extreme rays of {y : y @ r >= 0 for all rays, y @ l == 0 on the
         # lineality}, and the equations cutting out its span are that
         # dual's lineality.
+        facets = _closed_form_rays(self.ambient_dim, self._rays, self._lineality)
+        if facets is not None:
+            return facets, ()
         ineqs, eqs = dual_description(self.ambient_dim, self._rays, self._lineality)
         return tuple(ineqs), tuple(eqs)
 
     @cached_property
     def _vrep(self) -> tuple[tuple[IntVec, ...], tuple[IntVec, ...]]:
+        rays = _closed_form_rays(self.ambient_dim, *self._hrep)
+        if rays is not None:
+            return rays, ()
         rays, lin = dual_description(self.ambient_dim, *self._hrep)
         return tuple(rays), tuple(lin)
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Callable, Iterable, Sequence
 
 from . import fixtures
@@ -235,7 +236,10 @@ def check_pointed_fibration() -> None:
 
 
 def check_surface_effective_cone() -> None:
-    """Five points, two marked: the relation, the generators, and the dual."""
+    """Five points, two marked: the relation, the generators, and the dual.
+    For n = 5..8, Eff(X(n, 2)) has (n-3)^2 facets, each positive on exactly
+    two boundary rays and zero on the rest: the boundary rays form a circuit,
+    whose facets drop one ray of each sign of its relation."""
     s = SpaceId(5, 2)
     rel = boundary_class(s, canonical_label(s, 2, {1, 2})).coords
     assert rel == (Fraction(-1, 3), Fraction(1, 3), Fraction(1, 3)), _fmt(rel)
@@ -248,6 +252,13 @@ def check_surface_effective_cone() -> None:
     assert eff.inequalities == fixtures.NEF_X52_RAYS, (
         f"computed dual {eff.inequalities}, recorded {fixtures.NEF_X52_RAYS}"
     )
+
+    for n in range(5, 9):
+        eff = eff_cone(SpaceId(n, 2))
+        assert len(eff.inequalities) == (n - 3) ** 2, (n, len(eff.inequalities))
+        for facet in eff.inequalities:
+            values = sorted(sum(map(mul, facet, r)) for r in eff.rays)
+            assert values[:-2] == [0] * (len(values) - 2) and values[-2] > 0, (n, facet, values)
 
 
 def check_two_marked_derivation() -> None:

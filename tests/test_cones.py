@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, event, given, settings, strategies as st
 
 from modulicones import cones, linalg
 from modulicones.bridge import m21_cones
@@ -14,7 +15,7 @@ from modulicones.cones import (
 from modulicones.curves import eff_cone, nem_hrep
 from modulicones.linalg import vec
 from modulicones.porta import cone_json_dumps
-from modulicones.spaces import SpaceId
+from modulicones.spaces import SpaceId, picard_number
 
 F = Fraction
 
@@ -266,3 +267,94 @@ def test_certificates_build_no_fraction_in_the_pivot_loop(monkeypatch):
         # one Fraction per returned coefficient at most: none in the tableau,
         # the ratio test, the Farkas functional or the re-verification
         assert len(built) <= len(cert.coefficients)
+
+
+# --------------------------------------------------------------------------
+# closed-form conversion of simplicial and circuit cones
+# --------------------------------------------------------------------------
+
+CLOSED_FORM_SHAPES = ("simplicial", "circuit")
+FALLBACK_SHAPES = ("zero-entry", "one-signed", "rank-deficient", "extra-vector")
+
+
+@st.composite
+def shaped_vectors(draw):
+    """``(shape, dim, vectors)``: ``dim`` independent vectors, or ``dim``
+    such vectors followed by ``sum l_r v_r`` for an int relation ``l``
+    (circuit: every ``l_r`` nonzero, some positive; zero-entry: one
+    ``l_r == 0``; one-signed: every ``l_r < 0``), or ``dim`` vectors of rank
+    ``dim - 1``, or ``dim + 2`` arbitrary vectors.  The vectors come in a
+    drawn order, so the sum is not always last."""
+    shape = draw(st.sampled_from(CLOSED_FORM_SHAPES + FALLBACK_SHAPES))
+    low = {"circuit": 2, "zero-entry": 3, "rank-deficient": 2}.get(shape, 1)
+    dim = draw(st.integers(min_value=low, max_value=6))
+    entries = st.integers(min_value=-3, max_value=3)
+    square = st.lists(st.lists(entries, min_size=dim, max_size=dim), min_size=dim, max_size=dim)
+    if shape == "extra-vector":
+        vectors = draw(st.lists(st.lists(entries, min_size=dim, max_size=dim), min_size=dim + 2, max_size=dim + 2))
+    elif shape == "rank-deficient":
+        basis = draw(square)[: dim - 1]
+        coeffs = draw(square)
+        vectors = [[sum(c * x for c, x in zip(cs, col)) for col in zip(*basis)] for cs in coeffs]
+    else:
+        vectors = draw(square)
+        assume(linalg.rank(vectors) == dim)
+        if shape != "simplicial":
+            l = draw(st.lists(st.sampled_from((-4, -3, -2, -1, 1, 2, 3, 4)), min_size=dim, max_size=dim))
+            k = draw(st.integers(min_value=0, max_value=dim - 1))
+            if shape == "circuit":
+                l[k] = abs(l[k])
+            elif shape == "zero-entry":
+                l[k] = 0
+            else:
+                l = [-abs(x) for x in l]
+            vectors.append([sum(c * x for c, x in zip(l, col)) for col in zip(*vectors)])
+    return shape, dim, draw(st.permutations(vectors))
+
+
+@settings(max_examples=400, deadline=None)
+@given(shaped_vectors())
+def test_closed_form_conversion_matches_double_description(shaped):
+    shape, dim, vectors = shaped
+    event(shape)
+    v_built = Cone.from_vrep(dim, vectors)
+    if shape == "extra-vector":
+        assume(len(v_built.rays) == dim + 2)  # no duplicate or zero vector
+    # By polarity the facets of the cone the vectors span (V->H) and the
+    # extreme rays of the cone they cut out (H->V) are both this.
+    rows, lin = dual_description(dim, vectors)
+    assert (v_built.inequalities, v_built.equations) == (tuple(rows), tuple(lin))
+    assert Cone.from_hrep(dim, vectors).canonical_vrep() == (tuple(rows), tuple(lin))
+    # the closed form answers exactly the two shapes it is for
+    closed = cones._closed_form_rays(dim, v_built.rays, ())
+    assert (closed is not None) is (shape in CLOSED_FORM_SHAPES)
+
+
+@pytest.fixture
+def count_dd(monkeypatch):
+    """The list of `dual_description` calls made from now on."""
+    calls = []
+    real = cones.dual_description
+    monkeypatch.setattr(cones, "dual_description", lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+EFF_SPACES = [SpaceId(n, 2) for n in range(5, 17)] + [SpaceId(n, m) for m in (0, 1) for n in range(4, 21)]
+
+
+@pytest.mark.parametrize("s", EFF_SPACES, ids=str)
+def test_eff_facets_are_counted_in_closed_form(s, count_dd):
+    """Eff X(n, 2) is a circuit with (n-3)^2 facets; Eff X(n, m <= 1) is
+    simplicial, one facet per basis class.  Neither runs double description."""
+    cone = eff_cone.__wrapped__(s)  # a fresh cone: nothing converted yet
+    expected = (s.n - 3) ** 2 if s.m == 2 else picard_number(s)
+    assert (len(cone.inequalities), cone.equations) == (expected, ())
+    assert count_dd == []
+
+
+def test_nem_cone_still_runs_double_description_once(count_dd):
+    nem = nem_hrep(SpaceId(8, 1))
+    cone = Cone.from_hrep(nem.ambient_dim, nem.inequalities, nem.equations)
+    cone.canonical_vrep()
+    cone.rays
+    assert len(count_dd) == 1

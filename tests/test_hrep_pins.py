@@ -1,16 +1,22 @@
-"""SHA-256 pins of the PORTA text of the one-marked nem inequalities.
+"""SHA-256 pins of the PORTA text of inequality lists.
 
 ``cone --which nem --m 1 --rep hrep`` prints these bytes.  The ray pins in
 ``test_dd_pins.py`` do not see the row order, because double description
 sorts its input rows, so the order in which `nem_hrep` writes its rows is
 pinned here.  The digests were recorded before the reduced rows were read
 off the closed form that `nem_xn1_full_rows` shares.
+
+``cone --which eff --rep hrep`` prints the facets of a simplicial (m <= 1) or
+circuit (m = 2) cone.  Those digests were recorded while the facets still
+came from double description, before `cones._closed_form_rays` wrote them
+down from one inverse.
 """
 
 import hashlib
 
 import pytest
 
+from modulicones import cli
 from modulicones.curves import nem_hrep
 from modulicones.porta import porta_write
 from modulicones.spaces import SpaceId
@@ -33,3 +39,16 @@ PINS = {
 def test_pointed_nem_hrep_text_is_pinned(n):
     text = porta_write(nem_hrep(SpaceId(n, 1)), "hrep")
     assert hashlib.sha256(text.encode()).hexdigest() == PINS[n]
+
+
+EFF_PINS = {
+    (16, 2): "6d62181e79e3f3903fa84c1ddef4f8a3982115e7cc8320b95d5fbd9654bc2a0d",
+    (40, 2): "e29effd16152fa11438738743002f5c003e1fcde0c0b881689f8179a7e97f8a5",
+    (200, 0): "4f57fe5873b02265224445f78ab52df3055829b0fb073af5ee3e120ef5103cfc",
+}
+
+
+@pytest.mark.parametrize("n, m", sorted(EFF_PINS))
+def test_eff_hrep_stdout_is_pinned(n, m, capsys):
+    assert cli.main(["cone", "--which", "eff", "--n", str(n), "--m", str(m), "--rep", "hrep"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == EFF_PINS[n, m]
