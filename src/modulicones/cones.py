@@ -17,32 +17,34 @@ through one cached V->H conversion and one cached H->V conversion
 (`Cone.canonical_vrep`), so no answer depends on what was read before it.
 Every conversion in the package goes through them.  By polarity both are one
 computation, the extreme rays of ``{x : v @ x >= 0 for every row v}``, and
-both first look for structure: ``dim`` independent rows (a simplicial cone)
-or ``dim + 1`` rows of rank ``dim`` whose one relation has no zero entry and
-both signs (a circuit) have their rays in closed form, read off one integer
-`linalg.rref` of the rows and an identity (`_closed_form_rays`).  The boundary
+both start from one integer `linalg.rref`, the package's one elimination,
+of the rows beside an identity (`_dual_start`): it picks a maximal
+independent set of the rows and gives their dual basis and the lineality.
+``dim`` independent rows (a simplicial cone) or ``dim + 1`` rows of rank
+``dim`` whose one relation has no zero entry and both signs (a circuit) have
+their rays in closed form from it (`_closed_form_rays`).  The boundary
 classes generate such cones: simplicial for at most one marked point, a
 circuit for two.  Every other input -- and any with equations or lineality --
 goes to the double description method (`dual_description`), which works on
-integer rows from end to end: the lineality basis is kept as the integer
-rows of `linalg.rref`, the package's one elimination, rays are projected and
-reduced by integer cross-multiplication, and adjacency is decided
-combinatorially from the tight sets of the rays: a pair passes when it has
-enough common tight rows and the AND of the transposed tight-row bitsets
-over those rows leaves no third ray.  A combined ray inherits its tight set
-from the two rays it combines; a final sweep finds each ray's tight rows
-again by dot products and keeps the rays whose tight rows have rank one less
-than the codimension of the lineality (`linalg.rank`, forward elimination
-only).  Each membership query is one call to `certify`, one phase-1 simplex
-solve, which produces either explicit nonnegative coefficients or a Farkas
-functional separating the point from the cone.  The simplex pivots an integer tableau over one common denominator
-``D``, the absolute determinant of the current basis, so every division in a
-pivot is exact (`_phase1`); `Fraction` appears only in the coefficients a
-membership certificate returns.  `certify` re-verifies every `Certificate` by
-direct integer arithmetic before it returns it, so a bug in the pivoting can
-only surface as an exception, never as a wrong answer; the target is scaled
-once to ints for this.  `Cone.contains` alone returns an H-row the point
-violates unverified, and only on a cone built from an H-representation.
+integer rows from end to end: it starts from the dual basis, combines rays
+by integer cross-multiplication, and decides adjacency combinatorially from
+the tight sets of the rays: a pair passes when it has enough common tight
+rows and the AND of the transposed tight-row bitsets over those rows leaves
+no third ray.  A combined ray inherits its tight set from the two rays it
+combines; a final sweep finds each ray's tight rows again by dot products
+and keeps the rays whose tight rows have rank one less than the codimension
+of the lineality (`linalg.rank`, forward elimination only).  Each membership
+query is one call to `certify`, one phase-1 simplex solve, which produces
+either explicit nonnegative coefficients or a Farkas functional separating
+the point from the cone.  The simplex pivots an integer tableau over one
+common denominator ``D``, the absolute determinant of the current basis, so
+every division in a pivot is exact (`_phase1`); `Fraction` appears only in
+the coefficients a membership certificate returns.  `certify` re-verifies
+every `Certificate` by direct integer arithmetic before it returns it, so a
+bug in the pivoting can only surface as an exception, never as a wrong
+answer; the target is scaled once to ints for this.  `Cone.contains` alone
+returns an H-row the point violates unverified, and only on a cone built
+from an H-representation.
 """
 
 from __future__ import annotations
@@ -66,19 +68,6 @@ def _int_dot(u: Sequence[int], v: Sequence[int]) -> int:
     if len(u) != len(v):
         raise ValueError(f"dot product of vectors of lengths {len(u)} and {len(v)}")
     return sum(map(mul, u, v))
-
-
-def _reduce_mod(
-    lin_rref: Sequence[IntVec], pivots: Sequence[int], v: Sequence[int]
-) -> Sequence[int]:
-    """A positive multiple of the canonical representative of ``v`` modulo
-    the row space of the integer `rref` rows ``lin_rref``."""
-    for row, p in zip(lin_rref, pivots):
-        x = v[p]
-        if x:
-            q = row[p]
-            v = [q * a - x * b for a, b in zip(v, row)]
-    return v
 
 
 # --------------------------------------------------------------------------
@@ -232,6 +221,21 @@ def _phase1(columns: Sequence[Sequence], target: Sequence) -> tuple[Optional[lis
 # --------------------------------------------------------------------------
 
 
+def _dual_start(dim: int, vectors: Sequence[Sequence[int]]) -> tuple[list[IntVec], list[int]]:
+    """The integer `rref` of ``[V^T | I]``, the vectors as columns, which
+    starts every conversion.
+
+    Write a result row as ``(y @ v_0, ..., y @ v_{n-1} | y)``.  The rows with
+    their pivot at a column ``s < n`` pick, greedily in order, a maximal
+    independent set ``S`` of the vectors, and their ``y`` are the dual basis
+    of ``S``: ``y_s @ v_t`` is positive for ``t == s`` and zero for every
+    other ``t`` in ``S``.  The other rows are zero in the first ``n``
+    columns, and their ``y`` are the null space of the vectors in `rref`
+    form.  Every ``y`` is primitive, because its whole row is, and zero in
+    the pivot columns of the null space."""
+    return rref([[*(v[r] for v in vectors), *(int(i == r) for i in range(dim))] for r in range(dim)])
+
+
 def dual_description(
     dim: int,
     inequalities: Sequence[Sequence],
@@ -241,15 +245,22 @@ def dual_description(
 
     Output is canonical: primitive integer rays in lexicographic order, plus
     the reduced-row-echelon basis of the lineality space scaled primitive.
-    Equations are imposed first (as pairs of opposite inequalities), then the
-    inequality rows in lexicographic order, which makes the whole run -- not
-    just the result -- independent of the caller's row order.
+    The equation rows, then the inequality rows, are made primitive,
+    deduplicated and sorted, which makes the whole run -- not just the
+    result -- independent of the caller's row order.  One `_dual_start` of
+    the rows in that order picks a maximal independent set ``S``, equations
+    first, and gives the lineality in its canonical form.  Modulo the
+    lineality the cone cut out by ``S`` is simplicial, and its rays are the
+    dual basis of the inequality rows of ``S``.  An equation outside ``S`` is
+    implied by the equations before it and is skipped.  ``S`` spans the row
+    space, so the lineality never changes, and each later row only combines
+    rays.
 
     Adjacency of two rays is decided combinatorially from the bitmasks of
     the processed rows each ray is tight on (Fukuda and Prodon, "Double
     description method revisited", 1996).  Those tight sets are exact and
-    need no dot product: a ray combined from two adjacent rays inherits its
-    set from theirs, and a ray projected at a lineality cut keeps its own.
+    need no dot product: a start ray's is read off the dual basis, and a ray
+    combined from two adjacent rays inherits its set from theirs.
     A pair with too few common tight rows is rejected on a popcount; for the
     rest, the rays tight on every common row are the AND of per-row bitsets
     over the rays, and the pair is adjacent iff that AND is the pair itself.
@@ -262,55 +273,18 @@ def dual_description(
     for what, given in (("inequality", inequalities), ("equation", equations)):
         for row in given:
             _check_length(dim, row, what)
-    rows: list[IntVec] = []
-    for e in equations:
-        p = _primitive_or_none(e)
-        if p is not None:
-            rows.append(p)
-            rows.append(tuple(-x for x in p))
-    ineq_rows = {p for a in inequalities if (p := _primitive_or_none(a)) is not None}
-    rows.extend(sorted(ineq_rows))
+    eqs = sorted({p for e in equations if (p := _primitive_or_none(e)) is not None})
+    rows = eqs + sorted({p for a in inequalities if (p := _primitive_or_none(a)) is not None})
+    start, pivots = _dual_start(dim, rows)
+    lin = [y[len(rows) :] for y, c in zip(start, pivots) if c >= len(rows)]
+    dual = {c: y[len(rows) :] for y, c in zip(start, pivots) if c < len(rows)}
+    done: list[IntVec] = [rows[c] for c in dual]
+    rays = [y for c, y in dual.items() if c >= len(eqs)]
+    masks = [(1 << len(done)) - 1 - (1 << k) for k, c in enumerate(dual) if c >= len(eqs)]
 
-    lin = [tuple(int(j == i) for j in range(dim)) for i in range(dim)]
-    lin_pivots = list(range(dim))
-    rays: list[IntVec] = []
-    done: list[IntVec] = []
-    masks: list[int] = []
-
-    for a in rows:
+    for a in (rows[k] for k in range(len(eqs), len(rows)) if k not in dual):
         bit = 1 << len(done)
         done.append(a)
-        lin_vals = [sum(map(mul, a, l)) for l in lin]
-        hit = next((i for i, v in enumerate(lin_vals) if v != 0), None)
-        if hit is not None:
-            # The constraint cuts into the lineality space: the pivot vector
-            # becomes an ordinary ray and everything else is projected onto
-            # the hyperplane a @ x == 0 along it.  The list then holds exactly
-            # the extreme rays modulo the new lineality, as the combinatorial
-            # adjacency test below needs.  With H the part of the old cone C
-            # on that hyperplane, C = H + span(l0), so projecting along l0
-            # maps the faces of C one-to-one onto the faces of H.  And l0 is
-            # extreme in the new cone H + R_{>=0} l0, because a @ l0 > 0 while
-            # a vanishes on every projected ray.  Each projection is scaled
-            # by d0 > 0 to stay integral; only its direction matters.
-            # Every earlier row vanishes on l0, so a projected ray keeps its
-            # mask, plus `bit`; l0 is tight on every earlier row but not `a`.
-            l0, d0 = lin[hit], lin_vals[hit]
-            if d0 < 0:
-                l0, d0 = tuple(-x for x in l0), -d0
-            rest = [(l, v) for i, (l, v) in enumerate(zip(lin, lin_vals)) if i != hit]
-            lin, lin_pivots = rref([[d0 * x - v * y for x, y in zip(l, l0)] for l, v in rest])
-            projected = [
-                ([d0 * x - sum(map(mul, a, r)) * y for x, y in zip(r, l0)], mk | bit)
-                for r, mk in zip(rays, masks)
-            ]
-            seen: dict[IntVec, int] = {}
-            for r, mk in projected + [(l0, bit - 1)]:
-                p = _primitive_or_none(_reduce_mod(lin, lin_pivots, r))
-                if p is not None:
-                    seen.setdefault(p, mk)
-            rays, masks = list(seen), list(seen.values())
-            continue
         vals = [sum(map(mul, a, r)) for r in rays]
         if all(v >= 0 for v in vals):
             masks = [mk | (bit if v == 0 else 0) for mk, v in zip(masks, vals)]
@@ -329,10 +303,10 @@ def dual_description(
         # combination are positive and both rays satisfy every processed row,
         # so a processed row vanishes on the combination exactly when it
         # vanishes on both rays; the new row `a` vanishes on it by
-        # construction.  Every processed row vanishes on the lineality and
-        # `primitive` divides by a positive gcd, so neither `_reduce_mod` nor
-        # the scaling changes which rows are tight, and a duplicate
-        # combination has the same tight set.
+        # construction.  `primitive` divides by a positive gcd, so the scaling
+        # changes no tight row, and a duplicate combination has the same
+        # tight set.  Both rays are zero in the pivot columns of the
+        # lineality, and so is their combination.
         #
         # The third-ray test reads the masks transposed: bit k of cols[t] is
         # set when processed row t is tight at ray k.  The AND of cols[t]
@@ -363,7 +337,7 @@ def dual_description(
             if both != pair:
                 continue
             combo = tuple(vals[i] * rj - vals[j] * ri for ri, rj in zip(rays[i], rays[j]))
-            p = _primitive_or_none(_reduce_mod(lin, lin_pivots, combo))
+            p = _primitive_or_none(combo)
             if p is not None:
                 combos.setdefault(p, common | bit)
         kept = [(rays[i], masks[i]) for i in plus] + [(rays[i], masks[i] | bit) for i in zero]
@@ -372,11 +346,12 @@ def dual_description(
 
     # Final sweep: drop rays that are not extreme (the tight rows of an
     # extreme ray have rank exactly codim(lineality) - 1) and sort into
-    # canonical order.  Every ray is already primitive, distinct and reduced
-    # modulo the final lineality: a cut re-reduces every ray, and a ray made
-    # after the last cut was reduced by the final lineality.  The tight rows
-    # are found again by dot products, not read from the masks, so the
-    # extremality check does not rest on the bookkeeping it checks.
+    # canonical order.  Every ray is already primitive, distinct and the
+    # canonical representative of its class modulo the lineality, zero in
+    # its pivot columns: the start rays are, and so is every combination.
+    # The tight rows are found again by dot products, not read from the
+    # masks, so the extremality check does not rest on the bookkeeping it
+    # checks.
     extreme_rank = dim - len(lin) - 1
     final = [r for r in rays if rank([row for row in done if sum(map(mul, row, r)) == 0]) == extreme_rank]
     return sorted(final), sorted(lin)
@@ -400,8 +375,8 @@ def _closed_form_rays(
     normal is ``e*_i`` when ``j == z`` and ``l_i e*_j - l_j e*_i`` otherwise:
     it vanishes on ``v_z = sum l_r v_r`` and is positive on ``v_i``, ``v_j``.
 
-    One `rref` of ``[V^T | I]``, the vectors as columns, finds both: row
-    ``r`` is ``c_r`` times ``(unit_r + l_r unit_z | e*_r)`` with ``c_r > 0``.
+    One `_dual_start`, the `rref` of ``[V^T | I]``, finds both: row ``r`` is
+    ``c_r`` times ``(unit_r + l_r unit_z | e*_r)`` with ``c_r > 0``.
     Any other input -- equations, another vector count (screened before any
     elimination), the first ``dim`` vectors dependent, a zero or one-signed
     relation -- gives None, and the caller runs `dual_description`.
@@ -409,7 +384,7 @@ def _closed_form_rays(
     n = len(vectors)
     if equations or n not in (dim, dim + 1):
         return None
-    rows, pivots = rref([[*col, *(int(i == r) for i in range(dim))] for r, col in enumerate(zip(*vectors))])
+    rows, pivots = _dual_start(dim, vectors)
     if pivots != list(range(dim)):
         return None
     dual = [row[n:] for row in rows]  # c_r * e*_r

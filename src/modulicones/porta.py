@@ -175,6 +175,8 @@ def cone_from_json(obj: dict) -> Cone:
     if hrep is not None and vrep is not None:
         a = Cone.from_hrep(dim, hrep["inequalities"], hrep.get("equations", ()))
         b = Cone.from_vrep(dim, vrep["rays"], vrep.get("lineality", ()))
+        if a.canonical_vrep() != b.canonical_vrep():
+            raise ValueError("the cone JSON's 'hrep' and 'vrep' entries describe different cones")
         return Cone(
             dim, _ineqs=a.inequalities, _eqs=a.equations, _rays=b.rays, _lineality=b.lineality
         )

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, event, given, settings, strategies as st
 
 from modulicones import cones, linalg
-from modulicones.bridge import m21_cones
+from modulicones.bridge import m21_cones, mg1_inequality_family
 from modulicones.cones import (
     Certificate,
     Cone,
@@ -216,17 +216,40 @@ def test_certificate_verify_builds_no_fraction_for_a_rational_target(target, gen
     assert built == []
 
 
+def _hrep_args(cone):
+    return cone.ambient_dim, cone.inequalities, cone.equations
+
+
+# One equation and four inequalities.  Sorted, the inequalities run
+# (0,1,-1,0), (0,1,0,0), (0,1,1,0), (1,0,0,0): the third lies in the span of
+# the first two, and the last is independent of every row before it.
+CUT = (4, [(0, 1, 0, 0), (0, 1, 1, 0), (0, 1, -1, 0), (1, 0, 0, 0)], [(0, 0, 1, 1)])
+
+
+@pytest.mark.parametrize(
+    "case, lineality",
+    [
+        (lambda: _hrep_args(nem_hrep(SpaceId(9, 1))), 0),
+        (lambda: _hrep_args(mg1_inequality_family(3, 2, "mg1")[0]), 2),
+        (lambda: CUT, 0),
+    ],
+    ids=["nem-x9-1", "mg1-g3-n2-mg1", "cut"],
+)
+def test_dual_description_eliminates_once(monkeypatch, case, lineality):
+    """One `rref` starts the run and yields the lineality; no row cuts it
+    later, so no second elimination follows."""
+    args = case()
+    calls = []
+    real = cones.rref
+    monkeypatch.setattr(cones, "rref", lambda m: calls.append(m) or real(m))
+    rays, lin = dual_description(*args)
+    assert rays and len(lin) == lineality
+    assert len(calls) == 1
+
+
 def test_dual_description_builds_no_fraction(monkeypatch):
-    nem = nem_hrep(SpaceId(9, 1))
     eff = eff_cone(SpaceId(8, 2))
-    # Sorted, the inequalities run (0,1,-1,0), (0,1,0,0), (0,1,1,0),
-    # (1,0,0,0): the third combines rays, then the last cuts the lineality.
-    cut = (4, [(0, 1, 0, 0), (0, 1, 1, 0), (0, 1, -1, 0), (1, 0, 0, 0)], [(0, 0, 1, 1)])
-    cases = [
-        (nem.ambient_dim, nem.inequalities, nem.equations),
-        (eff.ambient_dim, eff.rays, eff.lineality),
-        cut,
-    ]
+    cases = [_hrep_args(nem_hrep(SpaceId(9, 1))), (eff.ambient_dim, eff.rays, eff.lineality), CUT]
     expected = [dual_description(*case) for case in cases]
 
     def forbidden(*args, **kwargs):

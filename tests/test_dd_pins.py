@@ -7,9 +7,13 @@ basis), so the values, their order and their types are all pinned.  The
 H-to-V cases are every cone of the ``rays`` benchmark pool, plus the nem
 ``X(12,1)`` rays (about 2 s); the V-to-H cases are the facets of the
 two-marked effective cones and of the genus-two pointed cone that
-``--which m21-mov`` reads its rays from.  ``cut`` is a
-small case whose last inequality cuts the lineality space after rays have
-been combined.  Each case also asserts that the final sweep ranks exactly the
+``--which m21-mov`` reads its rays from.  ``cut`` is a small case with one
+equation, whose third sorted inequality lies in the span of the first two
+and whose last is independent of every row before it.  The ``mg1`` cases are
+the transported ``M̄_{g,1}`` families, the pinned cones with a lineality
+space: two vectors at ``(3, 2, mg1)`` and one at ``(4, 2, mg)`` and
+``(6, 5, mg1)``; their digests were recorded before double description
+started from one elimination.  Each case also asserts that the final sweep ranks exactly the
 rays it returns, which the digest alone would not notice: an adjacency test
 that lets a non-adjacent pair through leaves the output unchanged as long as
 the sweep drops the extra ray.
@@ -19,7 +23,7 @@ import hashlib
 
 import pytest
 
-from modulicones.bridge import hyperelliptic_pullback_cone, m21_cones
+from modulicones.bridge import hyperelliptic_pullback_cone, m21_cones, mg1_inequality_family
 from modulicones.cones import dual_description
 from modulicones.curves import eff_cone, nem_hrep
 from modulicones.spaces import SpaceId
@@ -37,6 +41,9 @@ PINS = {
     "hyperelliptic-g7": "16a5aa126a5a46376e5ac69d6ffdd76322669dd2e0a6bdccf5f8cc77cc1657b2",
     "m21-mov": "3b165d0fec5bdfbc10a8da5b03bb8c165f91f1a5568add2a554e6d5a459013de",
     "m21-push-nem-facets": "47de4e1c24d48281c6ddb8c763aa3409162951434149bab7389f4a5236c7cf66",
+    "mg1-g3-n2-mg1": "53815ab391d3a1d5e45ead503f2ca51828ea68836b1a28e004d46146e611a037",
+    "mg1-g4-n2-mg": "c455150c7b9b58d3891c9a5f5dc91daf73c50c72d5c7a96bdcb4fbb3c9f1006a",
+    "mg1-g6-n5-mg1": "88facd14938ece759b7b679a49d3b153601670fdd73ec77b3827153986eba0f4",
     "nem-x10-0": "023747dcdff640e6f259f4284ecbe4f9be382763d4bf3e55fac96d84df36d6e5",
     "nem-x10-1": "51b9e020ef56586f4388fdcdad469ffa97ef2835c4247617191828fa76524a5c",
     "nem-x11-0": "31408cf21bc87fe20b88147fe9fc005991da11df2aafdde7bf0e75238154db55",
@@ -84,10 +91,15 @@ CASES = {
     **{f"hyperelliptic-g{g}": lambda g=g: _hrep(hyperelliptic_pullback_cone(g)) for g in range(3, 8)},
     "m21-push-nem-facets": lambda: _vrep(m21_cones()["push_nem"]),
     "m21-mov": _m21_mov,
-    # from test_dual_description_builds_no_fraction: rays combine, then the
-    # last inequality cuts the lineality space
+    # from test_dual_description_builds_no_fraction: one equation; sorted,
+    # the third inequality lies in the span of the first two, and the last is
+    # independent of every row before it
     "cut": lambda: (4, [(0, 1, 0, 0), (0, 1, 1, 0), (0, 1, -1, 0), (1, 0, 0, 0)], [(0, 0, 1, 1)]),
     **{f"eff-x{n}-2-facets": lambda n=n: _vrep(eff_cone(SpaceId(n, 2))) for n in range(8, 12)},
+    **{
+        f"mg1-g{g}-n{n}-{t}": lambda g=g, n=n, t=t: _hrep(mg1_inequality_family(g, n, t)[0])
+        for g, n, t in [(3, 2, "mg1"), (4, 2, "mg"), (6, 5, "mg1")]
+    },
 }
 
 

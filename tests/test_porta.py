@@ -61,6 +61,17 @@ def test_cone_json_round_trip():
         cone_to_json(cone, "rays")
 
 
+def test_cone_json_rejects_disagreeing_representations():
+    # x1, x2 >= 0 is the first quadrant, and (-1, 1) lies outside it
+    obj = {
+        "ambient_dim": 2,
+        "hrep": {"inequalities": [[1, 0], [0, 1]]},
+        "vrep": {"rays": [[1, 0], [-1, 1]]},
+    }
+    with pytest.raises(ValueError, match="describe different cones"):
+        cone_from_json(obj)
+
+
 def test_latex_outputs_mention_every_row():
     cone = Cone.from_hrep(2, [(1, 0), (-1, 3)])
     tex = latex_inequalities(cone)

@@ -339,8 +339,8 @@ def h_representations(draw):
 @example((3, [], [[0, 0, 0]]))
 @example((3, [[1, 0, 0], [0, 1, 0], [2, 0, 0], [1, -1, 0]], [[0, 0, 1]]))
 # Sorted, the rows run (0,1,-1), (0,1,0), (0,1,1), (1,0,0): the third lies in
-# the span of the first two and combines rays, then the last cuts the
-# lineality space.
+# the span of the first two and combines rays, and the last is independent of
+# every row before it.
 @example((3, [[0, 1, 0], [0, 1, 1], [0, 1, -1], [1, 0, 0]], []))
 # Cones over the octahedron (eight facets, each of its six rays on four of
 # them), the square pyramid (the apex on four facets) and the 3-cube, in
@@ -355,6 +355,13 @@ def h_representations(draw):
 # of it, and the final sweep would drop the result: the output is the same,
 # and only the count of ranked rays shows the extra combination.
 @example((4, [[0, 0, 0, -1], [0, 0, 0, 1], [0, -1, 0, 0], [1, 0, 0, 0], [-1, 0, 1, 0], [0, 0, 1, 0], [1, -1, 0, 0]], []))
+# One equation given twice, up to sign and scale; an equation that is also
+# an inequality row, and its negative; rows of rank 2 < dim with no
+# equation; no rows at all.
+@example((3, [[1, 0, 0], [0, 1, 1]], [[1, -1, 0], [-2, 2, 0]]))
+@example((3, [[1, 0, 0], [0, 1, 0], [0, -2, 0], [1, 1, 1]], [[0, 1, 0]]))
+@example((4, [[1, 0, 0, 0], [0, 1, 0, 0], [1, 1, 0, 0], [1, -1, 0, 0]], []))
+@example((3, [], []))
 @settings(max_examples=300)
 @given(h_representations())
 def test_dual_description_matches_brute_force(counted_dual_description, hrep):
