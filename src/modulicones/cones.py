@@ -17,23 +17,23 @@ through one cached V->H conversion and one cached H->V conversion
 (`Cone.canonical_vrep`), so no answer depends on what was read before it.
 Every conversion in the package goes through them.  By polarity both are one
 computation, the extreme rays of ``{x : v @ x >= 0 for every row v}``, and
-both start from one integer `linalg.rref`, the package's one elimination,
-of the rows beside an identity (`_dual_start`): it picks a maximal
-independent set of the rows and gives their dual basis and the lineality.
-``dim`` independent rows (a simplicial cone) or ``dim + 1`` rows of rank
-``dim`` whose one relation has no zero entry and both signs (a circuit) have
-their rays in closed form from it (`_closed_form_rays`).  The boundary
-classes generate such cones: simplicial for at most one marked point, a
-circuit for two.  Every other input -- and any with equations or lineality --
-goes to the double description method (`dual_description`), which works on
-integer rows from end to end: it starts from the dual basis, combines rays
-by integer cross-multiplication, and decides adjacency combinatorially from
-the tight sets of the rays: a pair passes when it has enough common tight
-rows and the AND of the transposed tight-row bitsets over those rows leaves
-no third ray.  A combined ray inherits its tight set from the two rays it
-combines; a final sweep finds each ray's tight rows again by dot products
-and keeps the rays whose tight rows have rank one less than the codimension
-of the lineality (`linalg.rank`, forward elimination only).  Each membership
+both are one call to the double description method (`dual_description`),
+which works on integer rows from end to end.  It starts from one integer
+`linalg.rref`, the package's one elimination, of the rows beside an
+identity (`_dual_start`): it picks a maximal independent set of the rows and
+gives their dual basis, the rays of a simplicial cone, and the lineality.
+Each later row combines rays by integer cross-multiplication.  The first
+combines every pair it separates, since on a simplicial cone every two rays
+are adjacent; the boundary classes need no more: they span a simplicial
+cone for at most one marked point and a circuit, one row past simplicial,
+for two.  Later rows decide adjacency combinatorially from the tight sets
+of the rays: a pair passes when it has enough common tight rows and the AND
+of the transposed tight-row bitsets over those rows leaves no third ray.  A
+combined ray inherits its tight set from the two rays it combines; once a
+second row has been processed, a final sweep finds each ray's tight rows
+again by dot products and keeps the rays whose tight rows have rank one less
+than the codimension of the lineality (`linalg.rank`, forward elimination
+only).  Each membership
 query is one call to `certify`, one phase-1 simplex solve, which produces
 either explicit nonnegative coefficients or a Farkas functional separating
 the point from the cone.  The simplex pivots an integer tableau over one
@@ -256,19 +256,22 @@ def dual_description(
     space, so the lineality never changes, and each later row only combines
     rays.
 
-    Adjacency of two rays is decided combinatorially from the bitmasks of
+    On the simplicial start every two rays are adjacent, so the first row
+    after it combines every pair on opposite sides with no test; for ``dim +
+    1`` rows of rank ``dim`` that one step is the circuit's closed form
+    (Ziegler, *Lectures on Polytopes*, 1995, ch. 6).  From the second row on,
+    adjacency of two rays is decided combinatorially from the bitmasks of
     the processed rows each ray is tight on (Fukuda and Prodon, "Double
-    description method revisited", 1996).  Those tight sets are exact and
-    need no dot product: a start ray's is read off the dual basis, and a ray
-    combined from two adjacent rays inherits its set from theirs.
-    A pair with too few common tight rows is rejected on a popcount; for the
-    rest, the rays tight on every common row are the AND of per-row bitsets
-    over the rays, and the pair is adjacent iff that AND is the pair itself.
-    With no common row the AND is every ray, so the pair is rejected
-    whenever a third ray exists.  A final rank sweep, which finds each ray's
-    tight rows again by dot products, keeps only the extreme rays.  A row
-    whose length is not ``dim`` raises `ValueError`; every row and ray inside
-    has length ``dim``, so the dot products need no check of their own.
+    description method revisited", 1996; `_adjacent_pairs`).  Those tight
+    sets are exact and need no dot product: a start ray's is read off the
+    dual basis, and a ray combined from two adjacent rays inherits its set
+    from theirs.  A final rank sweep, which finds each ray's tight rows again
+    by dot products, re-checks those adjacency decisions and keeps only the
+    extreme rays; it runs only when a second row after the start has been
+    processed, since before that no decision was read from the masks.  A
+    row whose length is not ``dim`` raises `ValueError`; every row and ray
+    inside has length ``dim``, so the dot products need no check of their
+    own.
     """
     for what, given in (("inequality", inequalities), ("equation", equations)):
         for row in given:
@@ -281,8 +284,9 @@ def dual_description(
     done: list[IntVec] = [rows[c] for c in dual]
     rays = [y for c, y in dual.items() if c >= len(eqs)]
     masks = [(1 << len(done)) - 1 - (1 << k) for k, c in enumerate(dual) if c >= len(eqs)]
+    rest = [rows[k] for k in range(len(eqs), len(rows)) if k not in dual]
 
-    for a in (rows[k] for k in range(len(eqs), len(rows)) if k not in dual):
+    for step, a in enumerate(rest):
         bit = 1 << len(done)
         done.append(a)
         vals = [sum(map(mul, a, r)) for r in rays]
@@ -292,12 +296,13 @@ def dual_description(
         plus = [i for i, v in enumerate(vals) if v > 0]
         zero = [i for i, v in enumerate(vals) if v == 0]
         minus = [i for i, v in enumerate(vals) if v < 0]
-        # Two extreme rays are adjacent when the smallest face holding both
-        # is two-dimensional modulo the lineality.  Their common tight rows
-        # cut out that face, so there are at least dim - lin - 2 of them, and
-        # no third extreme ray is tight on all of them.
-        need = dim - len(lin) - 2
-
+        # The first step sees the start rays, each tight on all of S but
+        # its own row, so a pair's common rows are the other dim - lin - 2
+        # rows of S and no third start ray is tight on all of them.
+        if step:
+            pairs = _adjacent_pairs(plus, minus, masks, len(done), dim - len(lin) - 2)
+        else:
+            pairs = itertools.product(plus, minus)
         # A combined ray inherits its tight set: masks[i] & masks[j] | bit,
         # with no dot product.  Every mask is exact, both coefficients of the
         # combination are positive and both rays satisfy every processed row,
@@ -307,97 +312,70 @@ def dual_description(
         # changes no tight row, and a duplicate combination has the same
         # tight set.  Both rays are zero in the pivot columns of the
         # lineality, and so is their combination.
-        #
-        # The third-ray test reads the masks transposed: bit k of cols[t] is
-        # set when processed row t is tight at ray k.  The AND of cols[t]
-        # over the common rows is the set of rays tight on all of them; it
-        # always holds i and j, and the pair is adjacent iff it holds
-        # nothing else.  Over an empty `common` the AND is every ray, so such
-        # a pair is rejected whenever a third ray exists, as a scan of the
-        # masks would reject it.
-        cols = [0] * len(done)
-        for k, mk in enumerate(masks):
-            kb = 1 << k
-            while mk:
-                low = mk & -mk
-                cols[low.bit_length() - 1] |= kb
-                mk ^= low
-        every = (1 << len(rays)) - 1
         combos: dict[IntVec, int] = {}
-        for i, j in itertools.product(plus, minus):
-            common = masks[i] & masks[j]
-            if common.bit_count() < need:
-                continue
-            pair = (1 << i) | (1 << j)
-            both, left = every, common
-            while left and both != pair:
-                low = left & -left
-                both &= cols[low.bit_length() - 1]
-                left ^= low
-            if both != pair:
-                continue
+        for i, j in pairs:
             combo = tuple(vals[i] * rj - vals[j] * ri for ri, rj in zip(rays[i], rays[j]))
             p = _primitive_or_none(combo)
             if p is not None:
-                combos.setdefault(p, common | bit)
+                combos.setdefault(p, masks[i] & masks[j] | bit)
         kept = [(rays[i], masks[i]) for i in plus] + [(rays[i], masks[i] | bit) for i in zero]
         rays = [r for r, _ in kept] + list(combos)
         masks = [mk for _, mk in kept] + list(combos.values())
 
+    # Every ray is already primitive, distinct and the canonical
+    # representative of its class modulo the lineality, zero in its pivot
+    # columns: the start rays are, and so is every combination.  With at
+    # most one row after the start, every ray is extreme as well: the start
+    # rays are, and one cut of a simplicial cone keeps the rays on its side
+    # and meets each edge that crosses it in one more.
+    if len(rest) < 2:
+        return sorted(rays), sorted(lin)
     # Final sweep: drop rays that are not extreme (the tight rows of an
     # extreme ray have rank exactly codim(lineality) - 1) and sort into
-    # canonical order.  Every ray is already primitive, distinct and the
-    # canonical representative of its class modulo the lineality, zero in
-    # its pivot columns: the start rays are, and so is every combination.
-    # The tight rows are found again by dot products, not read from the
-    # masks, so the extremality check does not rest on the bookkeeping it
-    # checks.
+    # canonical order.  The tight rows are found again by dot products, not
+    # read from the masks, so the extremality check does not rest on the
+    # bookkeeping it checks.
     extreme_rank = dim - len(lin) - 1
     final = [r for r in rays if rank([row for row in done if sum(map(mul, row, r)) == 0]) == extreme_rank]
     return sorted(final), sorted(lin)
 
 
-def _closed_form_rays(
-    dim: int, vectors: Sequence[Sequence[int]], equations: Sequence[Sequence[int]]
-) -> Optional[tuple[IntVec, ...]]:
-    """The extreme rays of ``{x : v @ x >= 0 for every v in vectors}`` -- the
-    facet normals of the cone the vectors span -- in closed form, primitive
-    and sorted as `dual_description` returns them, or None.
+def _adjacent_pairs(plus: list[int], minus: list[int], masks: list[int], n_rows: int, need: int):
+    """The pairs ``(i, j)`` of ``plus`` by ``minus`` whose rays are adjacent,
+    read from the tight-row bitmasks over ``n_rows`` processed rows.
 
-    Two shapes have one (Ziegler, *Lectures on Polytopes*, 1995, ch. 6).
-    ``dim`` independent vectors span a simplicial cone, and the rays are the
-    dual basis ``e*_r`` (``v_k @ e*_r == [k == r]``).  ``dim + 1`` vectors of
-    rank ``dim`` form a circuit when their one relation ``sum l_k v_k == 0``
-    has no zero entry and takes both signs: every ``dim`` of them are
-    independent, and a facet of their cone is spanned by all but a pair
-    ``i, j`` with ``l_i > 0 > l_j``.  With ``z`` the last vector, rescaled so
-    that ``l_z == -1``, and ``e*`` the dual basis of the others, that facet's
-    normal is ``e*_i`` when ``j == z`` and ``l_i e*_j - l_j e*_i`` otherwise:
-    it vanishes on ``v_z = sum l_r v_r`` and is positive on ``v_i``, ``v_j``.
-
-    One `_dual_start`, the `rref` of ``[V^T | I]``, finds both: row ``r`` is
-    ``c_r`` times ``(unit_r + l_r unit_z | e*_r)`` with ``c_r > 0``.
-    Any other input -- equations, another vector count (screened before any
-    elimination), the first ``dim`` vectors dependent, a zero or one-signed
-    relation -- gives None, and the caller runs `dual_description`.
+    Two extreme rays are adjacent when the smallest face holding both is
+    two-dimensional modulo the lineality.  Their common tight rows cut out
+    that face, so there are at least ``need = dim - lin - 2`` of them, and no
+    third extreme ray is tight on all of them.  A pair with too few common
+    rows is rejected on a popcount.  The third-ray test reads the masks
+    transposed: bit k of ``cols[t]`` is set when processed row t is tight at
+    ray k.  The AND of ``cols[t]`` over the common rows is the set of rays
+    tight on all of them; it always holds i and j, and the pair is adjacent
+    iff it holds nothing else.  Over an empty set of common rows the AND is
+    every ray, so such a pair is rejected whenever a third ray exists, as a
+    scan of the masks would reject it.
     """
-    n = len(vectors)
-    if equations or n not in (dim, dim + 1):
-        return None
-    rows, pivots = _dual_start(dim, vectors)
-    if pivots != list(range(dim)):
-        return None
-    dual = [row[n:] for row in rows]  # c_r * e*_r
-    if n == dim:
-        return tuple(sorted(map(primitive, dual)))
-    rel = [row[dim] for row in rows]  # c_r * l_r
-    plus = [r for r, x in enumerate(rel) if x > 0]
-    if not plus or not all(rel):
-        return None
-    minus = [r for r, x in enumerate(rel) if x < 0]
-    facets = [primitive(dual[i]) for i in plus]
-    facets += [primitive([rel[i] * a - rel[j] * b for a, b in zip(dual[j], dual[i])]) for i in plus for j in minus]
-    return tuple(sorted(facets))
+    cols = [0] * n_rows
+    for k, mk in enumerate(masks):
+        kb = 1 << k
+        while mk:
+            low = mk & -mk
+            cols[low.bit_length() - 1] |= kb
+            mk ^= low
+    every = (1 << len(masks)) - 1
+    for i, j in itertools.product(plus, minus):
+        common = masks[i] & masks[j]
+        if common.bit_count() < need:
+            continue
+        pair = (1 << i) | (1 << j)
+        both, left = every, common
+        while left and both != pair:
+            low = left & -left
+            both &= cols[low.bit_length() - 1]
+            left ^= low
+        if both == pair:
+            yield i, j
 
 
 # --------------------------------------------------------------------------
@@ -414,9 +392,10 @@ class Cone:
     changes after construction.  The other representation is computed once,
     on first access, by one of two cached conversions: V->H (`_hrep`, the
     facets of the given rays by polar duality) and H->V (`canonical_vrep`,
-    the extreme rays of the given or computed inequalities).  Each reads a
-    simplicial or circuit input in closed form (`_closed_form_rays`) and runs
-    `dual_description` on anything else.  Both are canonical -- primitive,
+    the extreme rays of the given or computed inequalities).  Each is one
+    `dual_description` call, which answers a simplicial or circuit input
+    from its start and first row, with no adjacency test and no rank sweep.
+    Both are canonical -- primitive,
     irredundant, lexicographically sorted, the same bytes either way --
     and `canonical_vrep` never trusts caller-supplied rays.
     """
@@ -475,17 +454,11 @@ class Cone:
         # extreme rays of {y : y @ r >= 0 for all rays, y @ l == 0 on the
         # lineality}, and the equations cutting out its span are that
         # dual's lineality.
-        facets = _closed_form_rays(self.ambient_dim, self._rays, self._lineality)
-        if facets is not None:
-            return facets, ()
         ineqs, eqs = dual_description(self.ambient_dim, self._rays, self._lineality)
         return tuple(ineqs), tuple(eqs)
 
     @cached_property
     def _vrep(self) -> tuple[tuple[IntVec, ...], tuple[IntVec, ...]]:
-        rays = _closed_form_rays(self.ambient_dim, *self._hrep)
-        if rays is not None:
-            return rays, ()
         rays, lin = dual_description(self.ambient_dim, *self._hrep)
         return tuple(rays), tuple(lin)
 

@@ -6,7 +6,8 @@ The PORTA dialect is deliberately tiny: a ``DIM = d`` header, then either an
 V-representation, integer ray rows), closed by ``END``.  Coefficients are
 integers only; anything else, and any PORTA keyword outside this dialect, is
 rejected with the offending line number.  ``CONE_SECTION`` lists
-`Cone.generators`, the rays and then each lineality vector as ``l, -l``.
+`Cone.generators`, the rays and then each lineality vector as ``l, -l``;
+reading it back takes a trailing run of such pairs as the lineality.
 
 JSON carries exact integers for cone data, so nothing ever moves through
 floats.
@@ -77,7 +78,7 @@ def _parse_lhs(text: str, dim: int, lineno: int) -> IntVec:
     for sign, mag, var in _TERM_RE.findall(compact):
         idx = int(var)
         if not 1 <= idx <= dim:
-            raise PortaError(f"line {lineno}: variable x{idx} exceeds DIM = {dim}")
+            raise PortaError(f"line {lineno}: variable x{idx} is outside x1..x{dim} (DIM = {dim})")
         coef = int(mag) if mag else 1
         row[idx - 1] += coef if sign == "+" else -coef
     return tuple(row)
@@ -141,7 +142,11 @@ def porta_read(text: str) -> Cone:
         raise PortaError("missing END")
     if section == "INEQUALITIES_SECTION":
         return Cone.from_hrep(dim, ineqs, eqs)
-    return Cone.from_vrep(dim, rays)
+    # a trailing run of pairs l, -l is the lineality, as `porta_write` lists it
+    k = len(rays)
+    while k >= 2 and rays[k - 1] == tuple(-x for x in rays[k - 2]):
+        k -= 2
+    return Cone.from_vrep(dim, rays[:k], rays[k::2])
 
 
 # --------------------------------------------------------------------------

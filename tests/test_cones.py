@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, event, given, settings, strategies as st
@@ -16,6 +17,8 @@ from modulicones.curves import eff_cone, nem_hrep
 from modulicones.linalg import vec
 from modulicones.porta import cone_json_dumps
 from modulicones.spaces import SpaceId, picard_number
+
+from dd_oracle import brute_force_vrep, rows_after_start
 
 F = Fraction
 
@@ -293,11 +296,10 @@ def test_certificates_build_no_fraction_in_the_pivot_loop(monkeypatch):
 
 
 # --------------------------------------------------------------------------
-# closed-form conversion of simplicial and circuit cones
+# conversion of simplicial and circuit cones
 # --------------------------------------------------------------------------
 
-CLOSED_FORM_SHAPES = ("simplicial", "circuit")
-FALLBACK_SHAPES = ("zero-entry", "one-signed", "rank-deficient", "extra-vector")
+SHAPES = ("simplicial", "circuit", "zero-entry", "one-signed", "rank-deficient", "extra-vector")
 
 
 @st.composite
@@ -308,7 +310,7 @@ def shaped_vectors(draw):
     ``l_r == 0``; one-signed: every ``l_r < 0``), or ``dim`` vectors of rank
     ``dim - 1``, or ``dim + 2`` arbitrary vectors.  The vectors come in a
     drawn order, so the sum is not always last."""
-    shape = draw(st.sampled_from(CLOSED_FORM_SHAPES + FALLBACK_SHAPES))
+    shape = draw(st.sampled_from(SHAPES))
     low = {"circuit": 2, "zero-entry": 3, "rank-deficient": 2}.get(shape, 1)
     dim = draw(st.integers(min_value=low, max_value=6))
     entries = st.integers(min_value=-3, max_value=3)
@@ -337,7 +339,7 @@ def shaped_vectors(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(shaped_vectors())
-def test_closed_form_conversion_matches_double_description(shaped):
+def test_shaped_conversions_match_the_brute_force_oracle(shaped):
     shape, dim, vectors = shaped
     event(shape)
     v_built = Cone.from_vrep(dim, vectors)
@@ -345,12 +347,20 @@ def test_closed_form_conversion_matches_double_description(shaped):
         assume(len(v_built.rays) == dim + 2)  # no duplicate or zero vector
     # By polarity the facets of the cone the vectors span (V->H) and the
     # extreme rays of the cone they cut out (H->V) are both this.
-    rows, lin = dual_description(dim, vectors)
-    assert (v_built.inequalities, v_built.equations) == (tuple(rows), tuple(lin))
-    assert Cone.from_hrep(dim, vectors).canonical_vrep() == (tuple(rows), tuple(lin))
-    # the closed form answers exactly the two shapes it is for
-    closed = cones._closed_form_rays(dim, v_built.rays, ())
-    assert (closed is not None) is (shape in CLOSED_FORM_SHAPES)
+    rows, lin = brute_force_vrep(dim, vectors, ())
+    expected = (tuple(rows), tuple(lin))
+    h_built = Cone.from_hrep(dim, vectors)
+    ranked = []
+    with mock.patch.object(cones, "rank", lambda m: ranked.append(m) or linalg.rank(m)):
+        assert (v_built.inequalities, v_built.equations) == expected
+        assert h_built.canonical_vrep() == expected
+    # each direction is one double description of the same rows, whose
+    # final sweep ranks every ray it returns once a second row after the
+    # start has been processed, and runs not at all before
+    past = rows_after_start(vectors, ())
+    assert len(ranked) == (2 * len(rows) if past > 1 else 0)
+    if shape not in ("rank-deficient", "extra-vector"):
+        assert ranked == []
 
 
 @pytest.fixture
@@ -366,13 +376,20 @@ EFF_SPACES = [SpaceId(n, 2) for n in range(5, 17)] + [SpaceId(n, m) for m in (0,
 
 
 @pytest.mark.parametrize("s", EFF_SPACES, ids=str)
-def test_eff_facets_are_counted_in_closed_form(s, count_dd):
+def test_eff_facets_are_counted_in_closed_form(monkeypatch, s, count_dd):
     """Eff X(n, 2) is a circuit with (n-3)^2 facets; Eff X(n, m <= 1) is
-    simplicial, one facet per basis class.  Neither runs double description."""
+    simplicial, one facet per basis class.  One double description answers
+    either from its start and at most one row after it: one elimination and
+    no rank sweep."""
     cone = eff_cone.__wrapped__(s)  # a fresh cone: nothing converted yet
+    calls = []
+    for name in ("rref", "rank"):
+        real = getattr(cones, name)
+        monkeypatch.setattr(cones, name, lambda m, name=name, real=real: calls.append(name) or real(m))
     expected = (s.n - 3) ** 2 if s.m == 2 else picard_number(s)
     assert (len(cone.inequalities), cone.equations) == (expected, ())
-    assert count_dd == []
+    assert len(count_dd) == 1
+    assert calls == ["rref"]
 
 
 def test_nem_cone_still_runs_double_description_once(count_dd):

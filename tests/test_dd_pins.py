@@ -16,7 +16,10 @@ space: two vectors at ``(3, 2, mg1)`` and one at ``(4, 2, mg)`` and
 started from one elimination.  Each case also asserts that the final sweep ranks exactly the
 rays it returns, which the digest alone would not notice: an adjacency test
 that lets a non-adjacent pair through leaves the output unchanged as long as
-the sweep drops the extra ray.
+the sweep drops the extra ray.  With at most one row after the start the
+run makes no adjacency test and the sweep does not run, so it ranks none:
+``cut``, the effective-cone facets, ``hyperelliptic-g3``, ``m21-mov``,
+``nem-x5-1`` and ``nem-x6..9-0``.
 """
 
 import hashlib
@@ -27,6 +30,8 @@ from modulicones.bridge import hyperelliptic_pullback_cone, m21_cones, mg1_inequ
 from modulicones.cones import dual_description
 from modulicones.curves import eff_cone, nem_hrep
 from modulicones.spaces import SpaceId
+
+from dd_oracle import rows_after_start
 
 PINS = {
     "cut": "66a8fb244804abe378a81ba10768558d1fbfe13ef76ebbb120d5fec756815a27",
@@ -105,8 +110,10 @@ CASES = {
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_dual_description_is_pinned(name, counted_dual_description):
-    out, rank_calls = counted_dual_description(*CASES[name]())
+    dim, inequalities, equations = CASES[name]()
+    out, rank_calls = counted_dual_description(dim, inequalities, equations)
     assert hashlib.sha256(repr(out).encode()).hexdigest() == PINS[name]
     # the final sweep keeps every ray it ranks: the adjacency test let no
     # non-extreme combination through for the sweep to drop
-    assert rank_calls == len(out[0])
+    past = rows_after_start(inequalities, equations)
+    assert rank_calls == (len(out[0]) if past > 1 else 0)

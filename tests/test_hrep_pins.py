@@ -7,9 +7,11 @@ pinned here.  The digests were recorded before the reduced rows were read
 off the closed form that `nem_xn1_full_rows` shares.
 
 ``cone --which eff --rep hrep`` prints the facets of a simplicial (m <= 1) or
-circuit (m = 2) cone.  Those digests were recorded while the facets still
-came from double description, before `cones._closed_form_rays` wrote them
-down from one inverse.
+circuit (m = 2) cone.  Those digests were recorded while the facets came
+from double description with an adjacency test on every row and a final
+rank sweep.  They held while a separate closed form wrote the facets down
+from one inverse, and they hold now that double description answers these
+cones from its start and at most one row after it, with neither.
 """
 
 import hashlib

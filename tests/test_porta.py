@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from modulicones.bridge import mg1_inequality_family
 from modulicones.cones import Cone
 from modulicones.curves import nem_hrep
 from modulicones.porta import (
@@ -37,6 +38,24 @@ def test_nem_hrep_porta_round_trip_bytes():
     assert text.startswith("DIM = 4\n")
     assert text.count(">= 0") == 9
     assert porta_write(porta_read(text), "hrep") == text
+
+
+@pytest.mark.parametrize("g, n, target", [(3, 2, "mg1"), (4, 2, "mg"), (6, 5, "mg1")])
+def test_vrep_with_lineality_round_trips_on_the_first_write(g, n, target):
+    """The trailing pairs ``l, -l`` of a ``CONE_SECTION`` read back as the
+    lineality, so the first write is already the stable text."""
+    cone = mg1_inequality_family(g, n, target)[0]
+    assert cone.lineality
+    text = porta_write(cone, "vrep")
+    back = porta_read(text)
+    assert (back.rays, back.lineality) == (cone.rays, cone.lineality)
+    assert porta_write(back, "vrep") == text
+
+
+@pytest.mark.parametrize("var", ["x0", "x3"])
+def test_porta_names_the_valid_variable_range(var):
+    with pytest.raises(PortaError, match=rf"line 4: variable {var} is outside x1\.\.x2 \(DIM = 2\)"):
+        porta_read(f"DIM = 2\n\nINEQUALITIES_SECTION\n+{var} >= 0\nEND\n")
 
 
 def test_porta_rejects_unknown_section():
