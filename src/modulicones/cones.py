@@ -22,18 +22,19 @@ which works on integer rows from end to end.  It starts from one integer
 `linalg.rref`, the package's one elimination, of the rows beside an
 identity (`_dual_start`): it picks a maximal independent set of the rows and
 gives their dual basis, the rays of a simplicial cone, and the lineality.
-Each later row combines rays by integer cross-multiplication.  The first
-combines every pair it separates, since on a simplicial cone every two rays
-are adjacent; the boundary classes need no more: they span a simplicial
-cone for at most one marked point and a circuit, one row past simplicial,
-for two.  Later rows decide adjacency combinatorially from the tight sets
-of the rays: a pair passes when it has enough common tight rows and the AND
-of the transposed tight-row bitsets over those rows leaves no third ray.  A
-combined ray inherits its tight set from the two rays it combines; once a
-second row has been processed, a final sweep finds each ray's tight rows
-again by dot products and keeps the rays whose tight rows have rank one less
-than the codimension of the lineality (`linalg.rank`, forward elimination
-only).  Each membership
+Each later row combines the pairs of rays it separates that are adjacent,
+by integer cross-multiplication.  Adjacency is decided combinatorially from
+the tight sets of the rays: a pair passes when it has enough common tight
+rows and the AND of the transposed tight-row bitsets over those rows leaves
+no third ray.  A combined ray inherits its tight set from the two rays it
+combines.  On a simplicial cone every two rays are adjacent, so the first
+row after the start combines every pair it separates and its rays are
+final; the boundary classes need no more: they span a simplicial cone for
+at most one marked point and a circuit, one row past simplicial, for two.
+Once a second row has been processed, a final sweep finds each ray's tight
+rows again by dot products and keeps the rays whose tight rows have rank
+one less than the codimension of the lineality (`linalg.rank`, forward
+elimination only).  Each membership
 query is one call to `certify`, one phase-1 simplex solve, which produces
 either explicit nonnegative coefficients or a Farkas functional separating
 the point from the cone.  The simplex pivots an integer tableau over one
@@ -256,22 +257,26 @@ def dual_description(
     space, so the lineality never changes, and each later row only combines
     rays.
 
-    On the simplicial start every two rays are adjacent, so the first row
-    after it combines every pair on opposite sides with no test; for ``dim +
-    1`` rows of rank ``dim`` that one step is the circuit's closed form
-    (Ziegler, *Lectures on Polytopes*, 1995, ch. 6).  From the second row on,
-    adjacency of two rays is decided combinatorially from the bitmasks of
+    Adjacency of two rays is decided combinatorially from the bitmasks of
     the processed rows each ray is tight on (Fukuda and Prodon, "Double
-    description method revisited", 1996; `_adjacent_pairs`).  Those tight
-    sets are exact and need no dot product: a start ray's is read off the
-    dual basis, and a ray combined from two adjacent rays inherits its set
-    from theirs.  A final rank sweep, which finds each ray's tight rows again
-    by dot products, re-checks those adjacency decisions and keeps only the
-    extreme rays; it runs only when a second row after the start has been
-    processed, since before that no decision was read from the masks.  A
-    row whose length is not ``dim`` raises `ValueError`; every row and ray
-    inside has length ``dim``, so the dot products need no check of their
-    own.
+    description method revisited", 1996).  Those tight sets are exact and
+    need no dot product: a start ray's is read off the dual basis, and a ray
+    combined from two adjacent rays inherits its set from theirs.
+    A pair with too few common tight rows is rejected on a popcount; for the
+    rest, the rays tight on every common row are the AND of per-row bitsets
+    over the rays, and the pair is adjacent iff that AND is the pair itself.
+    With no common row the AND is every ray, so the pair is rejected
+    whenever a third ray exists.  On the simplicial start the test is exact:
+    every two start rays pass it, so the first row after the start combines
+    every pair it separates, and for ``dim + 1`` rows of rank ``dim`` that
+    one step gives the facets in closed form (for a circuit, Ziegler,
+    *Lectures on Polytopes*, 1995, ch. 6).  A final rank sweep, which finds
+    each ray's tight rows again by dot products, re-checks the adjacency
+    decisions and keeps only the extreme rays; it runs only once a second
+    row after the start has been processed, since before that every
+    decision was exact.  A row whose length is not ``dim`` raises
+    `ValueError`; every row and ray inside has length ``dim``, so the dot
+    products need no check of their own.
     """
     for what, given in (("inequality", inequalities), ("equation", equations)):
         for row in given:
@@ -286,7 +291,7 @@ def dual_description(
     masks = [(1 << len(done)) - 1 - (1 << k) for k, c in enumerate(dual) if c >= len(eqs)]
     rest = [rows[k] for k in range(len(eqs), len(rows)) if k not in dual]
 
-    for step, a in enumerate(rest):
+    for a in rest:
         bit = 1 << len(done)
         done.append(a)
         vals = [sum(map(mul, a, r)) for r in rays]
@@ -296,13 +301,12 @@ def dual_description(
         plus = [i for i, v in enumerate(vals) if v > 0]
         zero = [i for i, v in enumerate(vals) if v == 0]
         minus = [i for i, v in enumerate(vals) if v < 0]
-        # The first step sees the start rays, each tight on all of S but
-        # its own row, so a pair's common rows are the other dim - lin - 2
-        # rows of S and no third start ray is tight on all of them.
-        if step:
-            pairs = _adjacent_pairs(plus, minus, masks, len(done), dim - len(lin) - 2)
-        else:
-            pairs = itertools.product(plus, minus)
+        # Two extreme rays are adjacent when the smallest face holding both
+        # is two-dimensional modulo the lineality.  Their common tight rows
+        # cut out that face, so there are at least dim - lin - 2 of them, and
+        # no third extreme ray is tight on all of them.
+        need = dim - len(lin) - 2
+
         # A combined ray inherits its tight set: masks[i] & masks[j] | bit,
         # with no dot product.  Every mask is exact, both coefficients of the
         # combination are positive and both rays satisfy every processed row,
@@ -312,12 +316,39 @@ def dual_description(
         # changes no tight row, and a duplicate combination has the same
         # tight set.  Both rays are zero in the pivot columns of the
         # lineality, and so is their combination.
+        #
+        # The third-ray test reads the masks transposed: bit k of cols[t] is
+        # set when processed row t is tight at ray k.  The AND of cols[t]
+        # over the common rows is the set of rays tight on all of them; it
+        # always holds i and j, and the pair is adjacent iff it holds
+        # nothing else.  Over an empty `common` the AND is every ray, so such
+        # a pair is rejected whenever a third ray exists, as a scan of the
+        # masks would reject it.
+        cols = [0] * len(done)
+        for k, mk in enumerate(masks):
+            kb = 1 << k
+            while mk:
+                low = mk & -mk
+                cols[low.bit_length() - 1] |= kb
+                mk ^= low
+        every = (1 << len(rays)) - 1
         combos: dict[IntVec, int] = {}
-        for i, j in pairs:
+        for i, j in itertools.product(plus, minus):
+            common = masks[i] & masks[j]
+            if common.bit_count() < need:
+                continue
+            pair = (1 << i) | (1 << j)
+            both, left = every, common
+            while left and both != pair:
+                low = left & -left
+                both &= cols[low.bit_length() - 1]
+                left ^= low
+            if both != pair:
+                continue
             combo = tuple(vals[i] * rj - vals[j] * ri for ri, rj in zip(rays[i], rays[j]))
             p = _primitive_or_none(combo)
             if p is not None:
-                combos.setdefault(p, masks[i] & masks[j] | bit)
+                combos.setdefault(p, common | bit)
         kept = [(rays[i], masks[i]) for i in plus] + [(rays[i], masks[i] | bit) for i in zero]
         rays = [r for r, _ in kept] + list(combos)
         masks = [mk for _, mk in kept] + list(combos.values())
@@ -340,44 +371,6 @@ def dual_description(
     return sorted(final), sorted(lin)
 
 
-def _adjacent_pairs(plus: list[int], minus: list[int], masks: list[int], n_rows: int, need: int):
-    """The pairs ``(i, j)`` of ``plus`` by ``minus`` whose rays are adjacent,
-    read from the tight-row bitmasks over ``n_rows`` processed rows.
-
-    Two extreme rays are adjacent when the smallest face holding both is
-    two-dimensional modulo the lineality.  Their common tight rows cut out
-    that face, so there are at least ``need = dim - lin - 2`` of them, and no
-    third extreme ray is tight on all of them.  A pair with too few common
-    rows is rejected on a popcount.  The third-ray test reads the masks
-    transposed: bit k of ``cols[t]`` is set when processed row t is tight at
-    ray k.  The AND of ``cols[t]`` over the common rows is the set of rays
-    tight on all of them; it always holds i and j, and the pair is adjacent
-    iff it holds nothing else.  Over an empty set of common rows the AND is
-    every ray, so such a pair is rejected whenever a third ray exists, as a
-    scan of the masks would reject it.
-    """
-    cols = [0] * n_rows
-    for k, mk in enumerate(masks):
-        kb = 1 << k
-        while mk:
-            low = mk & -mk
-            cols[low.bit_length() - 1] |= kb
-            mk ^= low
-    every = (1 << len(masks)) - 1
-    for i, j in itertools.product(plus, minus):
-        common = masks[i] & masks[j]
-        if common.bit_count() < need:
-            continue
-        pair = (1 << i) | (1 << j)
-        both, left = every, common
-        while left and both != pair:
-            low = left & -left
-            both &= cols[low.bit_length() - 1]
-            left ^= low
-        if both == pair:
-            yield i, j
-
-
 # --------------------------------------------------------------------------
 # the Cone class
 # --------------------------------------------------------------------------
@@ -393,9 +386,9 @@ class Cone:
     on first access, by one of two cached conversions: V->H (`_hrep`, the
     facets of the given rays by polar duality) and H->V (`canonical_vrep`,
     the extreme rays of the given or computed inequalities).  Each is one
-    `dual_description` call, which answers a simplicial or circuit input
-    from its start and first row, with no adjacency test and no rank sweep.
-    Both are canonical -- primitive,
+    `dual_description` call, which answers ``dim`` independent rows, or
+    ``dim + 1`` rows of rank ``dim`` such as a circuit, from its start and
+    first row, with no rank sweep.  Both are canonical -- primitive,
     irredundant, lexicographically sorted, the same bytes either way --
     and `canonical_vrep` never trusts caller-supplied rays.
     """

@@ -377,10 +377,10 @@ EFF_SPACES = [SpaceId(n, 2) for n in range(5, 17)] + [SpaceId(n, m) for m in (0,
 
 @pytest.mark.parametrize("s", EFF_SPACES, ids=str)
 def test_eff_facets_are_counted_in_closed_form(monkeypatch, s, count_dd):
-    """Eff X(n, 2) is a circuit with (n-3)^2 facets; Eff X(n, m <= 1) is
-    simplicial, one facet per basis class.  One double description answers
-    either from its start and at most one row after it: one elimination and
-    no rank sweep."""
+    """The facet count has a closed form: Eff X(n, 2) is a circuit with
+    (n-3)^2 facets, and Eff X(n, m <= 1) is simplicial, one facet per basis
+    class.  One double description finds those facets from its start and at
+    most one row after it: one elimination and no rank sweep."""
     cone = eff_cone.__wrapped__(s)  # a fresh cone: nothing converted yet
     calls = []
     for name in ("rref", "rank"):

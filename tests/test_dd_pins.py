@@ -17,7 +17,7 @@ started from one elimination.  Each case also asserts that the final sweep ranks
 rays it returns, which the digest alone would not notice: an adjacency test
 that lets a non-adjacent pair through leaves the output unchanged as long as
 the sweep drops the extra ray.  With at most one row after the start the
-run makes no adjacency test and the sweep does not run, so it ranks none:
+sweep does not run, so it ranks none:
 ``cut``, the effective-cone facets, ``hyperelliptic-g3``, ``m21-mov``,
 ``nem-x5-1`` and ``nem-x6..9-0``.
 """

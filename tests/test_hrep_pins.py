@@ -11,7 +11,7 @@ circuit (m = 2) cone.  Those digests were recorded while the facets came
 from double description with an adjacency test on every row and a final
 rank sweep.  They held while a separate closed form wrote the facets down
 from one inverse, and they hold now that double description answers these
-cones from its start and at most one row after it, with neither.
+cones from its start and at most one row after it, with no rank sweep.
 """
 
 import hashlib
