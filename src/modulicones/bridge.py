@@ -30,13 +30,19 @@ it birationally, by one more :class:`~modulicones.curves.LinearMap` (on
 divisor coordinates), and the module ends with the transported cone
 comparisons and the numerical data of the two extremal contractions used
 there.
+
+The cones are shared like every named cone of the package: each
+constructor caches its answer per argument, so a repeated query reuses the
+conversions of the first, and the mappings it returns are read-only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from functools import lru_cache
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence
 
 from . import fixtures
 from .cones import Cone
@@ -50,6 +56,7 @@ __all__ = [
     "hyperelliptic_pullback_cone",
     "hyperelliptic_pushforward",
     "m21_cones",
+    "m21_moving_cone",
     "m21_pushforward",
     "mg1_inequality_family",
     "mg_basis",
@@ -171,6 +178,7 @@ def hyperelliptic_curve_image(g: int, k: int) -> Vec:
     return _as_vec(g, _row("mg", g, irr=4 * (j - g), deltas=((j, g + 1 - j),)))
 
 
+@lru_cache(maxsize=None, typed=True)
 def hyperelliptic_pullback_cone(g: int) -> Cone:
     """Effective classes whose hyperelliptic restriction stays transportable.
 
@@ -300,9 +308,10 @@ def _mg1_rows(g: int, n: int, target: str) -> dict[tuple, IntVec]:
 Witness = tuple[int, int, IntVec]
 
 
+@lru_cache(maxsize=None, typed=True)
 def mg1_inequality_family(
     g: int, n: int, target: str = "mg"
-) -> tuple[Cone, dict[tuple[int, int], Witness]]:
+) -> tuple[Cone, Mapping[tuple[int, int], Witness]]:
     """The five transported inequality families, with reduction witnesses.
 
     Returns the cone they cut out together with, per valid ``(k, m)``, the
@@ -315,14 +324,16 @@ def mg1_inequality_family(
     ``g = 2``; the identity is linear in the rows and holds at either scale.
     A negative multiplier or a failed identity raises
     :class:`ArithmeticError`; it would mean the rows were transcribed
-    inconsistently.
+    inconsistently.  The witnesses are a read-only mapping: the pair is
+    cached, so each ``(g, n, target)`` runs the identity once per process.
     """
     _check_pointed_params(g, n, target)
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     rows = _mg1_rows(g, n, target)
     dim = len(mg_basis(g) if target == "mg" else mg1_basis(g))
-    return Cone.from_hrep(dim, tuple(rows.values())), _mg1_witnesses(g, n, target)
+    witnesses = MappingProxyType(_mg1_witnesses(g, n, target))
+    return Cone.from_hrep(dim, tuple(rows.values())), witnesses
 
 
 def _mg1_witnesses(g: int, n: int, target: str) -> dict[tuple[int, int], Witness]:
@@ -378,8 +389,9 @@ def m21_pushforward(coords: Sequence[Fraction | int]) -> Vec:
     return _M21(coords)
 
 
-def m21_cones() -> dict[str, Cone]:
-    """The four cone players on the genus-two pointed space.
+@lru_cache(maxsize=None, typed=True)
+def m21_cones() -> Mapping[str, Cone]:
+    """The four cone players on the genus-two pointed space, read-only.
 
     ``eff`` is simplicial on the three basis divisors; ``push_nem`` and
     ``push_nef`` transport the computed seven-point cone and the recorded
@@ -389,12 +401,20 @@ def m21_cones() -> dict[str, Cone]:
     s = _M21.source
     pushed_nem = tuple(primitive(_M21.scaled(r)[0]) for r in nem_hrep(s).rays)
     pushed_nef = tuple(primitive(_M21.scaled(r)[0]) for r in fixtures.NEF_RAYS[s])
-    return {
+    return MappingProxyType({
         "eff": Cone.from_vrep(3, ((1, 0, 0), (0, 1, 0), (0, 0, 1))),
         "push_nem": Cone.from_vrep(3, pushed_nem),
         "push_nef": Cone.from_vrep(3, pushed_nef),
         "nef": Cone.from_vrep(3, (fixtures.M21_A, fixtures.M21_B, fixtures.M21_C)),
-    }
+    })
+
+
+@lru_cache(maxsize=None, typed=True)
+def m21_moving_cone() -> Cone:
+    """The genus-two moving cone: ``push_nem`` of `m21_cones` rebuilt from
+    its extreme rays, so its generators are those four rays and no other.
+    The ``m21-mov`` cone of the command line and of check 13."""
+    return Cone.from_vrep(3, m21_cones()["push_nem"].canonical_vrep()[0])
 
 
 @dataclass(frozen=True)

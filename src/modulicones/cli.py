@@ -33,7 +33,7 @@ from . import fixtures, verify
 from .bridge import (
     hyperelliptic_pullback_cone,
     hyperelliptic_pushforward,
-    m21_cones,
+    m21_moving_cone,
     m21_pushforward,
     mg1_inequality_family,
     pointed_pushforward,
@@ -74,6 +74,7 @@ def _parse_coords(text: str) -> tuple[int | Fraction, ...]:
 # object selection shared by `cone`, `member`, and `export`
 
 
+@functools.lru_cache(maxsize=None, typed=True)
 def _nef_fixture_cone(s: SpaceId) -> Cone:
     if s in fixtures.NEF_RAYS:
         return Cone.from_vrep(picard_number(s), fixtures.NEF_RAYS[s])
@@ -110,8 +111,7 @@ def _select_cone(args: argparse.Namespace) -> tuple[Cone, str]:
         cone, _ = mg1_inequality_family(args.g, args.n, args.target)
         return cone, f"mg1-g{args.g}-n{args.n}-{args.target}"
     if which == "m21-mov":
-        rays, _ = m21_cones()["push_nem"].canonical_vrep()
-        return Cone.from_vrep(3, rays), "m21-mov"
+        return m21_moving_cone(), "m21-mov"
     raise ValueError(f"unknown cone selector {which!r}")
 
 

@@ -46,6 +46,12 @@ bug in the pivoting can only surface as an exception, never as a wrong
 answer; the target is scaled once to ints for this.  `Cone.contains` alone
 returns an H-row the point violates unverified, and only on a cone built
 from an H-representation.
+
+Every named cone of the package (`curves.eff_cone`, `curves.nem_hrep`, the
+`bridge` cones and the command line's recorded nef cones) is one shared
+value per argument per process: its constructor sits under an unbounded
+`functools.lru_cache`, so each of its conversions runs once per process.
+A long-lived caller can free them with the constructor's ``cache_clear()``.
 """
 
 from __future__ import annotations

@@ -271,9 +271,11 @@ def eff_cone(s: SpaceId) -> Cone:
 
     For at most one distinguished point this cone is simplicial on the
     basis classes.  With three or more distinguished points the boundary
-    classes stop spanning the effective cone, so no cone is offered.  Every
-    caller shares one cone per space, which is safe because a `Cone` never
-    changes after construction.
+    classes stop spanning the effective cone, so no cone is offered.  Like
+    every named cone of the package, this is one shared value per argument
+    per process: each caller gets the same `Cone`, and so the one cached
+    conversion it holds, which is safe because a `Cone` never changes after
+    construction.  An argument that raises is not cached and raises again.
     """
     if s.m > 2:
         raise ValueError(
@@ -343,12 +345,14 @@ def eff_xn2_derivation(n: int) -> tuple[dict[str, tuple[IntVec, ...]], dict[int,
 # nem cones: inequality descriptions
 
 
+@lru_cache(maxsize=None, typed=True)
 def nem_hrep(s: SpaceId) -> Cone:
     """Cone of divisors with effective restriction to every prime divisor.
 
     Available for ``m = 0`` (n >= 6) and ``m = 1`` (n >= 5); the defining
     functionals are the classes of pushed test curves that are nef inside
     their boundary divisor, so each inequality is forced on the nem cone.
+    Every caller shares one cone per space, as with `eff_cone`.
     """
     if s.m == 0:
         if s.n < 6:

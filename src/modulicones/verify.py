@@ -29,6 +29,7 @@ from .bridge import (
     hyperelliptic_curve_image,
     hyperelliptic_pushforward,
     m21_cones,
+    m21_moving_cone,
     m21_pushforward,
     pointed_curve_image,
     pointed_pushforward,
@@ -345,7 +346,7 @@ def check_serialization_round_trips() -> None:
     assert text.count(">= 0") == 9, text
     assert porta_write(porta_read(text), "hrep") == text
 
-    moving = Cone.from_vrep(3, m21_cones()["push_nem"].canonical_vrep()[0])
+    moving = m21_moving_cone()
     assert set(moving.rays) == {
         fixtures.M21_A,
         fixtures.M21_B,

@@ -7,6 +7,28 @@ import pytest
 from modulicones import cones
 
 
+def _functools_cache(obj):
+    """The ``functools`` cache behind ``obj``, through any wrappers, or None."""
+    while not hasattr(obj, "cache_clear"):
+        obj = getattr(obj, "__wrapped__", None)
+        if obj is None:
+            return None
+    return obj
+
+
+@pytest.fixture(autouse=True)
+def fresh_caches():
+    """Empty every module-level ``functools`` cache of the package before
+    each test, so no test is answered by a value an earlier test cached
+    (the named cones are shared per process)."""
+    for name, module in list(sys.modules.items()):
+        if name == "modulicones" or name.startswith("modulicones."):
+            for obj in list(vars(module).values()):
+                cache = _functools_cache(obj)
+                if cache is not None:
+                    cache.cache_clear()
+
+
 @pytest.fixture
 def count_fractions(monkeypatch):
     """``count_fractions()`` starts recording the arguments of every
