@@ -14,7 +14,8 @@ Every invocation is deterministic: identical flags produce byte-identical
 output.  Exit codes: 0 when everything requested passed, 1 when a check or
 membership query failed, 2 for unusable arguments, unsupported
 combinations (``verify-paper`` under ``python -O``, which strips its
-asserts, among them) or an output file that cannot be written.  ``export``
+asserts, among them), an output file that cannot be written or a request
+too large for the memory the process may use.  ``export``
 resolves relative output paths against the ``MODULICONES_OUTDIR``
 environment variable when it is set.
 """
@@ -328,6 +329,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ValueError, KeyError, OverflowError) as exc:
         message = exc.args[0] if exc.args else str(exc)
         print(f"error: {message}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError:
+        print("error: out of memory; the request is too large", file=sys.stderr)
         return EXIT_USAGE
 
 

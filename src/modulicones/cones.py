@@ -33,8 +33,12 @@ final; the boundary classes need no more: they span a simplicial cone for
 at most one marked point and a circuit, one row past simplicial, for two.
 Once a second row has been processed, a final sweep finds each ray's tight
 rows again by dot products and keeps the rays whose tight rows have rank
-one less than the codimension of the lineality (`linalg.rank`, forward
-elimination only).  Each membership
+one less than the codimension of the lineality.  It ranks them in the start
+basis, the dual basis and the lineality, where each start row is a positive
+multiple of a unit vector: the rank is the number of tight start rows plus
+the rank of the tight later rows restricted to the other start coordinates,
+one small `linalg.rank` (forward elimination only) per ray
+(`_extreme_in_start_basis`).  Each membership
 query is one call to `certify`, one phase-1 simplex solve, which produces
 either explicit nonnegative coefficients or a Farkas functional separating
 the point from the cone.  The simplex pivots an integer tableau over one
@@ -280,9 +284,13 @@ def dual_description(
     each ray's tight rows again by dot products, re-checks the adjacency
     decisions and keeps only the extreme rays; it runs only once a second
     row after the start has been processed, since before that every
-    decision was exact.  A row whose length is not ``dim`` raises
-    `ValueError`; every row and ray inside has length ``dim``, so the dot
-    products need no check of their own.
+    decision was exact.  It ranks the tight rows in the start basis
+    (`_extreme_in_start_basis`): a later row's entries there, ``y_s @ v_t``,
+    are column ``t`` of the start's `rref` rows, so the basis change costs
+    no product, and each ray's rank is taken over the later rows it is
+    tight on and the start rows it is not.  A row whose length is not
+    ``dim`` raises `ValueError`; every row and ray inside has length
+    ``dim``, so the dot products need no check of their own.
     """
     for what, given in (("inequality", inequalities), ("equation", equations)):
         for row in given:
@@ -290,14 +298,16 @@ def dual_description(
     eqs = sorted({p for e in equations if (p := _primitive_or_none(e)) is not None})
     rows = eqs + sorted({p for a in inequalities if (p := _primitive_or_none(a)) is not None})
     start, pivots = _dual_start(dim, rows)
-    lin = [y[len(rows) :] for y, c in zip(start, pivots) if c >= len(rows)]
-    dual = {c: y[len(rows) :] for y, c in zip(start, pivots) if c < len(rows)}
+    n = len(rows)
+    lin = [y[n:] for y, c in zip(start, pivots) if c >= n]
+    dual = {c: y for y, c in zip(start, pivots) if c < n}
     done: list[IntVec] = [rows[c] for c in dual]
-    rays = [y for c, y in dual.items() if c >= len(eqs)]
+    rays = [y[n:] for c, y in dual.items() if c >= len(eqs)]
     masks = [(1 << len(done)) - 1 - (1 << k) for k, c in enumerate(dual) if c >= len(eqs)]
-    rest = [rows[k] for k in range(len(eqs), len(rows)) if k not in dual]
+    rest = [k for k in range(len(eqs), n) if k not in dual]
 
-    for a in rest:
+    for k in rest:
+        a = rows[k]
         bit = 1 << len(done)
         done.append(a)
         vals = [sum(map(mul, a, r)) for r in rays]
@@ -367,14 +377,35 @@ def dual_description(
     # and meets each edge that crosses it in one more.
     if len(rest) < 2:
         return sorted(rays), sorted(lin)
-    # Final sweep: drop rays that are not extreme (the tight rows of an
-    # extreme ray have rank exactly codim(lineality) - 1) and sort into
-    # canonical order.  The tight rows are found again by dot products, not
-    # read from the masks, so the extremality check does not rest on the
-    # bookkeeping it checks.
-    extreme_rank = dim - len(lin) - 1
-    final = [r for r in rays if rank([row for row in done if sum(map(mul, row, r)) == 0]) == extreme_rank]
+    # Final sweep: drop rays that are not extreme and sort into canonical
+    # order.  Each later row is ranked in the start basis: its entries
+    # ``y_s @ v_t`` are column ``t`` of the start's rows, with no product.
+    later = [(rows[k], [y[k] for y in dual.values()]) for k in rest]
+    final = [r for r in rays if _extreme_in_start_basis(r, done[: len(dual)], later)]
     return sorted(final), sorted(lin)
+
+
+def _extreme_in_start_basis(
+    r: Sequence[int], start: Sequence[Sequence[int]], later: Sequence[tuple[Sequence[int], Sequence[int]]]
+) -> bool:
+    """Whether the rows tight at ``r`` have rank ``len(start) - 1``, the
+    codimension of the lineality less one, which makes ``r`` an extreme ray.
+
+    ``start`` is a maximal independent set ``S`` of the rows, with dual basis
+    ``y_s`` (``y_s @ v_t`` is positive for ``t == s`` and zero for every other
+    ``t`` in ``S``), and ``later`` pairs each other row ``v_t`` with
+    ``w_t = (y_s @ v_t for s in S)``.  With the ``y_s`` and the lineality as a
+    basis, a row is the vector of its values on that basis: ``v_s`` becomes
+    a positive multiple of the unit vector ``e_s``, ``v_t`` becomes ``w_t``,
+    and every row is zero on the lineality.  A change of basis keeps the
+    rank, so with ``F`` the start rows not tight at ``r``, the tight rows
+    have rank ``|S - F| + rank(w_t[F] for the tight later rows)``, and the
+    test is that the second term is ``|F| - 1``.  The tight rows are found
+    by dot products, so the test does not rest on the tight-set masks it
+    re-checks."""
+    free = [s for s, v in enumerate(start) if sum(map(mul, v, r))]
+    tight = [[w[s] for s in free] for v, w in later if not sum(map(mul, v, r))]
+    return rank(tight) == len(free) - 1
 
 
 # --------------------------------------------------------------------------

@@ -62,6 +62,13 @@ class SpaceId:
     m: int
 
     def __post_init__(self) -> None:
+        # `n` and `m` key every cache of the package, and ``9.0 == 9``: a
+        # float would find the entries of the int on a warm cache and fail on
+        # a cold one, so anything but an int fails here, on every call.
+        for name in ("n", "m"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise TypeError(f"{name} must be an int, got {value!r}")
         if self.n < 4:
             raise ValueError("n >= 4 required")
         if not 0 <= self.m <= self.n:

@@ -139,6 +139,19 @@ def test_cone_refuses_three_marks(capsys):
     assert "X(6,3)" in err
 
 
+def test_running_out_of_memory_exits_2_with_one_error_line(capsys, monkeypatch):
+    # a request too large for the process's memory, as a subprocess under an
+    # address-space cap sees it for `cone --which nem --n 100000 --m 0`
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "_run_cone", exhausted)
+    code, out, err = run_cli(capsys, "cone", "--which", "nem", "--n", "100000", "--m", "0", "--rep", "rays")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_cone_default_representation_is_the_inequality_system(capsys):
     code, out, _ = run_cli(capsys, "cone", "--which", "nem", "--n", "7", "--m", "1")
     assert code == 0

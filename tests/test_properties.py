@@ -21,7 +21,7 @@ from modulicones.spaces import (
     transport_sum,
 )
 
-from dd_oracle import _oracle_kernel, _oracle_rref, brute_force_vrep, rows_after_start
+from dd_oracle import _oracle_kernel, _oracle_primitive, _oracle_rref, brute_force_vrep, rows_after_start
 
 rationals = st.fractions(
     max_denominator=40, min_value=Fraction(-50), max_value=Fraction(50)
@@ -320,6 +320,67 @@ def test_dual_description_matches_brute_force(counted_dual_description, hrep):
     # after the start has been processed
     past = rows_after_start(inequalities, equations)
     assert rank_calls == (len(rays) if past > 1 else 0)
+
+
+def _oracle_start_basis(dim, rows):
+    """A maximal independent set of ``rows``, picked greedily in order, and
+    its dual basis, both from the oracle's own elimination: ``y_s`` lies in
+    the kernel of the other picked rows and is positive on ``v_s``.  It is
+    one valid start among many, found without `cones._dual_start`."""
+    picked = []
+    for k, row in enumerate(rows):
+        if len(_oracle_rref([rows[j] for j in picked] + [row])[1]) > len(picked):
+            picked.append(k)
+    dual = []
+    for s in picked:
+        kernel = _oracle_kernel([rows[t] for t in picked if t != s], dim)
+        y = next(y for y in map(_oracle_primitive, kernel) if _dot(rows[s], y))
+        dual.append(y if _dot(rows[s], y) > 0 else tuple(-x for x in y))
+    start = [rows[s] for s in picked]
+    later = [(row, [_dot(row, y) for y in dual]) for k, row in enumerate(rows) if k not in picked]
+    return start, later
+
+
+def _dot(u, v):
+    return sum(a * x for a, x in zip(u, v))
+
+
+# An equation, a lineality line and redundant rows: x3 == 0, x2 >= 0 and
+# x1 >= x2, given twice, with a zero row and x4 free; the rays are (1,0,0,0)
+# and (1,1,0,0).
+@example((4, [[0, 1, 0, 0], [1, -1, 0, 0], [2, -2, 0, 0], [0, 0, 0, 0]], [[0, 0, 1, 0]]), [1, 1, 0, 5])
+# Seven of the octahedron cone's eight facets, so that rays lie on several
+# later rows; and one inequality beside an equation, which leaves no later
+# row at all.
+@example((4, [[1, *s] for s in itertools.product((1, -1), repeat=3)][:7], []), [1, 0, 0, 0])
+@example((3, [[1, 0, 0]], [[0, 1, 0]]), [0, 0, 1])
+@settings(max_examples=300)
+@given(h_representations(), st.lists(st.integers(min_value=-3, max_value=3), min_size=4, max_size=4))
+def test_the_start_basis_sweep_decides_as_the_rank_of_all_tight_rows(hrep, point):
+    """`cones._extreme_in_start_basis` keeps exactly the vectors whose tight
+    rows have rank ``dim - lin - 1``, on a start basis the oracle builds: it
+    keeps every extreme ray, with or without a lineality vector added, and
+    rejects the sum of two extreme rays and every lineality vector."""
+    dim, inequalities, equations = hrep
+    rows = [*equations, *inequalities]
+    rays, lin = brute_force_vrep(dim, inequalities, equations)
+    start, later = _oracle_start_basis(dim, rows)
+
+    def decision(v):
+        return cones._extreme_in_start_basis(v, start, later)
+
+    def reference(v):
+        return rank([row for row in rows if _dot(row, v) == 0]) == dim - len(lin) - 1
+
+    for r in rays:
+        assert decision(r) and reference(r)
+        for l in lin:
+            assert decision([a + b for a, b in zip(r, l)])
+    for r, q in itertools.combinations(rays, 2):
+        assert not decision([a + b for a, b in zip(r, q)])
+    for l in lin:
+        assert not decision(l)
+    assert decision(point[:dim]) == reference(point[:dim])
 
 
 @given(

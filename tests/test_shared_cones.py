@@ -111,6 +111,17 @@ def test_a_float_genus_still_raises_after_the_int_is_cached():
     assert hyperelliptic_pullback_cone(3) is cone
 
 
+def test_a_float_space_raises_cold_and_after_the_int_is_cached():
+    # 9.0 == 9 and hash(9.0) == hash(9): a SpaceId that took the float would
+    # be answered from the int's cache entry once that exists
+    with pytest.raises(TypeError):
+        nem_hrep(SpaceId(9.0, 1))
+    cone = nem_hrep(SpaceId(9, 1))
+    with pytest.raises(TypeError):
+        nem_hrep(SpaceId(9.0, 1))
+    assert nem_hrep(SpaceId(9, 1)) is cone
+
+
 @pytest.mark.parametrize(
     "call, error",
     [

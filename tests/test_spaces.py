@@ -209,6 +209,12 @@ def test_space_id_validation():
         SpaceId(6, 7)
 
 
+@pytest.mark.parametrize("n, m", [(9.0, 1), (9, 1.0), (9, True), (True, 0), ("9", 1)])
+def test_space_id_takes_only_int_counts(n, m):
+    with pytest.raises(TypeError):
+        SpaceId(n, m)
+
+
 @pytest.mark.parametrize(
     "s, label",
     [
