@@ -33,7 +33,8 @@ there.
 
 The cones are shared like every named cone of the package: each
 constructor caches its answer per argument, so a repeated query reuses the
-conversions of the first, and the mappings it returns are read-only.
+conversions of the first, and the mapping `m21_cones` returns is read-only.
+The family's witnesses are not cached: each call builds a fresh dict.
 """
 
 from __future__ import annotations
@@ -59,6 +60,7 @@ __all__ = [
     "m21_moving_cone",
     "m21_pushforward",
     "mg1_inequality_family",
+    "mg1_witnesses",
     "mg_basis",
     "mg1_basis",
     "pointed_curve_image",
@@ -309,38 +311,36 @@ Witness = tuple[int, int, IntVec]
 
 
 @lru_cache(maxsize=None, typed=True)
-def mg1_inequality_family(
-    g: int, n: int, target: str = "mg"
-) -> tuple[Cone, Mapping[tuple[int, int], Witness]]:
-    """The five transported inequality families, with reduction witnesses.
+def mg1_inequality_family(g: int, n: int, target: str = "mg") -> Cone:
+    """The cone the five transported inequality families cut out.
 
-    Returns the cone they cut out together with, per valid ``(k, m)``, the
-    int multipliers ``(c1, c2, row)`` certifying that the combined slope rows
-    dominate the positivity row ``4(2(k+m)+3) delta_irr + (k+1)(m+1) lambda``:
-    ``c1 * (row_a(1) + 2 row_b(1)) + c2 * ((2n-3) row_a(n-1) + n row_b(n-1))``
-    equals ``2(5n^2-13n+6) * row`` exactly (``3 * row`` in the degenerate
-    two-tail case, where the leading constant vanishes).  ``row`` is the
-    positivity row as :func:`_row` builds it, so it is scaled by 10 at
-    ``g = 2``; the identity is linear in the rows and holds at either scale.
-    A negative multiplier or a failed identity raises
-    :class:`ArithmeticError`; it would mean the rows were transcribed
-    inconsistently.  The witnesses are a read-only mapping: the pair is
-    cached, so each ``(g, n, target)`` runs the identity once per process.
+    Its rows are checked first: :func:`mg1_witnesses` runs on every build, so
+    rows transcribed inconsistently raise :class:`ArithmeticError` here too.
+    """
+    mg1_witnesses(g, n, target)
+    rows = _mg1_rows(g, n, target)
+    dim = len(mg_basis(g) if target == "mg" else mg1_basis(g))
+    return Cone.from_hrep(dim, tuple(rows.values()))
+
+
+def mg1_witnesses(g: int, n: int, target: str = "mg") -> dict[tuple[int, int], Witness]:
+    """Reduction witnesses of :func:`mg1_inequality_family`, per valid ``(k, m)``.
+
+    Each is the int multipliers ``(c1, c2, row)`` certifying that the combined
+    slope rows dominate the positivity row ``4(2(k+m)+3) delta_irr +
+    (k+1)(m+1) lambda``: ``c1 * (row_a(1) + 2 row_b(1)) + c2 * ((2n-3)
+    row_a(n-1) + n row_b(n-1))`` equals ``2(5n^2-13n+6) * row`` exactly
+    (``3 * row`` in the degenerate two-tail case, where the leading constant
+    vanishes).  ``row`` is the positivity row as :func:`_row` builds it, so it
+    is scaled by 10 at ``g = 2``; the identity is linear in the rows and holds
+    at either scale.  Only the slope rows at ``k = 1`` and ``k = n - 1``
+    (`_slope_rows`) are built, not the family's rows or its cone.  A negative
+    multiplier or a failed identity raises :class:`ArithmeticError`; it would
+    mean the rows were transcribed inconsistently.
     """
     _check_pointed_params(g, n, target)
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    rows = _mg1_rows(g, n, target)
-    dim = len(mg_basis(g) if target == "mg" else mg1_basis(g))
-    witnesses = MappingProxyType(_mg1_witnesses(g, n, target))
-    return Cone.from_hrep(dim, tuple(rows.values())), witnesses
-
-
-def _mg1_witnesses(g: int, n: int, target: str) -> dict[tuple[int, int], Witness]:
-    """The witnesses of :func:`mg1_inequality_family`, without building its
-    rows or its cone: they need only the slope rows at ``k = 1`` and
-    ``k = n - 1`` (`_slope_rows`); raises :class:`ArithmeticError` on a
-    negative multiplier or a failed identity."""
     # the two slope combinations the multipliers act on; neither depends on (k, m)
     a1, b1 = _slope_rows(target, g, 1)
     a_top, b_top = _slope_rows(target, g, n - 1)

@@ -109,8 +109,7 @@ def _select_cone(args: argparse.Namespace) -> tuple[Cone, str]:
         return hyperelliptic_pullback_cone(args.g), f"hyperelliptic-g{args.g}"
     if which == "mg1":
         _require(args, "g", "n")
-        cone, _ = mg1_inequality_family(args.g, args.n, args.target)
-        return cone, f"mg1-g{args.g}-n{args.n}-{args.target}"
+        return mg1_inequality_family(args.g, args.n, args.target), f"mg1-g{args.g}-n{args.n}-{args.target}"
     if which == "m21-mov":
         return m21_moving_cone(), "m21-mov"
     raise ValueError(f"unknown cone selector {which!r}")

@@ -1,14 +1,11 @@
-"""One-parameter families, attaching maps, and divisor cones on the quotients.
+"""One-parameter families, linear maps, and divisor cones on the quotients.
 
 The quotient spaces carry test curves: the families ``C_k`` swept out by
-moving the node of a two-component stable curve.  Gluing a fixed curve onto
-a moving one with one or two marked points gives the attaching maps ``q``,
-``r`` and ``s`` between quotients, and curve classes push forward along them
-by explicit triangular formulas; ``pi_star`` pulls divisors back along the
-map forgetting the marked point.  The nem and two-marked inequality rows are
-transcribed in closed form, so no verb builds ``q``, ``r`` or ``s``; they
-are kept as the independent derivation of those rows: the tests push the
-curves ``C_k`` along them and compare the images with the rows.  A divisor
+moving the node of a two-component stable curve.  ``pi_star`` pulls
+divisors back along the map forgetting the marked point.  The nem and
+two-marked inequality rows are transcribed in closed form; their derivation,
+which pushes the curves ``C_k`` along the attaching maps ``q``, ``r`` and
+``s`` between quotients, lives in ``tests/attaching_oracle.py``.  A divisor
 class is *nem* ("numerically eventually moving") when its restriction to
 every prime divisor is numerically effective.  Pairing candidate divisors
 against pushed curves that are nef inside their boundary divisor, together
@@ -22,8 +19,8 @@ coefficient vectors over the ``b``-basis, curve classes as vectors of
 intersection numbers against it.  Every such row is built by one builder,
 `_row`, and keeps the type of its coefficients: the nem and two-marked
 inequality rows, the ``C_k`` classes and the ``pi_star`` columns
-have integer closed forms and are int tuples, and the ``q``/``r``/``s``
-map columns are int rows over one denominator per map.
+have integer closed forms and are int tuples, and a map's columns are int
+rows over one denominator per map.
 """
 
 from __future__ import annotations
@@ -68,9 +65,6 @@ __all__ = [
     "nem_xn1_full_rows",
     "nem_xn1_subsumption",
     "pi_star_map",
-    "q_map",
-    "r_map",
-    "s_map",
 ]
 
 
@@ -137,7 +131,7 @@ def curve_ck(s: SpaceId, k: int) -> CurveClass:
 
 
 # --------------------------------------------------------------------------
-# attaching maps
+# linear maps
 
 
 @dataclass(frozen=True)
@@ -148,7 +142,7 @@ class LinearMap:
     A call scales its input to ints once, sums in ints and divides once at
     the return; `columns`, `column` and a call return ints where that
     divisor is 1 and `Fraction` values otherwise.  ``source_names`` may be
-    a subcolumn of the full source basis — the two-marked gluing into
+    a subcolumn of the full source basis — the tests' two-marked gluing into
     ``X(n, 2)`` is only ever needed on the starred block — so application
     takes coefficients aligned with those names.
     """
@@ -194,57 +188,6 @@ class LinearMap:
 def _divided(ints: Sequence[int], d: int) -> tuple:
     """``ints / d`` at the API edge: the ints themselves when ``d`` is 1."""
     return tuple(ints) if d == 1 else tuple(Fraction(x, d) for x in ints)
-
-
-def q_map(n: int, l: int, m: int = 1) -> LinearMap:
-    """Gluing a one-marked moving curve on ``l + 1`` points into ``X(n, m)``.
-
-    The columns push forward the dual basis of curve coordinates on
-    ``X(l+1, 1)``; ``m <= 2``.
-    """
-    if m not in (0, 1, 2):
-        raise ValueError("q maps into a space with m <= 2")
-    if not 3 <= l <= n - 2:
-        raise ValueError(f"q requires 3 <= l <= n-2, got l={l}, n={n}")
-    t = SpaceId(n, m)
-    den = l * (l - 1)
-    names, cols = [], []
-    for k in range(1, l - 1):
-        names.append(f"b{k + 1}")
-        cols.append(_row(t, (n - l + k, den), (n - l, -(l - k - 1) * (l - k))))
-    return LinearMap(SpaceId(l + 1, 1), tuple(names), relations_and_basis(t).ordered_basis, tuple(cols), den)
-
-
-def r_map(n: int, l: int) -> LinearMap:
-    """Gluing a two-marked moving curve on ``l + 1`` points into ``X(n, 2)``.
-
-    Only the starred block of the source basis is provided.
-    """
-    if not 3 <= l <= n - 2:
-        raise ValueError(f"r requires 3 <= l <= n-2, got l={l}, n={n}")
-    t = SpaceId(n, 2)
-    den = (l - 2) * (l - 1)
-    names, cols = [], []
-    for i in range(1, l - 1):
-        names.append(f"b*{i + 1}")
-        cols.append(_row(t, (f"b*{i + 1}", den), (n - l + 1, i * (l - i - 1)), (f"b*{l}", -i * (l - 2))))
-    return LinearMap(SpaceId(l + 1, 2), tuple(names), relations_and_basis(t).ordered_basis, tuple(cols), den)
-
-
-def s_map(n: int, l: int) -> LinearMap:
-    """Gluing a two-marked moving curve on ``l + 1`` points into ``X(n, 1)``."""
-    if not 3 <= l <= n - 2:
-        raise ValueError(f"s requires 3 <= l <= n-2, got l={l}, n={n}")
-    t = SpaceId(n, 1)
-    den = (l - 2) * (l - 1)
-    names, cols = [], []
-    for i in range(2, l - 1):
-        names.append(f"b{i + 1}")
-        cols.append(_row(t, (n - l + i, den), (n - l + 1, -(l - i - 1) * (l - i))))
-    for i in range(1, l - 1):
-        names.append(f"b*{i + 1}")
-        cols.append(_row(t, (i + 1, den), (n - l + 1, i * (l - i - 1)), (l, -i * (l - 2))))
-    return LinearMap(SpaceId(l + 1, 2), tuple(names), relations_and_basis(t).ordered_basis, tuple(cols), den)
 
 
 def pi_star_map(n: int) -> LinearMap:

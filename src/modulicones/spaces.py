@@ -162,46 +162,6 @@ def sum_to_vector(s: SpaceId, formal: FormalSum) -> tuple:
 # --------------------------------------------------------------------------
 
 
-def keel_relations(n: int) -> list[IntVec]:
-    """An independent spanning set of the relations among the boundary
-    divisors of the fully pointed space, as vectors over its label list.
-
-    Two four-point partition classes agree whenever they share a cross-ratio
-    degeneration; the returned family fixes points 1, 2 and runs over the
-    remaining choices, which is well known to cut the boundary count down to
-    the rank of the divisor-class space.  No verb builds them; they are kept
-    as the reference the tests check `picard_number`'s closed form against.
-    """
-    s = fully_pointed(n)
-
-    def partition_sum(inside: tuple[int, int], outside: tuple[int, int]) -> dict:
-        rest = [x for x in range(1, n + 1) if x not in inside and x not in outside]
-        acc: dict[BoundaryLabel, int] = defaultdict(int)
-        for k in range(len(rest) + 1):
-            for extra in itertools.combinations(rest, k):
-                members = frozenset(inside) | frozenset(extra)
-                acc[canonical_label(s, len(members), members)] += 1
-        return acc
-
-    relations = []
-    for i, j in itertools.combinations(range(3, n + 1), 2):
-        a = partition_sum((1, 2), (i, j))
-        b = partition_sum((1, i), (2, j))
-        relations.append(_sub_sums(s, a, b))
-    for k in range(4, n + 1):
-        a = partition_sum((1, 3), (2, k))
-        b = partition_sum((1, k), (2, 3))
-        relations.append(_sub_sums(s, a, b))
-    return relations
-
-
-def _sub_sums(s: SpaceId, a: FormalSum, b: FormalSum) -> tuple:
-    out: dict[BoundaryLabel, Fraction | int] = defaultdict(int, a)
-    for label, coeff in b.items():
-        out[label] -= coeff
-    return sum_to_vector(s, out)
-
-
 def _is_ramified(s: SpaceId, label: BoundaryLabel) -> bool:
     """Whether the symmetrization is ramified along the label's divisor:
     one side consists of exactly two undistinguished points, whose

@@ -25,12 +25,12 @@ from typing import Callable, Iterable, Sequence
 
 from . import fixtures
 from .bridge import (
-    _mg1_witnesses,
     hyperelliptic_curve_image,
     hyperelliptic_pushforward,
     m21_cones,
     m21_moving_cone,
     m21_pushforward,
+    mg1_witnesses,
     pointed_curve_image,
     pointed_pushforward,
     x71_mori_data,
@@ -291,7 +291,7 @@ def check_transport_consistency() -> None:
         assert 5 * n * n - 13 * n + 6 > 0, n
         for g, target in ((n, "mg1"), (n + 1, "mg")):
             # raises on a negative multiplier or a failed exact identity
-            _mg1_witnesses(g, n, target)
+            mg1_witnesses(g, n, target)
 
 
 def check_genus_two_pointed() -> None:

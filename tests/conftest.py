@@ -16,17 +16,22 @@ def _functools_cache(obj):
     return obj
 
 
-@pytest.fixture(autouse=True)
-def fresh_caches():
-    """Empty every module-level ``functools`` cache of the package before
-    each test, so no test is answered by a value an earlier test cached
-    (the named cones are shared per process)."""
+def clear_caches():
+    """Empty every module-level ``functools`` cache of the package."""
     for name, module in list(sys.modules.items()):
         if name == "modulicones" or name.startswith("modulicones."):
             for obj in list(vars(module).values()):
                 cache = _functools_cache(obj)
                 if cache is not None:
                     cache.cache_clear()
+
+
+@pytest.fixture(autouse=True)
+def fresh_caches():
+    """Empty the package's caches before each test, so no test is answered
+    by a value an earlier test cached (the named cones are shared per
+    process)."""
+    clear_caches()
 
 
 @pytest.fixture

@@ -11,6 +11,7 @@ from modulicones.bridge import (
     m21_cones,
     m21_pushforward,
     mg1_inequality_family,
+    mg1_witnesses,
     mg1_basis,
     mg_basis,
     pointed_curve_image,
@@ -22,13 +23,12 @@ from modulicones.curves import (
     nem_hrep,
     nem_xn1_full_rows,
     pi_star_map,
-    q_map,
-    r_map,
-    s_map,
 )
 from modulicones.linalg import primitive, rank, vec
 from modulicones.porta import porta_write
 from modulicones.spaces import SpaceId
+
+from attaching_oracle import q_map, r_map, s_map
 
 F = Fraction
 
@@ -121,21 +121,21 @@ def test_family_rows_are_pushed_nem_rows():
 
 @pytest.mark.parametrize("n", range(2, 21))
 def test_inequality_family_witnesses(n):
-    cone, witnesses = mg1_inequality_family(n, n, "mg1")
+    witnesses = mg1_witnesses(n, n, "mg1")
     assert len(witnesses) == n * (n - 1) // 2
     for c1, c2, _ in witnesses.values():
         assert c1 >= 0 and c2 >= 0
 
 
 def test_inequality_family_on_the_unpointed_target():
-    _, witnesses = mg1_inequality_family(6, 3, "mg")
+    witnesses = mg1_witnesses(6, 3, "mg")
     assert set(witnesses) == {(1, 0), (2, 0), (2, 1)}
-    cone, _ = mg1_inequality_family(5, 4, "mg")
+    cone = mg1_inequality_family(5, 4, "mg")
     assert cone.ambient_dim == len(mg_basis(5))
 
 
 def test_degenerate_two_tail_multipliers():
-    _, witnesses = mg1_inequality_family(2, 2, "mg1")
+    witnesses = mg1_witnesses(2, 2, "mg1")
     assert witnesses[(1, 0)][:2] == (1, 2)
 
 
@@ -187,6 +187,8 @@ def test_extremal_contraction_data():
         lambda: pointed_curve_image(3, 2, 5, "mg"),
         lambda: mg1_inequality_family(3, 1, "mg1"),
         lambda: m21_pushforward((1, 2, 3)),
+        lambda: mg1_witnesses(3, 1, "mg1"),
+        lambda: mg1_witnesses(3, 3, "mg"),
     ],
 )
 def test_parameter_validation(call):
@@ -227,7 +229,7 @@ def _hrep_sha256(cone):
 
 @pytest.mark.parametrize("key", sorted(FAMILY_HREP_SHA256))
 def test_inequality_family_hrep_digest(key):
-    cone, _ = mg1_inequality_family(*key)
+    cone = mg1_inequality_family(*key)
     assert _hrep_sha256(cone) == FAMILY_HREP_SHA256[key]
 
 
@@ -239,14 +241,14 @@ def test_pullback_cone_hrep_digest(g):
 def test_witness_values_at_genus_two():
     # g = 2 is the one target where lambda is eliminated (1/10 and 1/5 of
     # lambda on delta_irr and delta_1): the row comes scaled by 10
-    _, witnesses = mg1_inequality_family(2, 2, "mg1")
+    witnesses = mg1_witnesses(2, 2, "mg1")
     assert {k: (c1, c2, tuple(F(x, 10) for x in row)) for k, (c1, c2, row) in witnesses.items()} == {
         (1, 0): (1, 2, (F(101, 5), F(2, 5), F(0))),
     }
 
 
 def test_witness_values_at_genus_five():
-    _, witnesses = mg1_inequality_family(5, 4, "mg1")
+    witnesses = mg1_witnesses(5, 4, "mg1")
     tail = (0,) * 5
     assert witnesses == {
         (1, 0): (68, 0, (2, 20) + tail),
@@ -290,7 +292,7 @@ def test_inequality_rows_are_machine_integers(g, monkeypatch):
 @pytest.mark.parametrize("n", range(2, 13))
 def test_int_witnesses_are_the_public_witnesses(n, target):
     for g in range(n + 1 if target == "mg" else max(n, 2), 14):
-        _, witnesses = mg1_inequality_family(g, n, target)
+        witnesses = mg1_witnesses(g, n, target)
         for key, (c1, c2, row) in witnesses.items():
             assert all(type(x) is int for x in (c1, c2, *row)), (g, key)
 

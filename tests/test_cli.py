@@ -252,7 +252,7 @@ def test_member_with_an_unprintable_coordinate_writes_nothing_and_exits_2(capsys
 
 @pytest.mark.parametrize("g, n, target", [(3, 2, "mg1"), (4, 2, "mg"), (8, 3, "mg"), (6, 5, "mg1")])
 def test_member_prints_the_lineality_terms_of_its_combination(g, n, target, capsys):
-    cone, _ = mg1_inequality_family(g, n, target)
+    cone = mg1_inequality_family(g, n, target)
     assert cone.lineality
     # member and PORTA index one generator list: rays, then each l and -l
     assert section_rows(porta_write(cone, "vrep"), "CONE_SECTION") == [
@@ -601,11 +601,10 @@ def test_every_argument_list_keeps_the_exit_code_contract(argv, tmp_path, monkey
     assert_contract(code, out.getvalue(), err.getvalue())
 
 
-def test_the_cli_imports_no_private_package_name():
-    # the benchmark tracer spans public names only: a verb that reaches the
-    # engine through a private twin hides that work from its metrics
-    path = Path(cli.__file__)
-    private = [
+def _private_package_imports(module):
+    """``file:line: name`` for each private package name ``module`` imports."""
+    path = Path(module.__file__)
+    return [
         f"{path.name}:{node.lineno}: {alias.name}"
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
         if isinstance(node, ast.ImportFrom)
@@ -613,4 +612,14 @@ def test_the_cli_imports_no_private_package_name():
         for alias in node.names
         if alias.name.startswith("_")
     ]
-    assert private == []
+
+
+def test_the_cli_imports_no_private_package_name():
+    # the benchmark tracer spans public names only: a verb that reaches the
+    # engine through a private twin hides that work from its metrics
+    assert _private_package_imports(cli) == []
+
+
+def test_the_checks_import_no_private_package_name():
+    # `verify-paper` is a verb too, and its checks run under the same tracer
+    assert _private_package_imports(verify) == []

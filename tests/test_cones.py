@@ -233,7 +233,7 @@ CUT = (4, [(0, 1, 0, 0), (0, 1, 1, 0), (0, 1, -1, 0), (1, 0, 0, 0)], [(0, 0, 1, 
     "case, lineality",
     [
         (lambda: _hrep_args(nem_hrep(SpaceId(9, 1))), 0),
-        (lambda: _hrep_args(mg1_inequality_family(3, 2, "mg1")[0]), 2),
+        (lambda: _hrep_args(mg1_inequality_family(3, 2, "mg1")), 2),
         (lambda: CUT, 0),
     ],
     ids=["nem-x9-1", "mg1-g3-n2-mg1", "cut"],

@@ -21,9 +21,6 @@ from modulicones.curves import (
     nem_xn1_full_rows,
     nem_xn1_subsumption,
     pi_star_map,
-    q_map,
-    r_map,
-    s_map,
 )
 from modulicones.curves import _boundary_rays, _row
 from modulicones.linalg import primitive, rank, vec
@@ -37,6 +34,7 @@ from modulicones.spaces import (
     picard_number,
     relations_and_basis,
 )
+from attaching_oracle import q_map, r_map, s_map
 from transport_oracle import forgetful_pullback_sum, quotient_pushforward_sum
 
 F = Fraction

@@ -102,7 +102,7 @@ CASES = {
     "cut": lambda: (4, [(0, 1, 0, 0), (0, 1, 1, 0), (0, 1, -1, 0), (1, 0, 0, 0)], [(0, 0, 1, 1)]),
     **{f"eff-x{n}-2-facets": lambda n=n: _vrep(eff_cone(SpaceId(n, 2))) for n in range(8, 12)},
     **{
-        f"mg1-g{g}-n{n}-{t}": lambda g=g, n=n, t=t: _hrep(mg1_inequality_family(g, n, t)[0])
+        f"mg1-g{g}-n{n}-{t}": lambda g=g, n=n, t=t: _hrep(mg1_inequality_family(g, n, t))
         for g, n, t in [(3, 2, "mg1"), (4, 2, "mg"), (6, 5, "mg1")]
     },
 }

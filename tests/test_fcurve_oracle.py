@@ -42,11 +42,11 @@ from modulicones.spaces import (
     enumerate_boundaries,
     express_in_basis,
     fully_pointed,
-    keel_relations,
     picard_number,
     relations_and_basis,
     transport_sum,
 )
+from attaching_oracle import keel_relations
 from transport_oracle import forgetful_pullback_sum, quotient_pushforward_sum
 
 F = Fraction

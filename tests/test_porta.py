@@ -44,7 +44,7 @@ def test_nem_hrep_porta_round_trip_bytes():
 def test_vrep_with_lineality_round_trips_on_the_first_write(g, n, target):
     """The trailing pairs ``l, -l`` of a ``CONE_SECTION`` read back as the
     lineality, so the first write is already the stable text."""
-    cone = mg1_inequality_family(g, n, target)[0]
+    cone = mg1_inequality_family(g, n, target)
     assert cone.lineality
     text = porta_write(cone, "vrep")
     back = porta_read(text)

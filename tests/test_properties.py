@@ -17,10 +17,10 @@ from modulicones.spaces import (
     enumerate_boundaries,
     express_in_basis,
     fully_pointed,
-    keel_relations,
     transport_sum,
 )
 
+from attaching_oracle import keel_relations
 from dd_oracle import _oracle_kernel, _oracle_primitive, _oracle_rref, brute_force_vrep, rows_after_start
 
 rationals = st.fractions(

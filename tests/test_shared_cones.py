@@ -2,12 +2,15 @@
 
 A repeated query is answered by the cone the first one built, so it reuses
 that cone's conversions and prints the same bytes; arguments that raise are
-not cached, and the returned mappings are read-only.
+not cached, and the mapping `m21_cones` returns is read-only.
 """
 
+import contextlib
+import io
 from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from modulicones import bridge, cli, cones, verify
 from modulicones.bridge import (
@@ -15,9 +18,13 @@ from modulicones.bridge import (
     m21_cones,
     m21_moving_cone,
     mg1_inequality_family,
+    mg1_witnesses,
 )
 from modulicones.curves import eff_cone, nem_hrep
 from modulicones.spaces import SpaceId
+
+from conftest import clear_caches
+from test_cli import argument_lists, exit_code
 
 
 @pytest.mark.parametrize(
@@ -41,12 +48,6 @@ from modulicones.spaces import SpaceId
 )
 def test_equal_arguments_share_one_value(build):
     assert build() is build()
-
-
-def test_mg1_family_shares_its_cone_and_witnesses():
-    cone, witnesses = mg1_inequality_family(5, 4, "mg1")
-    again = mg1_inequality_family(5, 4, "mg1")
-    assert again[0] is cone and again[1] is witnesses
 
 
 def test_the_moving_cone_has_one_definition():
@@ -98,10 +99,36 @@ def test_returned_mappings_are_read_only():
     shared = m21_cones()
     with pytest.raises(TypeError):
         shared["eff"] = shared["nef"]
-    _, witnesses = mg1_inequality_family(5, 4, "mg1")
-    with pytest.raises(TypeError):
-        witnesses[(1, 0)] = (0, 0, ())
     assert set(m21_cones()) == {"eff", "push_nem", "push_nef", "nef"}
+
+
+def test_each_witness_call_builds_its_own_dict():
+    # the witnesses are not cached: an edit by one caller reaches no other
+    witnesses = mg1_witnesses(5, 4, "mg1")
+    expected = dict(witnesses)
+    witnesses.clear()
+    assert mg1_witnesses(5, 4, "mg1") == expected
+
+
+def _outcome(argv):
+    """(stdout, stderr, exit code) of one in-process run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = exit_code(list(argv))
+    return out.getvalue(), err.getvalue(), code
+
+
+@settings(deadline=None, max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(lists=st.lists(argument_lists(), min_size=2, max_size=3))
+def test_no_answer_depends_on_the_lists_run_before_it(lists, tmp_path, monkeypatch):
+    monkeypatch.setenv("MODULICONES_OUTDIR", str(tmp_path))
+    clear_caches()
+    in_order = [_outcome(argv) for argv in lists]
+    alone = []
+    for argv in lists:
+        clear_caches()
+        alone.append(_outcome(argv))
+    assert in_order == alone
 
 
 def test_a_float_genus_still_raises_after_the_int_is_cached():

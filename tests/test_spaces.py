@@ -15,13 +15,13 @@ from modulicones.spaces import (
     enumerate_boundaries,
     express_in_basis,
     fully_pointed,
-    keel_relations,
     picard_number,
     relabel_sum,
     relations_and_basis,
     sum_to_vector,
     transport_sum,
 )
+from attaching_oracle import keel_relations
 from transport_oracle import forgetful_pullback_sum, quotient_pushforward_sum
 
 F = Fraction
