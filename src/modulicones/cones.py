@@ -38,13 +38,23 @@ basis, the dual basis and the lineality, where each start row is a positive
 multiple of a unit vector: the rank is the number of tight start rows plus
 the rank of the tight later rows restricted to the other start coordinates,
 one small `linalg.rank` (forward elimination only) per ray
-(`_extreme_in_start_basis`).  Each membership
-query is one call to `certify`, one phase-1 simplex solve, which produces
-either explicit nonnegative coefficients or a Farkas functional separating
-the point from the cone.  The simplex pivots an integer tableau over one
-common denominator ``D``, the absolute determinant of the current basis, so
-every division in a pivot is exact (`_phase1`); `Fraction` appears only in
-the coefficients a membership certificate returns.  `certify` re-verifies
+(`_extreme_in_start_basis`).
+
+Each membership query is one call to `certify`, one phase-1 simplex solve,
+which produces either explicit nonnegative coefficients or a Farkas
+functional separating the point from the cone.  The simplex pivots an
+integer tableau over one common denominator ``D``, the absolute determinant
+of the current basis, so every division in a pivot is exact (`_phase1`).
+The systems it meets are almost all zeros -- the boundary classes are unit
+vectors, some doubled, beside one or a few dense classes -- so each
+constraint row is a map from column to nonzero entry and only the
+reduced-cost row is a dense list.  A pivot touches the rows with an entry
+in the entering column, and in them only the pivot row's columns; every
+row is rescaled as well only when the pivot differs from ``D``, which is
+rare.  The maps hold exactly the integers of the dense tableau, and Bland's
+rule and the ratio test read only those, so the pivots, and with them the
+certificates, are those of the rational tableau.  `Fraction` appears only
+in the coefficients a membership certificate returns.  `certify` re-verifies
 every `Certificate` by direct integer arithmetic before it returns it, so a
 bug in the pivoting can only surface as an exception, never as a wrong
 answer; the target is scaled once to ints for this.  `Cone.contains` alone
@@ -161,70 +171,103 @@ def _phase1(columns: Sequence[Sequence], target: Sequence) -> tuple[Optional[lis
     ``(p*row - row[enter]*pivot_row) // D``, and sets ``D = p`` (integer
     pivoting; Edmonds 1967, Bareiss 1968).  Up to sign, ``D`` is the
     determinant of the current basis and every entry is a minor of the
-    initial tableau with the cost row on top, so each division is exact.
-    Bland's rule reads only signs and the ratio test compares
-    ``rhs_i / a_i`` by cross-multiplication, so the pivots are those of the
-    rational tableau ``M / D``.  A column or target with `Fraction` entries
-    is first scaled by the lcm of its denominators, which changes none of
-    the pivots, and the scaling is undone on ``x``.
+    initial tableau with the cost row on top, so each division is exact,
+    entry by entry.
+
+    The constraint rows are sparse: row ``i`` is a ``{column: entry}`` map
+    of its nonzero entries, ``b_i`` at column ``k + m``, and only the
+    reduced-cost row is a dense list.  Read entry by entry, the update
+    changes an entry ``x`` of a row with ``row[enter] == 0``, or in a column
+    where the pivot row is zero, to ``p*x // D``; that is ``x`` itself when
+    ``p == D``.  So a pivot with ``p == D`` -- nearly every pivot on the
+    boundary classes -- updates only the rows with an entry in the entering
+    column, and in them, and in the cost row, only the pivot row's columns.
+    Only a pivot with ``p != D`` rescales every entry of every row first,
+    except those that update sets.  An entry that becomes zero leaves its
+    map, so the maps hold exactly the nonzero integers of the dense tableau.
+
+    Bland's rule reads only the signs of the cost row, and the ratio test
+    compares ``rhs_i / a_i`` by cross-multiplication of those integers, so
+    the pivots are those of the rational tableau ``M / D``, and ``x`` and
+    the Farkas vector read off the same integers.  An int column is read
+    into the rows as it is.  A column or target with `Fraction` (or other
+    non-int) entries is first scaled by the lcm of its denominators, which
+    changes none of the pivots, and the scaling is undone on ``x``.
     """
     m = len(target)
     k = len(columns)
-    cols, col_scales = zip(*map(_int_row, columns)) if columns else ((), ())
-    for c in cols:
-        _check_length(m, c, "column")
+    end = k + m  # the column of b
     rhs, t_scale = _int_row(target)
     # row i of [A | I | b], negated where b_i < 0 so that b >= 0
-    tableau: list[list[int]] = []
-    for i, (entries, b) in enumerate(zip(zip(*cols) if cols else [()] * m, rhs)):
-        row = [*entries, *[0] * m, b] if b >= 0 else [*(-a for a in entries), *[0] * m, -b]
-        row[k + i] = 1
-        tableau.append(row)
-    basis = list(range(k, k + m))
+    rows: list[dict[int, int]] = [{k + i: 1, end: abs(b)} if b else {k + i: 1} for i, b in enumerate(rhs)]
     # Reduced-cost row for "minimize the sum of slacks"; every basic variable
     # is a slack with cost 1, so the initial reduced cost of column j is its
     # cost minus the column sum, which is 0 on the slacks.  The last entry
-    # tracks minus the objective.  It is pivoted as one more row, tableau[m],
-    # but never chosen as one.
-    cost = [-x for x in map(sum, zip(*tableau))] if m else [0] * (k + 1)
-    cost[k : k + m] = [0] * m
-    tableau.append(cost)
+    # tracks minus the objective.
+    cost = [0] * (end + 1)
+    cost[end] = -sum(map(abs, rhs))
+    scales = [1] * k
+    for j, col in enumerate(columns):
+        _check_length(m, col, "column")
+        entries = [(i, a) for i, a in enumerate(col) if a]
+        for _, a in entries:
+            if type(a) is not int:
+                col, scales[j] = _int_row(col)
+                entries = [(i, a) for i, a in enumerate(col) if a]
+                break
+        for i, a in entries:
+            a = a if rhs[i] >= 0 else -a
+            rows[i][j] = a
+            cost[j] -= a
+    basis = list(range(k, end))
     d = 1
     while True:
-        enter = next((j for j in range(k + m) if tableau[m][j] < 0), None)  # Bland's rule
-        if enter is None:
+        for enter in range(end):  # Bland's rule: the first negative reduced cost
+            if cost[enter] < 0:
+                break
+        else:
             break
+        hits = [(i, row, row[enter]) for i, row in enumerate(rows) if enter in row]
         leave = None
-        for i in range(m):
-            a = tableau[i][enter]
+        for i, row, a in hits:
             if a > 0:
-                if leave is None:
-                    leave = i
-                    continue
+                b = row.get(end, 0)
                 # rhs_i / a_i against rhs_leave / a_leave, both a > 0
-                here, best = tableau[i][-1] * tableau[leave][enter], tableau[leave][-1] * a
-                if here < best or (here == best and basis[i] < basis[leave]):
-                    leave = i
+                if leave is None or b * p < rhs_leave * a or (b * p == rhs_leave * a and basis[i] < basis[leave]):
+                    leave, p, rhs_leave = i, a, b
         if leave is None:
             raise AssertionError("phase-1 objective is bounded below; no pivot row found")
-        pivot_row = tableau[leave]
-        p = pivot_row[enter]
-        for i, row in enumerate(tableau):
-            f = row[enter]
-            if i != leave and (f or p != d):
-                tableau[i] = [(p * x - f * y) // d for x, y in zip(row, pivot_row)]
+        pivot = rows[leave]
+        f = cost[enter]
+        if p != d:  # every entry becomes p*x // D but those the update below sets
+            for i, row in enumerate(rows):
+                if i != leave:
+                    kept = pivot if enter in row else ()
+                    for c, x in row.items():
+                        if c not in kept:
+                            row[c] = p * x // d
+            cost = [x if c in pivot else p * x // d for c, x in enumerate(cost)]
+        for i, row, a in hits:
+            if i != leave:
+                for c, y in pivot.items():
+                    v = (p * row.get(c, 0) - a * y) // d
+                    if v:
+                        row[c] = v
+                    else:
+                        del row[c]
+        for c, y in pivot.items():
+            cost[c] = (p * cost[c] - f * y) // d
         d = p
         basis[leave] = enter
-    obj = tableau[m]
-    if obj[-1] == 0:  # objective value is zero: the system is feasible
+    if cost[end] == 0:  # objective value is zero: the system is feasible
         x: list[Fraction | int] = [0] * k
         for i, b in enumerate(basis):
-            if b < k and tableau[i][-1]:
-                x[b] = Fraction(tableau[i][-1] * col_scales[b], d * t_scale)
+            if b < k and end in rows[i]:
+                x[b] = Fraction(rows[i][end] * scales[b], d * t_scale)
         return x, None
     # Dual solution read off the slack reduced costs, unflipped row by row:
-    # d times the rational w_i = sign(b_i) * (1 - obj[k + i] / d).
-    return None, tuple(d - obj[k + i] if b >= 0 else obj[k + i] - d for i, b in enumerate(rhs))
+    # d times the rational w_i = sign(b_i) * (1 - cost[k + i] / d).
+    return None, tuple(d - cost[k + i] if b >= 0 else cost[k + i] - d for i, b in enumerate(rhs))
 
 
 # --------------------------------------------------------------------------

@@ -1,5 +1,7 @@
+import argparse
 import ast
 import contextlib
+import functools
 import io
 import json
 import re
@@ -12,10 +14,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from modulicones import cli, verify
-from modulicones.bridge import mg1_inequality_family
+from modulicones.bridge import hyperelliptic_pushforward, mg1_inequality_family, pointed_pushforward
 from modulicones.curves import nem_hrep
 from modulicones.porta import porta_write
-from modulicones.spaces import SpaceId
+from modulicones.spaces import SpaceId, picard_number
 
 
 def run_cli(capsys, *argv):
@@ -545,6 +547,7 @@ def test_a_double_dash_option_value_is_a_usage_error(argv, capsys):
     assert_contract(code, captured.out, captured.err)
 
 
+COORD = st.sampled_from(("0", "1", "-2", "3", "1/2"))
 JUNK = st.sampled_from(("--", "-", "", "x", "1/0", "-1", "1,,2", "--n", "nem"))
 CONE_FLAGS = ("--which", "--n", "--m", "--g", "--target")
 VERB_FLAGS = {
@@ -565,10 +568,30 @@ FLAG_VALUES = {
     "--target": st.sampled_from(("mg", "mg1")),
     "--rep": st.sampled_from(("hrep", "rays")),
     "--format": st.sampled_from(("porta", "json", "latex")),
-    "--coords": st.lists(st.sampled_from(("0", "1", "-2", "3", "1/2")), min_size=1, max_size=4).map(",".join),
+    "--coords": st.lists(COORD, min_size=1, max_size=4).map(",".join),
     "--sections": st.lists(st.integers(0, 10).map(str), min_size=1, max_size=3).map(",".join),
     "--out": st.just("cone.out"),
 }
+
+
+@functools.lru_cache(maxsize=None)
+def _coords_length(verb, values):
+    """The length of the vector the ``member`` or ``push`` selector in
+    ``values`` (flag, value pairs) reads, or None when they select nothing."""
+    flags = dict(values)
+    try:
+        n, m, g = (int(flags[f]) if f in flags else None for f in ("--n", "--m", "--g"))
+        target = flags.get("--target", "mg")
+        if verb == "member":
+            selector = argparse.Namespace(which=flags.get("--which"), n=n, m=m, g=g, target=target)
+            return cli._select_cone(selector)[0].ambient_dim
+        if flags.get("--map") == "m21":
+            return picard_number(SpaceId(7, 1))
+        if flags.get("--map") == "hyperelliptic":
+            return len(hyperelliptic_pushforward(g).source_names)
+        return len(pointed_pushforward(g, n, target).source_names)
+    except (ValueError, TypeError):
+        return None
 
 
 @st.composite
@@ -576,17 +599,30 @@ def argument_lists(draw):
     """A verb and its flags in any order, each one missing or spelled
     ``--flag value`` or ``--flag=value`` with a valid or a junk value, plus
     up to two junk tokens anywhere.  ``--sections`` is never missing, so no
-    list runs every check of ``verify-paper``."""
+    list runs every check of ``verify-paper``.  So that ``member`` and
+    ``push`` reach answers, exit 0 and 1 among them, half their lists are
+    clean -- every flag valid, no junk token -- and a valid ``--coords`` has
+    the length of the vector the other flags select in four draws of five."""
     verb = draw(st.sampled_from(sorted(VERB_FLAGS)))
-    argv = [verb]
+    clean = verb in ("member", "push") and draw(st.booleans())
+    kinds = ("valid",) if clean else ("valid",) * 7 + ("missing", "junk", "--")
+    values, sized = {}, False
     for flag in draw(st.permutations(VERB_FLAGS[verb])):
-        kind = draw(st.sampled_from(("valid",) * 7 + ("missing", "junk", "--")))
+        kind = draw(st.sampled_from(kinds))
         if kind == "missing" and flag != "--sections":
             continue
         # argparse treats `--` apart from other tokens, so it is drawn on its own too
-        value = "--" if kind == "--" else draw(JUNK if kind == "junk" else FLAG_VALUES[flag])
+        values[flag] = "--" if kind == "--" else draw(JUNK if kind == "junk" else FLAG_VALUES[flag])
+        if flag == "--coords" and kind == "valid":
+            sized = draw(st.sampled_from((True,) * 4 + (False,)))
+    if sized:  # once every other flag is drawn
+        length = _coords_length(verb, tuple(sorted((f, v) for f, v in values.items() if f != "--coords")))
+        if length is not None:
+            values["--coords"] = ",".join(draw(st.lists(COORD, min_size=length, max_size=length)))
+    argv = [verb]
+    for flag, value in values.items():
         argv += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
-    for _ in range(draw(st.sampled_from((0,) * 4 + (1, 2)))):
+    for _ in range(0 if clean else draw(st.sampled_from((0,) * 4 + (1, 2)))):
         argv.insert(draw(st.integers(0, len(argv))), draw(JUNK))
     return argv
 

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from modulicones import cones
 from modulicones.cones import Certificate, Cone, certify, dual_description
+from modulicones.curves import eff_cone
 from modulicones.linalg import _int_row, primitive, rank, rref, vec
 from modulicones.porta import porta_read, porta_write
 from modulicones.spaces import (
@@ -252,6 +253,40 @@ def test_phase1_and_certificate_match_the_fraction_oracle(system):
     generators = [*columns, *(g for l in lineality for g in (l, [-a for a in l]))]
     cert = certify(target, generators)
     assert cert == _oracle_certify(target, generators)
+
+
+@st.composite
+def boundary_systems(draw):
+    """Systems shaped like the boundary classes ``certify`` meets: 8-30
+    rows, a unit column per row, some of them doubled as a ramified class
+    is, and 1-3 dense columns, in any order.  About half the targets are
+    nonnegative combinations of the columns, the rest small vectors; both
+    kinds have mixed signs.  Pivots on a dense column make ``p != D``, which
+    rescales every row of the sparse tableau."""
+    m = draw(st.integers(min_value=8, max_value=30))
+    columns = [[draw(st.sampled_from((1, 1, 1, 2))) if j == i else 0 for j in range(m)] for i in range(m)]
+    dense = st.lists(st.integers(min_value=-160, max_value=160), min_size=m, max_size=m)
+    columns = draw(st.permutations(columns + draw(st.lists(dense, min_size=1, max_size=3))))
+    if draw(st.booleans()):
+        weights = draw(st.lists(st.sampled_from((0, 0, 0, 1, 2, 5)), min_size=len(columns), max_size=len(columns)))
+        target = [sum(w * c[i] for w, c in zip(weights, columns)) for i in range(m)]
+    else:
+        target = draw(st.lists(st.integers(min_value=-6, max_value=6), min_size=m, max_size=m))
+    return columns, target
+
+
+X16_2 = eff_cone(SpaceId(16, 2)).generators  # the dense class, then 25 unit vectors
+
+
+@example((list(X16_2), [a + b + 3 * c for a, b, c in zip(X16_2[0], X16_2[1], X16_2[5])]))  # a member
+@example((list(X16_2), [1, -2, 0, 0, 3, 0, 1, 0, 0, 1, 1, 1, *[0] * 13]))  # a non-member
+@settings(max_examples=60, deadline=None)
+@given(boundary_systems())
+def test_phase1_matches_the_fraction_oracle_on_boundary_systems(system):
+    columns, target = system
+    x, _ = cones._phase1(columns, target)
+    assert x == _oracle_phase1(columns, target)[0]
+    assert certify(target, columns) == _oracle_certify(target, columns)
 
 
 # --------------------------------------------------------------------------
