@@ -22,7 +22,8 @@ same scale.  Map columns are int rows over one known denominator, which
 absorbs the ×10 at ``g = 2``, and the curve images are doubled int rows; a
 ``Fraction`` is built only when a map or an image returns its value.  The
 slope rows ``a_k``, ``b_k`` are written once, in `_slope_rows`, for the
-hyperelliptic cone, the transported family and the family's witnesses.
+hyperelliptic cone, the transported family, the family's witnesses and the
+curve images; the maps are the independent route to the same classes.
 
 The genus-two pointed space gets special treatment (its own basis
 ``(Delta_irr, Delta_1, W)``): the seven-point one-marked quotient maps onto
@@ -162,22 +163,16 @@ def hyperelliptic_pushforward(g: int) -> LinearMap:
 
 
 def hyperelliptic_curve_image(g: int, k: int) -> Vec:
-    """Direct image of the ``k``-th sliding-node family, in closed form.
-
-    This is the independent route: the same class must come out of
-    :func:`hyperelliptic_pushforward` composed with the folded family
-    classes, and the test suite holds the two routes together.
-    """
+    """Direct image of the ``k``-th sliding-node family: ``a_{g-k/2}`` for
+    even ``k`` and ``b_{g-(k-1)/2} / 2`` for odd ``k`` (`_slope_rows`).  The
+    independent route, which check 09 holds it to, is
+    :func:`hyperelliptic_pushforward` of the folded family class."""
     if g < 2:
         raise ValueError(f"need g >= 2, got {g}")
     if not 1 <= k <= 2 * g - 1:
         raise ValueError(f"k must lie in 1..{2 * g - 1}, got {k}")
-    if k % 2:
-        j = (k - 1) // 2
-        deltas = ((j, 2 * j + 1 - 2 * g),)
-        return _as_vec(g, _row("mg", g, lam=g - j, irr=4 * (2 * g + 1 - 2 * j), deltas=deltas), 2)
-    j = k // 2
-    return _as_vec(g, _row("mg", g, irr=4 * (j - g), deltas=((j, g + 1 - j),)))
+    a, b = _slope_rows("mg", g, g - k // 2)
+    return _as_vec(g, b, 2) if k % 2 else _as_vec(g, a)
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -239,7 +234,8 @@ def pointed_curve_image(g: int, n: int, k: int, target: str = "mg") -> Vec:
     """Direct image of the ``k``-th family under the pointed cover map.
 
     ``k = 1`` is the fibre family and is contracted up to a boundary
-    correction; even and odd ``k`` follow the two displayed patterns.
+    correction; odd ``k >= 3`` gives ``a_{n-(k-1)/2}`` and even ``k`` gives
+    ``b_{n+1-k/2} / 2``, checked against :func:`pointed_pushforward`.
     """
     _check_pointed_params(g, n, target)
     if not 1 <= k <= 2 * n:
@@ -247,11 +243,8 @@ def pointed_curve_image(g: int, n: int, k: int, target: str = "mg") -> Vec:
     if k == 1:
         return _as_vec(g, _row(target, g, deltas=((g - n, -(n - 1)),)))
     if k % 2:
-        j = (k - 1) // 2
-        return _as_vec(g, _row(target, g, irr=-4 * (n - j), deltas=((g - n + j, n + 1 - j),)))
-    j = k // 2
-    deltas = ((g - n + j - 1, -(2 * n + 1 - 2 * j)),)
-    return _as_vec(g, _row(target, g, lam=n + 1 - j, irr=4 * (2 * n + 3 - 2 * j), deltas=deltas), 2)
+        return _as_vec(g, _slope_rows(target, g, n - k // 2)[0])
+    return _as_vec(g, _slope_rows(target, g, n + 1 - k // 2)[1], 2)
 
 
 # --------------------------------------------------------------------------
@@ -260,7 +253,7 @@ def pointed_curve_image(g: int, n: int, k: int, target: str = "mg") -> Vec:
 
 def _slope_rows(target: str, g: int, k: int) -> tuple[IntVec, IntVec]:
     """The slope rows ``(a_k, b_k)`` on ``target``; their ``delta`` index
-    ``g - k`` folds to ``k`` on ``mg``."""
+    ``g - k`` folds to ``k`` on ``mg``.  They are the curve images too."""
     a = _row(target, g, irr=-4 * k, deltas=((g - k, k + 1),))
     b = _row(target, g, lam=k, irr=4 * (2 * k + 1), deltas=((g - k, -(2 * k - 1)),))
     return a, b

@@ -2,10 +2,10 @@
 
 The quotient spaces carry test curves: the families ``C_k`` swept out by
 moving the node of a two-component stable curve.  ``pi_star`` pulls
-divisors back along the map forgetting the marked point.  The nem and
-two-marked inequality rows are transcribed in closed form; their derivation,
-which pushes the curves ``C_k`` along the attaching maps ``q``, ``r`` and
-``s`` between quotients, lives in ``tests/attaching_oracle.py``.  A divisor
+divisors back along the map forgetting the marked point.  The unpointed and
+single-index nem rows are classes ``C_k``; the other rows are in closed form,
+derived in ``tests/attaching_oracle.py`` by pushing the curves ``C_k`` along
+the attaching maps ``q``, ``r`` and ``s`` between quotients.  A divisor
 class is *nem* ("numerically eventually moving") when its restriction to
 every prime divisor is numerically effective.  Pairing candidate divisors
 against pushed curves that are nef inside their boundary divisor, together
@@ -295,16 +295,14 @@ def nem_hrep(s: SpaceId) -> Cone:
     Available for ``m = 0`` (n >= 6) and ``m = 1`` (n >= 5); the defining
     functionals are the classes of pushed test curves that are nef inside
     their boundary divisor, so each inequality is forced on the nem cone.
-    Every caller shares one cone per space, as with `eff_cone`.
+    For ``m = 0`` they are the classes ``C_i``, ``C_{n-1-i}`` for ``2 <= i <
+    n // 2``.  Every caller shares one cone per space, as with `eff_cone`.
     """
     if s.m == 0:
         if s.n < 6:
             raise ValueError(f"need n >= 6 for the unpointed cone, got {s.n}")
-        rows = []
-        for i in range(2, s.n // 2):
-            rows.append(_row(s, (i + 1, s.n - i), (i, -(s.n - i - 2))))
-            rows.append(_row(s, (i, i + 1), (i + 1, -(i - 1))))
-        return Cone.from_hrep(picard_number(s), tuple(rows))
+        rows = tuple(curve_ck(s, k).coords for i in range(2, s.n // 2) for k in (i, s.n - 1 - i))
+        return Cone.from_hrep(picard_number(s), rows)
     if s.m == 1:
         if s.n < 5:
             raise ValueError(f"need n >= 5 for the pointed cone, got {s.n}")
@@ -321,12 +319,12 @@ def nem_hrep(s: SpaceId) -> Cone:
 def _nem_xn1_row(s: SpaceId, i: int, j: int, l: int) -> IntVec:
     """The pointed nem inequality keyed by ``(i, j, l)`` on ``s = X(n, 1)``.
 
-    ``i = 1`` is the single-index row (``j`` is unused and keyed as 0);
-    ``i >= 2`` rows come from the two-marked gluings.
+    ``i = 1`` is the single-index row, the class of ``C_{n-l}`` (``j`` is
+    unused and keyed as 0); ``i >= 2`` rows come from the two-marked gluings.
     """
     n = s.n
     if i == 1:
-        return _row(s, (n - l + 1, l), (n - l, -(l - 2)))
+        return curve_ck(s, n - l).coords
     return _row(
         s,
         (n - l + i - 1, (l - 1) * (j - 1) * (l - j)),

@@ -208,7 +208,7 @@ def _latex_coef(c: int, first: bool) -> str:
 
 
 def latex_inequalities(cone: Cone) -> str:
-    """Aligned inequality/equation rows, e.g. ``3a_{2} - a_{3} &\\geq 0``."""
+    """Aligned inequality/equation rows, e.g. ``3a_{2} -a_{3} &\\geq 0\\\\``."""
     lines = []
     for rows, rel in ((cone.inequalities, r"\geq"), (cone.equations, "=")):
         for row in rows:

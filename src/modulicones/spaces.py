@@ -17,8 +17,9 @@ coordinate vectors match the ordered bases used throughout.
 
 The divisor-class spaces are handled through `relations_and_basis`: for
 ``m <= 1`` the boundary classes are a basis; ``m = 2`` has one relation and
-``m = 3`` has three.  Classes are kept in the "b" normalization: the basis
-class of a label along which the symmetrization is ramified (`_is_ramified`,
+``m = 3`` has three, the third the ``m = 2`` one pulled back (two at ``n = 4``,
+where it vanishes).  Classes are kept in the "b" normalization: the basis
+class of a label along which the symmetrization is ramified (`_bare_pairs`,
 one side is exactly two undistinguished points) is half its divisor.
 `express_in_basis` reduces a formal boundary sum through a table built once
 per space (`_columns`): one positive denominator ``D`` and, per label, its
@@ -47,7 +48,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .linalg import IntVec, Vec, rref
 
@@ -162,13 +163,17 @@ def sum_to_vector(s: SpaceId, formal: FormalSum) -> tuple:
 # --------------------------------------------------------------------------
 
 
+def _bare_pairs(s: SpaceId, size: int, marked: int) -> int:
+    """How many sides of a divisor consist of exactly two undistinguished
+    points, whose transposition fixes the divisor pointwise.  The divisor is
+    given by one side: its ``size`` and how many distinguished points of
+    ``s`` it holds (``marked``)."""
+    return (size == 2 and marked == 0) + (s.n - size == 2 and marked == s.m)
+
+
 def _is_ramified(s: SpaceId, label: BoundaryLabel) -> bool:
-    """Whether the symmetrization is ramified along the label's divisor:
-    one side consists of exactly two undistinguished points, whose
-    transposition fixes the divisor pointwise."""
-    return (label.size == 2 and not label.marks) or (
-        s.n - label.size == 2 and len(label.marks) == s.m
-    )
+    """Whether the symmetrization is ramified along the label's divisor."""
+    return _bare_pairs(s, label.size, len(label.marks)) > 0
 
 
 def _relation(s: SpaceId, terms: Iterable[tuple[int, Iterable[int], int]]) -> IntVec:
@@ -186,27 +191,26 @@ def _relation(s: SpaceId, terms: Iterable[tuple[int, Iterable[int], int]]) -> In
     return sum_to_vector(s, acc)
 
 
-def _m2_relation_raw(n: int) -> IntVec:
-    """The single relation of an m = 2 space over its raw label list:
-    ``sum (n-i)(n-i-1) b_i == sum (i-1)(n-i-1) b*_i``."""
-    terms = []
+def _m2_terms(n: int) -> Iterator[tuple[int, frozenset[int], int]]:
+    """The ``(size, marks, coefficient)`` terms of the one relation of an
+    m = 2 space: ``sum (n-i)(n-i-1) b_i == sum (i-1)(n-i-1) b*_i``."""
     for i in range(2, n - 1):
-        terms.append((i, {1, 2}, (n - i) * (n - i - 1)))
-        terms.append((i, {1}, -(i - 1) * (n - i - 1)))
-    return _relation(SpaceId(n, 2), terms)
+        yield i, frozenset({1, 2}), (n - i) * (n - i - 1)
+        yield i, frozenset({1}), -(i - 1) * (n - i - 1)
 
 
 def _m3_relations_raw(n: int) -> list[IntVec]:
-    """The three relations of an m = 3 space over its raw label list."""
-    r1, r2, r3 = [], [], []
+    """The nonzero relations of an m = 3 space over its raw label list.  The
+    third is the m = 2 relation on ``n - 1`` points pulled back along the map
+    forgetting point 3 (Keel, 1992), which adds point 3 to either side of
+    each label; at ``n = 4`` it is zero."""
+    r1, r2 = [], []
     for i in range(2, n - 1):
         r1 += [(i, {1, 2}, n - i - 1), (i, {1, 3}, -(n - i - 1))]
         r2 += [(i, {1, 3}, n - i - 1), (i, {2, 3}, -(n - i - 1))]
-    for i in range(3, n - 1):
-        r3 += [(i, {1, 2, 3}, (n - i) * (n - i - 1)), (i, {1, 3}, -(i - 2) * (n - i - 1))]
-    for i in range(2, n - 2):
-        r3 += [(i, {1, 2}, (n - i - 1) * (n - i - 2)), (i, {1}, -(i - 1) * (n - i - 2))]
-    return [_relation(SpaceId(n, 3), r) for r in (r1, r2, r3)]
+    r3 = [term for i, marks, c in _m2_terms(n - 1) for term in ((i + 1, marks | {3}, c), (i, marks, c))]
+    relations = (_relation(SpaceId(n, 3), r) for r in (r1, r2, r3))
+    return [rel for rel in relations if any(rel)]
 
 
 _M3_EXCLUDED_MARKS = ({1, 2}, {1, 3}, {2, 3})
@@ -231,11 +235,6 @@ def relations_and_basis(s: SpaceId) -> BasisSpec:
             "points the boundary classes stop generating the effective cone"
         )
     boundaries = enumerate_boundaries(s)
-    if s.n == 4 and s.m == 3:
-        # Fully pointed projective line: the three boundary points are all
-        # rationally equivalent, leaving a single class.
-        r1, r2, _ = _m3_relations_raw(4)
-        return BasisSpec(s, (str(boundaries[0]),), (r1, r2), boundaries)
     if s.m == 0:
         names = tuple(f"b{i}" for i in range(2, s.n // 2 + 1))
         return BasisSpec(s, names, (), boundaries)
@@ -245,10 +244,11 @@ def relations_and_basis(s: SpaceId) -> BasisSpec:
     if s.m == 2:
         names = tuple(f"b{i}" for i in range(3, s.n - 1))
         names += tuple(f"b*{i}" for i in range(2, s.n - 1))
-        return BasisSpec(s, names, (_m2_relation_raw(s.n),), boundaries)
-    excluded = {canonical_label(s, 2, marks) for marks in _M3_EXCLUDED_MARKS}
+        return BasisSpec(s, names, (_relation(s, _m2_terms(s.n)),), boundaries)
+    relations = tuple(_m3_relations_raw(s.n))
+    excluded = {canonical_label(s, 2, marks) for marks in _M3_EXCLUDED_MARKS[: len(relations)]}
     names = tuple(str(l) for l in boundaries if l not in excluded)
-    return BasisSpec(s, names, tuple(_m3_relations_raw(s.n)), boundaries)
+    return BasisSpec(s, names, relations, boundaries)
 
 
 def boundary_count(s: SpaceId) -> int:
@@ -424,9 +424,9 @@ def _pushforward_degree(s: SpaceId, size: int, marked: int) -> tuple[int, int]:
 
     ``stab`` counts the permutations of the undistinguished points preserving
     the unordered side pair, and ``trivial`` those that act trivially on the
-    divisor.  A side consisting of exactly two undistinguished points is
-    rigid -- its transposition moves nothing -- and for m = 0 an even split
-    can also be swapped wholesale.
+    divisor.  Each bare pair (`_bare_pairs`) is rigid -- its transposition
+    moves nothing -- and for m = 0 an even split can also be swapped
+    wholesale.
     """
     n = s.n
     a = size - marked
@@ -434,11 +434,7 @@ def _pushforward_degree(s: SpaceId, size: int, marked: int) -> tuple[int, int]:
     stab = factorial(a) * factorial(b)
     if s.m == 0 and 2 * size == n:
         stab *= 2
-    trivial = 1
-    if size == 2 and a == 2:
-        trivial *= 2
-    if n - size == 2 and b == 2:
-        trivial *= 2
+    trivial = 2 ** _bare_pairs(s, size, marked)
     if s.m == 0 and n == 4:
         trivial *= 2  # the wholesale swap of a 2|2 split is also trivial
     return stab, trivial

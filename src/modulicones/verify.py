@@ -269,7 +269,8 @@ def check_two_marked_derivation() -> None:
 
 
 def check_transport_consistency() -> None:
-    """Curve images agree along both routes; the family multipliers work out."""
+    """The maps send the curve classes to the slope rows the cones use; the
+    family multipliers work out."""
     for g in range(2, 6):
         hmap = hyperelliptic_pushforward(g)
         src = SpaceId(2 * g + 2, 0)

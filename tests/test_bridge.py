@@ -48,7 +48,8 @@ def test_double_cover_columns_genus_three():
     assert h.column("b4") == vec((F(2, 7), 2, 0))
 
 
-@pytest.mark.parametrize("g", range(2, 6))
+# up to the largest genus of the benchmark's hyperelliptic jobs
+@pytest.mark.parametrize("g", range(2, 13))
 def test_double_cover_curve_images_two_routes(g):
     hmap = hyperelliptic_pushforward(g)
     src = SpaceId(2 * g + 2, 0)
@@ -77,7 +78,9 @@ def test_pullback_cone_frozen_rows():
     }
 
 
-@pytest.mark.parametrize("g", range(2, 6))
+# every n at each genus, so the benchmark's transported families, n <= 13 and
+# g <= n + 3, are all covered
+@pytest.mark.parametrize("g", range(2, 17))
 @pytest.mark.parametrize("target", ["mg", "mg1"])
 def test_pointed_cover_curve_images_two_routes(g, target):
     hi = g - 1 if target == "mg" else g

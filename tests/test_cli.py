@@ -470,6 +470,64 @@ def test_export_latex_rays(capsys, tmp_path, monkeypatch):
     assert text.count("(") == 4
 
 
+# The exact bytes of ``export --format latex``, recorded before the nem and
+# slope rows were read off the curve classes: the one-marked nem cone of
+# ``X(8,1)`` and a transported family with a two-dimensional lineality space.
+LATEX_EXPORTS = {
+    ("nem --n 8 --m 1", "hrep"): (
+        r"\begin{align*}" "\n"
+        r"-a_{4} +3a_{5} &\geq 0\\" "\n"
+        r"2a_{1} -a_{2} +a_{5} &\geq 0\\" "\n"
+        r"-a_{3} +2a_{4} &\geq 0\\" "\n"
+        r"3a_{1} -a_{3} +a_{4} &\geq 0\\" "\n"
+        r"3a_{2} -2a_{3} +a_{4} &\geq 0\\" "\n"
+        r"-3a_{2} +5a_{3} &\geq 0\\" "\n"
+        r"4a_{1} +a_{3} -a_{4} &\geq 0\\" "\n"
+        r"6a_{2} +2a_{3} -3a_{4} &\geq 0\\" "\n"
+        r"5a_{3} -3a_{4} &\geq 0\\" "\n"
+        r"-2a_{1} +3a_{2} &\geq 0\\" "\n"
+        r"5a_{1} +a_{2} -a_{5} &\geq 0\\" "\n"
+        r"13a_{2} -4a_{5} &\geq 0\\" "\n"
+        r"3a_{2} +10a_{3} -6a_{5} &\geq 0\\" "\n"
+        r"a_{2} +5a_{4} -4a_{5} &\geq 0\\" "\n"
+        r"\end{align*}" "\n"
+    ),
+    ("nem --n 8 --m 1", "rays"): (
+        r"\[ (0,1,3,3,1),\ (0,5,3,3,5),\ (1,3,6,3,1),\ (1,3,6,10,8),\ "
+        r"(1,10,6,10,8),\ (1,10,6,10,15),\ (2,6,12,6,9),\ (3,2,4,2,3),\ "
+        r"(3,9,18,30,10),\ (3,16,18,30,10),\ (3,16,60,72,24),\ (3,16,60,72,31),\ "
+        r"(3,23,18,9,17),\ (5,15,9,15,5),\ (6,4,15,18,6),\ (6,4,15,18,13),\ "
+        r"(6,25,57,39,55),\ (9,6,12,6,2),\ (9,20,12,6,2),\ (9,20,33,48,65),\ "
+        r"(9,20,33,55,65),\ (9,20,54,48,65),\ (9,20,75,90,65),\ (15,10,6,3,1),\ "
+        r"(15,10,6,10,15),\ (15,80,48,24,50),\ (18,12,24,40,39),\ (27,18,36,60,20),\ "
+        r"(27,60,120,200,195),\ (30,20,33,48,65),\ (30,20,33,55,65),\ (30,20,54,48,65),\ "
+        r"(45,30,18,30,10),\ (60,40,24,12,25) \]" "\n"
+    ),
+    ("mg1 --g 3 --n 2 --target mg1", "hrep"): (
+        r"\begin{align*}" "\n"
+        r"-2a_{2} +a_{4} &\geq 0\\" "\n"
+        r"a_{1} +12a_{2} -a_{4} &\geq 0\\" "\n"
+        r"-a_{3} &\geq 0\\" "\n"
+        r"a_{1} +12a_{2} -2a_{3} -a_{4} &\geq 0\\" "\n"
+        r"-4a_{2} -a_{3} +2a_{4} &\geq 0\\" "\n"
+        r"\end{align*}" "\n"
+    ),
+    ("mg1 --g 3 --n 2 --target mg1", "rays"): (
+        r"\[ (0,0,-1,0,0),\ (0,1,0,2,0),\ (0,1,0,12,0),\ \pm(0,0,0,0,1),\ "
+        r"\pm(10,-1,0,-2,0) \]" "\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("which, rep", sorted(LATEX_EXPORTS))
+def test_export_latex_bytes_are_pinned(which, rep, capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("MODULICONES_OUTDIR", str(tmp_path))
+    argv = ["export", "--which", *which.split(), "--format", "latex", "--rep", rep, "--out", "cone.tex"]
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert (tmp_path / "cone.tex").read_text() == LATEX_EXPORTS[which, rep]
+
+
 def test_export_to_an_unwritable_path_is_a_usage_error(capsys, tmp_path):
     target = tmp_path / "no" / "such" / "dir" / "x.ieq"
     code, out, err = run_cli(

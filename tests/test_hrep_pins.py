@@ -4,7 +4,10 @@
 ``test_dd_pins.py`` do not see the row order, because double description
 sorts its input rows, so the order in which `nem_hrep` writes its rows is
 pinned here.  The digests were recorded before the reduced rows were read
-off the closed form that `nem_xn1_full_rows` shares.
+off the closed form that `nem_xn1_full_rows` shares.  ``UNPOINTED_PIN``
+covers the unpointed rows the same way, one digest over the PORTA text of
+every ``X(n, 0)`` with ``6 <= n <= 40`` in turn; it was recorded while those
+rows were still written out apart from the curve classes ``C_k``.
 
 ``cone --which eff --rep hrep`` prints the facets of a simplicial (m <= 1) or
 circuit (m = 2) cone.  Those digests were recorded while the facets came
@@ -41,6 +44,16 @@ PINS = {
 def test_pointed_nem_hrep_text_is_pinned(n):
     text = porta_write(nem_hrep(SpaceId(n, 1)), "hrep")
     assert hashlib.sha256(text.encode()).hexdigest() == PINS[n]
+
+
+UNPOINTED_PIN = "3fbc3f9c0371304f964c35fa81a7b41449a8690d473a1e60beb51f71464dcc8e"
+
+
+def test_unpointed_nem_hrep_text_is_pinned():
+    digest = hashlib.sha256()
+    for n in range(6, 41):
+        digest.update(porta_write(nem_hrep(SpaceId(n, 0)), "hrep").encode())
+    assert digest.hexdigest() == UNPOINTED_PIN
 
 
 EFF_PINS = {

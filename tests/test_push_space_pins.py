@@ -6,9 +6,14 @@ transport maps and the relation rows moved to ints.
 negative coordinates.  ``SPACE`` holds ``space`` on two- and three-marked
 spaces, whose relations carry the halved ramified coefficients, and on
 seven spaces with no basis, five of them recorded before the boundary count
-and the Picard number became closed forms.  A pin changes only when an
-independent oracle refutes it.
+and the Picard number became closed forms.  ``SPACE_DIGESTS`` covers ``space``
+on every two- and three-marked space with ``4 <= n <= 40``, one SHA-256 per
+``m`` over the stdout of each ``n`` in turn; it was recorded while the third
+three-marked relation was still written out apart from the two-marked one.
+A pin changes only when an independent oracle refutes it.
 """
+
+import hashlib
 
 import pytest
 
@@ -285,3 +290,18 @@ def test_space_stdout_is_pinned(key, capsys):
     code, out = SPACE[key]
     assert cli.main(["space", "--n", str(n), "--m", str(m)]) == code
     assert capsys.readouterr().out == out
+
+
+SPACE_DIGESTS = {
+    2: "7f75ec416c68bc1276b87e137d5199a3e4c64815f7cff9ef81b39c88767960cd",
+    3: "9740d74f4a31846ba5a7a532a0eb90649f419d63815b8d49f908bbe8458ebe84",
+}
+
+
+@pytest.mark.parametrize("m", sorted(SPACE_DIGESTS))
+def test_space_stdout_digest_is_pinned(m, capsys):
+    digest = hashlib.sha256()
+    for n in range(4, 41):
+        assert cli.main(["space", "--n", str(n), "--m", str(m)]) == 0, n
+        digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == SPACE_DIGESTS[m]
