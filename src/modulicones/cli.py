@@ -77,11 +77,10 @@ def _parse_coords(text: str) -> tuple[int | Fraction, ...]:
 
 @functools.lru_cache(maxsize=None, typed=True)
 def _nef_fixture_cone(s: SpaceId) -> Cone:
-    if s in fixtures.NEF_RAYS:
-        return Cone.from_vrep(picard_number(s), fixtures.NEF_RAYS[s])
-    if s == SpaceId(5, 2):
-        return Cone.from_vrep(3, fixtures.NEF_X52_RAYS)
-    raise ValueError(f"no recorded nef rays for {s}")
+    rays = fixtures.NEF_RAYS.get(s)
+    if rays is None:
+        raise ValueError(f"no recorded nef rays for {s}")
+    return Cone.from_vrep(picard_number(s), rays)
 
 
 def _require(args: argparse.Namespace, *names: str) -> None:

@@ -11,7 +11,8 @@ All vectors are primitive integer rays, stored as plain int tuples (the
 package's one row type), in the coordinates fixed by
 :func:`modulicones.spaces.relations_and_basis` for the quotients, and in the
 ordered basis (``Delta_irr``, ``Delta_1``, ``W``) for the genus-two pointed
-moduli space (``W`` is the Weierstrass divisor).
+moduli space (``W`` is the Weierstrass divisor).  Every ray is a divisor
+class, except the facet normals in :data:`EFF_X52_FACETS`.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .linalg import IntVec
 from .spaces import SpaceId
 
 __all__ = [
+    "EFF_X52_FACETS",
     "EFF_X52_RAYS",
     "M21_A",
     "M21_B",
@@ -28,7 +30,6 @@ __all__ = [
     "M21_E",
     "M21_BASIS",
     "NEF_RAYS",
-    "NEF_X52_RAYS",
     "NEM_RAYS",
 ]
 
@@ -44,6 +45,9 @@ NEF_RAYS: dict[SpaceId, tuple[IntVec, ...]] = {
     SpaceId(7, 1): (
         (10, 6, 3, 1), (5, 3, 4, 3), (5, 12, 6, 2), (0, 1, 3, 1), (0, 2, 1, 2)
     ),
+    # divisor classes: the F-cone, which is the nef cone because the F-curves
+    # of the quintic del Pezzo surface M_{0,5} span its Mori cone
+    SpaceId(5, 2): ((0, 1, 2), (0, 2, 1), (1, 0, 1), (1, 1, 0)),
 }
 
 #: Expected extremal rays of the computed nem cones (regression goldens).
@@ -72,10 +76,9 @@ NEM_RAYS: dict[SpaceId, tuple[IntVec, ...]] = {
 #: quotient, where boundary classes stop being independent.
 EFF_X52_RAYS: tuple[IntVec, ...] = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, 1, 1))
 
-#: Dual generators of :data:`EFF_X52_RAYS`.  On this surface the dual of the
-#: effective cone is the nef cone, so these four rays double as the frozen
-#: nef description of the five-point two-marked quotient.
-NEF_X52_RAYS: tuple[IntVec, ...] = ((0, 0, 1), (0, 1, 0), (1, 0, 1), (1, 1, 0))
+#: Facets of the cone :data:`EFF_X52_RAYS` spans: functionals on divisor
+#: classes, not classes (the nef rays of this surface are in :data:`NEF_RAYS`).
+EFF_X52_FACETS: tuple[IntVec, ...] = ((0, 0, 1), (0, 1, 0), (1, 0, 1), (1, 1, 0))
 
 #: Ordered divisor basis used for the genus-two pointed moduli space.
 M21_BASIS: tuple[str, ...] = ("Delta_irr", "Delta_1", "W")

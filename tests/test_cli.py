@@ -135,6 +135,23 @@ def test_cone_surface_effective_rays(capsys):
     assert len(section_rows(out, "CONE_SECTION")) == 4
 
 
+# The recorded nef cone of X(5,2) in divisor coordinates; its facets are the
+# pushed boundary curves, the F-curves of M_{0,5}.
+NEF_FIXTURE_X52 = {
+    "rays": "DIM = 3\n\nCONE_SECTION\n0 1 2\n0 2 1\n1 0 1\n1 1 0\nEND\n",
+    "hrep": (
+        "DIM = 3\n\nINEQUALITIES_SECTION\n"
+        "-x1 +x2 +x3 >= 0\n+x1 -x2 +2x3 >= 0\n+x1 >= 0\n+x1 +2x2 -x3 >= 0\nEND\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("rep", sorted(NEF_FIXTURE_X52))
+def test_cone_surface_nef_fixture_bytes_are_pinned(capsys, rep):
+    argv = ("cone", "--which", "nef-fixture", "--n", "5", "--m", "2", "--rep", rep)
+    assert run_cli(capsys, *argv) == (0, NEF_FIXTURE_X52[rep], "")
+
+
 def test_cone_refuses_three_marks(capsys):
     code, _, err = run_cli(capsys, "cone", "--which", "nem", "--n", "6", "--m", "3")
     assert code == 2

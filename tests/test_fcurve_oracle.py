@@ -24,18 +24,25 @@ marks)``; a basis vector is half its divisor when one of its sides is exactly
 two undistinguished points.
 For a quotient, ``q^* q_* D == sum_g g^* D`` over the symmetric group, which
 gives each transported class an independent expected value.
+
+The oracle also checks the recorded nef cones, which are divisor classes:
+each is the F-cone, the classes whose pullback meets every F-curve
+nonnegatively, and on the surface X(5, 2) it is the dual of Eff under the
+intersection form.
 """
 
 import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
+from operator import mul
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from modulicones import fixtures
 from modulicones.curves import counterexample_ftau, ftau_sum
-from modulicones.linalg import rank
+from modulicones.linalg import primitive, rank
 from modulicones.spaces import (
     BoundaryLabel,
     SpaceId,
@@ -47,6 +54,7 @@ from modulicones.spaces import (
     transport_sum,
 )
 from attaching_oracle import keel_relations
+from dd_oracle import brute_force_vrep
 from transport_oracle import forgetful_pullback_sum, quotient_pushforward_sum
 
 F = Fraction
@@ -419,3 +427,70 @@ def test_pushforward_to_the_four_point_quotient_is_off_by_the_klein_group(m1):
     for label in enumerate_boundaries(src):
         got, want = _pushforward_f_vectors(src, SpaceId(4, 0), {label: F(1)})
         assert tuple(4 * x for x in got) == want, label
+
+
+# --------------------------------------------------------------------------
+# The recorded nef cones
+
+
+def _units(dim):
+    return [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+
+
+def _f_cone_rows(s):
+    """The distinct primitive nonzero rows by which the F-curves of M_{0,n}
+    meet the pulled-back basis of ``s``: the F-cone is where all are >= 0."""
+    columns = [f_vector(s.n, pull_coords(s.n, s.m, u)) for u in _units(picard_number(s))]
+    return sorted({primitive(row) for row in zip(*columns) if any(row)})
+
+
+@pytest.mark.parametrize("s", list(fixtures.NEF_RAYS), ids=str)
+def test_recorded_nef_cone_is_the_f_cone(s):
+    rays = fixtures.NEF_RAYS[s]
+    for ray in rays:
+        assert min(f_vector(s.n, pull_coords(s.n, s.m, ray))) >= 0, ray
+    rows = _f_cone_rows(s)
+    assert 2 <= len(rows) <= 7, rows
+    assert brute_force_vrep(picard_number(s), rows, []) == (sorted(rays), [])
+
+
+def _keel_pairing(a, b):
+    """D . D' on M_{0,5} for divisors keyed by `_key`.  A boundary divisor is
+    named by its two-point side; D_S . D_S == -1, and two distinct boundary
+    divisors meet in 1 when those sides are disjoint and in 0 otherwise."""
+    def pair(side):
+        return side if len(side) == 2 else frozenset(range(1, 6)) - side
+
+    total = 0
+    for s, x in a.items():
+        for t, y in b.items():
+            p, q = pair(s), pair(t)
+            total += x * y * (-1 if p == q else int(not p & q))
+    return total
+
+
+def _inverse3(m):
+    """The inverse of a 3 x 3 matrix, as its adjugate over its determinant."""
+    (a, b, c), (d, e, f), (g, h, i) = m
+    adj = [
+        [e * i - f * h, c * h - b * i, b * f - c * e],
+        [f * g - d * i, a * i - c * g, c * d - a * f],
+        [d * h - e * g, b * g - a * h, a * e - b * d],
+    ]
+    det = a * adj[0][0] + b * adj[1][0] + c * adj[2][0]
+    return [[F(x) / det for x in row] for row in adj]
+
+
+def test_surface_nef_rays_are_the_gram_image_of_the_eff_facets():
+    """q: M_{0,5} -> X(5,2) has degree 6, the order of Sym(3, 4, 5), so the
+    Gram matrix of the basis is q^* D . q^* D' / 6.  A class is nef when it
+    pairs nonnegatively with the rays of Eff, so the nef rays are the inverse
+    Gram matrix applied to the facets of Eff."""
+    s = SpaceId(5, 2)
+    pulled = [pull_coords(5, 2, u) for u in _units(picard_number(s))]
+    gram = [[_keel_pairing(a, b) / 6 for b in pulled] for a in pulled]
+    assert gram == [[F(-1, 2), F(1, 2), F(1, 2)], [F(1, 2), F(-1, 2), 1], [F(1, 2), 1, F(-1, 2)]]
+    inverse = _inverse3(gram)
+    assert [tuple(sum(map(mul, row, col)) for col in zip(*gram)) for row in inverse] == _units(3)
+    images = [primitive([sum(map(mul, row, f)) for row in inverse]) for f in fixtures.EFF_X52_FACETS]
+    assert sorted(images) == sorted(fixtures.NEF_RAYS[s])

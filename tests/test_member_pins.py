@@ -8,7 +8,9 @@ of ``--coords``, recorded before integer coordinates stopped going through
 ``-0``, ``007``), negatives, rationals (``1/2``), decimals (``1.5``),
 digit-group underscores (``1_000``), non-ASCII digits and padded tokens.
 ``REJECTED`` holds inputs that exit 2 with one ``error:`` line and no
-stdout.  A pin changes only when an independent oracle refutes it.
+stdout.  A pin changes only when an independent oracle refutes it.  The
+``nef-fixture`` queries on ``X(5,2)`` were recorded once its recorded nef
+cone was read in divisor coordinates, which the F-curve oracle confirms.
 """
 
 import re
@@ -99,6 +101,15 @@ MEMBER = {
     'member --which nef-fixture --n 7 --m 1 --coords=1/2,+3,-0,007': (
         1,
         'member: no\nseparating functional: (-3, -3, 17, -3)\n',
+    ),
+    # b*_2 meets the F-curve {1,3}|{2}|{4}|{5} in -1, so it is not nef
+    'member --which nef-fixture --n 5 --m 2 --coords=0,1,0': (
+        1,
+        'member: no\nseparating functional: (1, -1, 2)\n',
+    ),
+    'member --which nef-fixture --n 5 --m 2 --coords=0,1,2': (
+        0,
+        'member: yes\ncombination: 1 * (0, 1, 2)\n',
     ),
 }
 
