@@ -151,8 +151,7 @@ def hyperelliptic_pushforward(g: int) -> LinearMap:
     names = relations_and_basis(src).ordered_basis
     den = 4 * g + 2
     cols = []
-    for name in names:
-        i = int(name[1:])
+    for i in range(2, g + 2):  # the basis b_2..b_{g+1} of the source
         if i % 2 == 0:
             j = i // 2
             cols.append(_row("mg", g, lam=j * (g + 1 - j), irr=2 * den))
@@ -216,8 +215,7 @@ def pointed_pushforward(g: int, n: int, target: str = "mg") -> LinearMap:
     names = relations_and_basis(src).ordered_basis
     den = 2 * (2 * n + 1) * (n + 1)
     cols = []
-    for name in names:
-        i = int(name[1:])
+    for i in range(2, 2 * n + 2):  # the basis b_2..b_{2n+1} of the source
         if i % 2 == 0:
             j = (i - 2) // 2
             deltas = ((g - n + j, (2 * n + 1) * (n + 1)), (g - n, -2 * (n - j) * (2 * n + 1 - 2 * j)))
@@ -382,7 +380,7 @@ def m21_pushforward(coords: Sequence[Fraction | int]) -> Vec:
     return _M21(coords)
 
 
-@lru_cache(maxsize=None, typed=True)
+@lru_cache(maxsize=None)
 def m21_cones() -> Mapping[str, Cone]:
     """The four cone players on the genus-two pointed space, read-only.
 
@@ -402,7 +400,7 @@ def m21_cones() -> Mapping[str, Cone]:
     })
 
 
-@lru_cache(maxsize=None, typed=True)
+@lru_cache(maxsize=None)
 def m21_moving_cone() -> Cone:
     """The genus-two moving cone: ``push_nem`` of `m21_cones` rebuilt from
     its extreme rays, so its generators are those four rays and no other.

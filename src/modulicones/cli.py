@@ -75,7 +75,7 @@ def _parse_coords(text: str) -> tuple[int | Fraction, ...]:
 # object selection shared by `cone`, `member`, and `export`
 
 
-@functools.lru_cache(maxsize=None, typed=True)
+@functools.lru_cache(maxsize=None)
 def _nef_fixture_cone(s: SpaceId) -> Cone:
     rays = fixtures.NEF_RAYS.get(s)
     if rays is None:

@@ -17,10 +17,11 @@ Everything here works in the coordinates fixed by
 :func:`modulicones.spaces.relations_and_basis`: divisor classes as
 coefficient vectors over the ``b``-basis, curve classes as vectors of
 intersection numbers against it.  Every such row is built by one builder,
-`_row`, and keeps the type of its coefficients: the nem and two-marked
-inequality rows, the ``C_k`` classes and the ``pi_star`` columns
-have integer closed forms and are int tuples, and a map's columns are int
-rows over one denominator per map.
+`_row`, which places each term (an int ``i`` is ``b_i``) by the basis slots
+of :mod:`modulicones.spaces` and keeps the type of its coefficients: the nem
+and two-marked inequality rows, the ``C_k`` classes and the ``pi_star``
+columns have integer closed forms and are int tuples, and a map's columns
+are int rows over one denominator per map.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .spaces import (
     DivisorClass,
     FormalSum,
     SpaceId,
+    _basis_slots,
     _scaled_class,
     canonical_label,
     enumerate_boundaries,
@@ -72,41 +74,21 @@ __all__ = [
 # coordinate bookkeeping
 
 
-def _basis_index(s: SpaceId, name: str) -> int:
-    try:
-        return relations_and_basis(s).ordered_basis.index(name)
-    except ValueError:
-        raise ValueError(f"{s} has no basis class {name!r}") from None
-
-
-def _b_slot(s: SpaceId, i: int) -> str | None:
-    """Basis name holding the class ``b_i``, after folding and zeroing.
-
-    For ``m = 0`` the index folds (``b_i = b_{n-i}``); for ``m = 2`` the
-    formal ``b_2`` is zero and ``None`` is returned.
-    """
-    if s.m == 0 and 2 * i > s.n:
-        i = s.n - i
-    if s.m == 2 and i == 2:
-        return None
-    return f"b{i}"
-
-
 def _row(s: SpaceId, *terms: tuple[str | int, Fraction | int]) -> tuple:
     """A row over the ordered basis of ``s``, from ``(name, coeff)`` terms.
 
-    Terms accumulate.  An int name ``i`` stands for ``b_i`` and goes through
-    `_b_slot`, so it is folded for ``m = 0`` and dropped for ``b_2`` at
-    ``m = 2``; a str name is a basis name as it is.  Entries keep the type
-    of the coefficients: int coefficients give an :data:`IntVec`.
+    Terms accumulate.  A name is placed by the basis slots of `spaces`: a
+    str is a basis name as it is, and an int ``i`` stands for ``b_i``,
+    folded for ``m = 0`` and dropped for ``b_2`` at ``m = 2``.  Entries keep
+    the type of the coefficients: int coefficients give an :data:`IntVec`.
     """
-    row = [0] * picard_number(s)
+    row = [0] * picard_number(s)  # a closed form: a huge n fails before any label is built
+    slots = _basis_slots(s)
     for name, coeff in terms:
-        if isinstance(name, int):
-            name = _b_slot(s, name)
-            if name is None:
-                continue
-        row[_basis_index(s, name)] += coeff
+        if name not in slots:
+            raise ValueError(f"{s} has no basis class {name!r}")
+        if slots[name] is not None:
+            row[slots[name]] += coeff
     return tuple(row)
 
 
@@ -194,14 +176,12 @@ def pi_star_map(n: int) -> LinearMap:
     """Divisor pullback along the forgetful map ``X(n, 1) -> X(n-1, 0)``."""
     if n < 5:
         raise ValueError("pi_star needs n >= 5")
-    t = SpaceId(n, 1)
-    names, cols = [], []
-    for l in range(2, (n - 1) // 2 + 1):
-        names.append(f"b{l}")
-        # the pullback of b_l is b_{l+1} + b_{n-l}; the two sides coincide
-        # when 2l = n - 1, and the class is counted once there
-        cols.append(_row(t, *((i, 1) for i in {l + 1, n - l})))
-    return LinearMap(SpaceId(n - 1, 0), tuple(names), relations_and_basis(t).ordered_basis, tuple(cols))
+    src, t = SpaceId(n - 1, 0), SpaceId(n, 1)
+    names = relations_and_basis(src).ordered_basis
+    # the pullback of b_l, l = 2..(n-1)//2, is b_{l+1} + b_{n-l}; the two
+    # sides coincide when 2l = n - 1, and the class is counted once there
+    cols = tuple(_row(t, *((i, 1) for i in {l + 1, n - l})) for l in range(2, len(names) + 2))
+    return LinearMap(src, names, relations_and_basis(t).ordered_basis, cols)
 
 
 # --------------------------------------------------------------------------
@@ -288,7 +268,7 @@ def eff_xn2_derivation(n: int) -> tuple[dict[str, tuple[IntVec, ...]], dict[int,
 # nem cones: inequality descriptions
 
 
-@lru_cache(maxsize=None, typed=True)
+@lru_cache(maxsize=None)
 def nem_hrep(s: SpaceId) -> Cone:
     """Cone of divisors with effective restriction to every prime divisor.
 

@@ -20,7 +20,10 @@ The divisor-class spaces are handled through `relations_and_basis`: for
 ``m = 3`` has three, the third the ``m = 2`` one pulled back (two at ``n = 4``,
 where it vanishes).  Classes are kept in the "b" normalization: the basis
 class of a label along which the symmetrization is ramified (`_bare_pairs`,
-one side is exactly two undistinguished points) is half its divisor.
+one side is exactly two undistinguished points) is half its divisor.  This
+module owns the basis vocabulary: the names, their slots and ``b_i`` with its
+fold, in one table per space (`_basis_slots`) that `_columns` and
+`modulicones.curves` read.
 `express_in_basis` reduces a formal boundary sum through a table built once
 per space (`_columns`): one positive denominator ``D`` and, per label, its
 class in the ordered basis times ``D`` as int pairs -- a basis label's own
@@ -221,7 +224,6 @@ class BasisSpec:
     """Ordered basis of the divisor-class space, plus the relations (as
     int vectors over the full boundary-label list) that were quotiented out."""
 
-    space: SpaceId
     ordered_basis: tuple[str, ...]
     relations: tuple[IntVec, ...]
     boundaries: tuple[BoundaryLabel, ...]
@@ -237,18 +239,18 @@ def relations_and_basis(s: SpaceId) -> BasisSpec:
     boundaries = enumerate_boundaries(s)
     if s.m == 0:
         names = tuple(f"b{i}" for i in range(2, s.n // 2 + 1))
-        return BasisSpec(s, names, (), boundaries)
+        return BasisSpec(names, (), boundaries)
     if s.m == 1:
         names = tuple(f"b{i}" for i in range(2, s.n - 1))
-        return BasisSpec(s, names, (), boundaries)
+        return BasisSpec(names, (), boundaries)
     if s.m == 2:
         names = tuple(f"b{i}" for i in range(3, s.n - 1))
         names += tuple(f"b*{i}" for i in range(2, s.n - 1))
-        return BasisSpec(s, names, (_relation(s, _m2_terms(s.n)),), boundaries)
+        return BasisSpec(names, (_relation(s, _m2_terms(s.n)),), boundaries)
     relations = tuple(_m3_relations_raw(s.n))
     excluded = {canonical_label(s, 2, marks) for marks in _M3_EXCLUDED_MARKS[: len(relations)]}
     names = tuple(str(l) for l in boundaries if l not in excluded)
-    return BasisSpec(s, names, relations, boundaries)
+    return BasisSpec(names, relations, boundaries)
 
 
 def boundary_count(s: SpaceId) -> int:
@@ -339,6 +341,19 @@ def _basis_name(s: SpaceId, label: BoundaryLabel) -> str:
 
 
 @lru_cache(maxsize=None)
+def _basis_slots(s: SpaceId) -> dict[str | int, int | None]:
+    """The position in the ordered basis of each basis name and, for m <= 2,
+    of each ``b_i`` (the int ``i``, ``2 <= i <= n-2``): `_basis_name` of the
+    label with every distinguished point on a side of ``i`` points.  So
+    ``b_i`` folds for m = 0, and the cleared ``b_2`` of m = 2 maps to None."""
+    slots: dict[str | int, int | None] = {name: j for j, name in enumerate(relations_and_basis(s).ordered_basis)}
+    if s.m <= 2:
+        for i in range(2, s.n - 1):
+            slots[i] = slots.get(_basis_name(s, canonical_label(s, i, s.distinguished)))
+    return slots
+
+
+@lru_cache(maxsize=None)
 def _columns(s: SpaceId) -> tuple[int, dict[BoundaryLabel, tuple[tuple[int, int], ...]]]:
     """``(D, table)``: one positive denominator ``D`` for ``s`` and, per
     canonical label, its class times ``D`` as sparse ``(position,
@@ -352,8 +367,7 @@ def _columns(s: SpaceId) -> tuple[int, dict[BoundaryLabel, tuple[tuple[int, int]
     ``e == -sum c_l * l / p``.  ``D`` is the lcm of those pivots ``p``, and 1
     where no label is cleared (``m <= 1``), so every entry is an int.
     """
-    spec = relations_and_basis(s)
-    slot = {name: j for j, name in enumerate(spec.ordered_basis)}
+    spec, slot = relations_and_basis(s), _basis_slots(s)
     names = [_basis_name(s, label) for label in spec.boundaries]
     kept = [i for i, name in enumerate(names) if name in slot]
     cleared = [i for i, name in enumerate(names) if name not in slot]

@@ -250,6 +250,45 @@ def test_two_marked_derivation_is_a_stated_combination(n, monkeypatch, count_fra
     assert calls == [] and built == []
 
 
+def test_two_marked_rows_and_pi_star_columns_are_pinned():
+    """The bytes of the m = 2 rows `_row` builds and of the ``pi_star``
+    columns, n = 5..30 and n = 5..40, recorded before `_row` read the
+    basis slots of `spaces`."""
+    families = repr([eff_xn2_derivation(n) for n in range(5, 31)])
+    columns = repr([(m.source_names, m.ints) for m in map(pi_star_map, range(5, 41))])
+    assert hashlib.sha256(families.encode()).hexdigest() == (
+        "267a53fcb9cd1a133b36284e6a9716a2907f156e9290eb1f6470d9a618e883de"
+    )
+    assert hashlib.sha256(columns.encode()).hexdigest() == (
+        "61412eb6e074c8765fa06f5ada915a89344b183ff667e031a59d60da0e57bbc3"
+    )
+
+
+def _folded_b_name(n, m, i):
+    """The independent rule for the basis name of ``b_i``: folded to the
+    smaller side on m = 0, as it is otherwise."""
+    return f"b{min(i, n - i)}" if m == 0 else f"b{i}"
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 3])
+def test_row_places_each_b_i_by_the_fold(m):
+    for n in range(4, 41):
+        s = SpaceId(n, m)
+        names = relations_and_basis(s).ordered_basis
+        for name in ("b1", "b*1", 1, n - 1):
+            with pytest.raises(ValueError):
+                _row(s, (name, 1))
+        for i in range(2, n - 1):
+            if m == 3:
+                with pytest.raises(ValueError):
+                    _row(s, (i, 1))
+                continue
+            expected = [0] * len(names)
+            if (m, i) != (2, 2):  # the formal b_2 is zero on two marks
+                expected[names.index(_folded_b_name(n, m, i))] = 1
+            assert _row(s, (i, 1)) == tuple(expected), (n, m, i)
+
+
 @pytest.mark.parametrize("n", range(5, 11))
 @pytest.mark.parametrize("m", [0, 1])
 def test_pushed_curves_are_valid_on_nem(n, m):
