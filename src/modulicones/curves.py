@@ -5,7 +5,8 @@ moving the node of a two-component stable curve.  ``pi_star`` pulls
 divisors back along the map forgetting the marked point.  The unpointed and
 single-index nem rows are classes ``C_k``; the other rows are in closed form,
 derived in ``tests/attaching_oracle.py`` by pushing the curves ``C_k`` along
-the attaching maps ``q``, ``r`` and ``s`` between quotients.  A divisor
+the attaching maps ``q``, ``r`` and ``s`` between quotients; one generator
+lists the pointed rows for both the reduced and the full system.  A divisor
 class is *nem* ("numerically eventually moving") when its restriction to
 every prime divisor is numerically effective.  Pairing candidate divisors
 against pushed curves that are nef inside their boundary divisor, together
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .cones import Certificate, Cone, certify
 from .linalg import IntVec, _int_row, primitive
@@ -286,49 +287,40 @@ def nem_hrep(s: SpaceId) -> Cone:
     if s.m == 1:
         if s.n < 5:
             raise ValueError(f"need n >= 5 for the pointed cone, got {s.n}")
-        # The (n-1)(n-4)/2 rows with i <= 2.  Each i = 2 row carries the
-        # factor l - 1; `from_hrep` stores rows primitive, so it never shows.
-        rows = []
-        for l in range(3, s.n - 1):
-            rows.append(_nem_xn1_row(s, 1, 0, l))
-            rows.extend(_nem_xn1_row(s, 2, j, l) for j in range(2, l))
-        return Cone.from_hrep(picard_number(s), tuple(rows))
+        # Only the (n-1)(n-4)/2 rows with i <= 2 are built.  Each i = 2 row
+        # carries the factor l - 1; `from_hrep` stores rows primitive.
+        return Cone.from_hrep(picard_number(s), tuple(row for _, row in _nem_xn1_rows(s, 2)))
     raise ValueError(f"no inequality description implemented for {s}")
 
 
-def _nem_xn1_row(s: SpaceId, i: int, j: int, l: int) -> IntVec:
-    """The pointed nem inequality keyed by ``(i, j, l)`` on ``s = X(n, 1)``.
+def _nem_xn1_rows(s: SpaceId, top: int) -> Iterator[tuple[tuple[int, int, int], IntVec]]:
+    """The pointed nem inequalities ``((i, j, l), row)`` with ``i <= top`` on ``X(n, 1)``.
 
-    ``i = 1`` is the single-index row, the class of ``C_{n-l}`` (``j`` is
-    unused and keyed as 0); ``i >= 2`` rows come from the two-marked gluings.
+    For each ``l = 3..n-2``: ``(1, 0, l)``, the class of ``C_{n-l}``, then the
+    two-marked rows ``(i, j, l)`` for ``2 <= i <= min(top, l-1)``, ``2 <= j < l``.
     """
     n = s.n
-    if i == 1:
-        return curve_ck(s, n - l).coords
-    return _row(
-        s,
-        (n - l + i - 1, (l - 1) * (j - 1) * (l - j)),
-        (j, (l - 1) * (l - i) * (l - i + 1)),
-        (l, -(j - 1) * (l - i) * (l - i + 1)),
-    )
+    for l in range(3, n - 1):
+        yield (1, 0, l), curve_ck(s, n - l).coords
+        for i in range(2, min(top, l - 1) + 1):
+            for j in range(2, l):
+                yield (i, j, l), _row(
+                    s,
+                    (n - l + i - 1, (l - 1) * (j - 1) * (l - j)),
+                    (j, (l - 1) * (l - i) * (l - i + 1)),
+                    (l, -(j - 1) * (l - i) * (l - i + 1)),
+                )
 
 
 def nem_xn1_full_rows(n: int) -> dict[tuple[int, int, int], IntVec]:
-    """Every `_nem_xn1_row` on ``X(n, 1)``, keyed by ``(i, j, l)``.
+    """Every row of `_nem_xn1_rows` on ``X(n, 1)``, keyed by ``(i, j, l)``.
 
-    `nem_hrep` keeps only the rows with ``i <= 2``; `nem_xn1_subsumption`
+    `nem_hrep` builds only the rows with ``i <= 2``; `nem_xn1_subsumption`
     rewrites the others in terms of lower rows.
     """
     if n < 5:
         raise ValueError(f"need n >= 5, got {n}")
-    s = SpaceId(n, 1)
-    rows: dict[tuple[int, int, int], IntVec] = {}
-    for l in range(3, n - 1):
-        rows[(1, 0, l)] = _nem_xn1_row(s, 1, 0, l)
-        for i in range(2, l):
-            for j in range(2, l):
-                rows[(i, j, l)] = _nem_xn1_row(s, i, j, l)
-    return rows
+    return dict(_nem_xn1_rows(SpaceId(n, 1), n))
 
 
 def nem_xn1_subsumption(n: int) -> dict[tuple[int, int, int], tuple[tuple[Fraction, tuple[int, int, int]], ...]]:

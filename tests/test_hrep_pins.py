@@ -4,7 +4,12 @@
 ``test_dd_pins.py`` do not see the row order, because double description
 sorts its input rows, so the order in which `nem_hrep` writes its rows is
 pinned here.  The digests were recorded before the reduced rows were read
-off the closed form that `nem_xn1_full_rows` shares.  ``UNPOINTED_PIN``
+off the closed form that `nem_xn1_full_rows` shares.  ``POINTED_PIN`` is one
+digest over the PORTA text of every ``X(n, 1)`` with ``5 <= n <= 40`` in
+turn, and ``FULL_ROWS_PIN`` one over the keys, order and int rows of
+`nem_xn1_full_rows` for ``5 <= n <= 24``; both were recorded while the
+reduced and the full system still walked the rows in two loops of their
+own, and they hold now that both read one generator.  ``UNPOINTED_PIN``
 covers the unpointed rows the same way, one digest over the PORTA text of
 every ``X(n, 0)`` with ``6 <= n <= 40`` in turn; it was recorded while those
 rows were still written out apart from the curve classes ``C_k``.
@@ -22,7 +27,7 @@ import hashlib
 import pytest
 
 from modulicones import cli
-from modulicones.curves import nem_hrep
+from modulicones.curves import nem_hrep, nem_xn1_full_rows
 from modulicones.porta import porta_write
 from modulicones.spaces import SpaceId
 
@@ -44,6 +49,24 @@ PINS = {
 def test_pointed_nem_hrep_text_is_pinned(n):
     text = porta_write(nem_hrep(SpaceId(n, 1)), "hrep")
     assert hashlib.sha256(text.encode()).hexdigest() == PINS[n]
+
+
+POINTED_PIN = "da3b51cf083d67615f430b48d70d3c51d73cdd56554100398a19523a953a1e54"
+
+
+def test_pointed_nem_hrep_text_is_pinned_to_forty_points():
+    digest = hashlib.sha256()
+    for n in range(5, 41):
+        digest.update(porta_write(nem_hrep(SpaceId(n, 1)), "hrep").encode())
+    assert digest.hexdigest() == POINTED_PIN
+
+
+FULL_ROWS_PIN = "180ba8d99cb2627a7de1db6f3cc2540dec0f10269f0e18c5d7fa1fe0c4f018d3"
+
+
+def test_full_pointed_nem_rows_are_pinned():
+    rows = repr([list(nem_xn1_full_rows(n).items()) for n in range(5, 25)])
+    assert hashlib.sha256(rows.encode()).hexdigest() == FULL_ROWS_PIN
 
 
 UNPOINTED_PIN = "3fbc3f9c0371304f964c35fa81a7b41449a8690d473a1e60beb51f71464dcc8e"
