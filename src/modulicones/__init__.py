@@ -34,7 +34,6 @@ from .bridge import (
     hyperelliptic_pullback_cone,
     hyperelliptic_pushforward,
     m21_cones,
-    m21_moving_cone,
     m21_pushforward,
     mg1_inequality_family,
     mg1_witnesses,
@@ -65,7 +64,6 @@ __all__ = [
     "hyperelliptic_pushforward",
     "l7_sum",
     "m21_cones",
-    "m21_moving_cone",
     "m21_pushforward",
     "mg1_inequality_family",
     "mg1_witnesses",

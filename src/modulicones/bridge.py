@@ -28,9 +28,9 @@ curve images; the maps are the independent route to the same classes.
 The genus-two pointed space gets special treatment (its own basis
 ``(Delta_irr, Delta_1, W)``): the seven-point one-marked quotient maps onto
 it birationally, by one more :class:`~modulicones.curves.LinearMap` (on
-divisor coordinates), and the module ends with the transported cone
-comparisons and the numerical data of the two extremal contractions used
-there.
+divisor coordinates).  The module ends with the cones that map pushes (its
+effective cone among them, as the push of the seven-point one) and the
+numerical data of the two extremal contractions used there.
 
 The cones are shared like every named cone of the package: each
 constructor caches its answer per argument, so a repeated query reuses the
@@ -48,8 +48,8 @@ from typing import Iterable, Mapping, Sequence
 
 from . import fixtures
 from .cones import Cone
-from .linalg import IntVec, Vec, primitive, vec
-from .curves import LinearMap, curve_ck, nem_hrep
+from .linalg import IntVec, Vec, vec
+from .curves import LinearMap, curve_ck, eff_cone, nem_hrep
 from .spaces import CurveClass, SpaceId, relations_and_basis
 
 __all__ = [
@@ -58,7 +58,6 @@ __all__ = [
     "hyperelliptic_pullback_cone",
     "hyperelliptic_pushforward",
     "m21_cones",
-    "m21_moving_cone",
     "m21_pushforward",
     "mg1_inequality_family",
     "mg1_witnesses",
@@ -384,28 +383,24 @@ def m21_pushforward(coords: Sequence[Fraction | int]) -> Vec:
 def m21_cones() -> Mapping[str, Cone]:
     """The four cone players on the genus-two pointed space, read-only.
 
-    ``eff`` is simplicial on the three basis divisors; ``push_nem`` and
-    ``push_nef`` transport the computed seven-point cone and the recorded
-    nef cone; ``nef`` is the recorded hull including the relative dualizing
-    ray.
+    ``eff``, ``push_nem`` and ``push_nef`` push the seven-point effective,
+    nem and recorded nef cones along the birational `_M21`, so ``eff`` is
+    the target's effective cone.  ``push_nem`` is the moving cone
+    ``m21-mov`` of the command line and check 13, rebuilt on its four
+    extreme rays.  ``nef`` is the recorded hull including the relative
+    dualizing ray.
     """
     s = _M21.source
-    pushed_nem = tuple(primitive(_M21.scaled(r)[0]) for r in nem_hrep(s).rays)
-    pushed_nef = tuple(primitive(_M21.scaled(r)[0]) for r in fixtures.NEF_RAYS[s])
+
+    def push(rays: Iterable[Sequence[int]]) -> Cone:
+        return Cone.from_vrep(3, [_M21.scaled(r)[0] for r in rays])
+
     return MappingProxyType({
-        "eff": Cone.from_vrep(3, ((1, 0, 0), (0, 1, 0), (0, 0, 1))),
-        "push_nem": Cone.from_vrep(3, pushed_nem),
-        "push_nef": Cone.from_vrep(3, pushed_nef),
+        "eff": push(eff_cone(s).rays),
+        "push_nem": Cone.from_vrep(3, push(nem_hrep(s).rays).canonical_vrep()[0]),
+        "push_nef": push(fixtures.NEF_RAYS[s]),
         "nef": Cone.from_vrep(3, (fixtures.M21_A, fixtures.M21_B, fixtures.M21_C)),
     })
-
-
-@lru_cache(maxsize=None)
-def m21_moving_cone() -> Cone:
-    """The genus-two moving cone: ``push_nem`` of `m21_cones` rebuilt from
-    its extreme rays, so its generators are those four rays and no other.
-    The ``m21-mov`` cone of the command line and of check 13."""
-    return Cone.from_vrep(3, m21_cones()["push_nem"].canonical_vrep()[0])
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,7 @@ from . import fixtures, verify
 from .bridge import (
     hyperelliptic_pullback_cone,
     hyperelliptic_pushforward,
-    m21_moving_cone,
+    m21_cones,
     m21_pushforward,
     mg1_inequality_family,
     pointed_pushforward,
@@ -110,7 +110,7 @@ def _select_cone(args: argparse.Namespace) -> tuple[Cone, str]:
         _require(args, "g", "n")
         return mg1_inequality_family(args.g, args.n, args.target), f"mg1-g{args.g}-n{args.n}-{args.target}"
     if which == "m21-mov":
-        return m21_moving_cone(), "m21-mov"
+        return m21_cones()["push_nem"], "m21-mov"
     raise ValueError(f"unknown cone selector {which!r}")
 
 

@@ -163,8 +163,6 @@ class LinearMap:
     def push_curve(self, curve: CurveClass) -> tuple:
         if curve.space != self.source:
             raise ValueError(f"curve lives on {curve.space}, map starts at {self.source}")
-        if len(self.source_names) != picard_number(self.source):
-            raise ValueError("map is defined on a partial basis; apply it to coefficients")
         return self(curve.coords)
 
 

@@ -28,7 +28,6 @@ from .bridge import (
     hyperelliptic_curve_image,
     hyperelliptic_pushforward,
     m21_cones,
-    m21_moving_cone,
     m21_pushforward,
     mg1_witnesses,
     pointed_curve_image,
@@ -290,8 +289,11 @@ def check_transport_consistency() -> None:
 
 
 def check_genus_two_pointed() -> None:
-    """Pushed cones, the moving hull, and the contraction face data."""
+    """Pushed cones (``eff``, the push of the seven-point effective cone by a
+    birational morphism, is the simplicial cone on the three basis
+    divisors), the moving hull, and the contraction face data."""
     cones = m21_cones()
+    assert cones["eff"].rays == ((0, 0, 1), (0, 1, 0), (1, 0, 0)), cones["eff"].rays
     a, b, c, d, e = (
         fixtures.M21_A,
         fixtures.M21_B,
@@ -338,7 +340,7 @@ def check_serialization_round_trips() -> None:
     assert text.count(">= 0") == 9, text
     assert porta_write(porta_read(text), "hrep") == text
 
-    moving = m21_moving_cone()
+    moving = m21_cones()["push_nem"]
     assert set(moving.rays) == {
         fixtures.M21_A,
         fixtures.M21_B,

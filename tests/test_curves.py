@@ -25,6 +25,7 @@ from modulicones.curves import (
 from modulicones.curves import _boundary_rays, _row
 from modulicones.linalg import primitive, rank, vec
 from modulicones.spaces import (
+    CurveClass,
     SpaceId,
     boundary_class,
     canonical_label,
@@ -318,6 +319,14 @@ def test_pushed_curves_are_valid_on_nem(n, m):
 def test_unknown_basis_name_names_the_source(linear_map):
     with pytest.raises(KeyError, match=re.escape(str(linear_map.source))):
         linear_map.column("b*9")
+
+
+def test_a_map_on_a_partial_basis_refuses_a_curve_class():
+    # r names only the starred block of X(7, 2); a curve class has all seven
+    # coordinates, so the call sees the length mismatch
+    r = r_map(8, 6)
+    with pytest.raises(ValueError):
+        r.push_curve(CurveClass(r.source, (0,) * picard_number(r.source)))
 
 
 @pytest.mark.parametrize("n", range(5, 12))

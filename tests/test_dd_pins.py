@@ -6,10 +6,12 @@ the tight sets of combined rays.  Each covers ``repr`` of the full
 basis), so the values, their order and their types are all pinned.  The
 H-to-V cases are every cone of the ``rays`` benchmark pool, plus the nem
 ``X(12,1)`` rays (about 2 s); the V-to-H cases are the facets of the
-two-marked effective cones and of the genus-two pointed cone that
-``--which m21-mov`` reads its rays from.  ``cut`` is a small case with one
-equation, whose third sorted inequality lies in the span of the first two
-and whose last is independent of every row before it.  The ``mg1`` cases are
+two-marked effective cones, of the genus-two pointed cone on the ten
+pushed nem rays of ``X(7,1)``, and of the moving cone that ``--which
+m21-mov`` prints, the same cone on its four extreme rays.  ``cut`` is a
+small case with one equation, whose third sorted inequality lies in the
+span of the first two and whose last is independent of every row before
+it.  The ``mg1`` cases are
 the transported ``M̄_{g,1}`` families, the pinned cones with a lineality
 space: two vectors at ``(3, 2, mg1)`` and one at ``(4, 2, mg)`` and
 ``(6, 5, mg1)``; their digests were recorded before double description
@@ -26,8 +28,13 @@ import hashlib
 
 import pytest
 
-from modulicones.bridge import hyperelliptic_pullback_cone, m21_cones, mg1_inequality_family
-from modulicones.cones import dual_description
+from modulicones.bridge import (
+    hyperelliptic_pullback_cone,
+    m21_cones,
+    m21_pushforward,
+    mg1_inequality_family,
+)
+from modulicones.cones import Cone, dual_description
 from modulicones.curves import eff_cone, nem_hrep
 from modulicones.spaces import SpaceId
 
@@ -94,7 +101,9 @@ CASES = {
     **{f"nem-x{n}-0": lambda n=n: _hrep(nem_hrep(SpaceId(n, 0))) for n in range(6, 21)},
     **{f"nem-x{n}-1": lambda n=n: _hrep(nem_hrep(SpaceId(n, 1))) for n in range(5, 13)},
     **{f"hyperelliptic-g{g}": lambda g=g: _hrep(hyperelliptic_pullback_cone(g)) for g in range(3, 8)},
-    "m21-push-nem-facets": lambda: _vrep(m21_cones()["push_nem"]),
+    "m21-push-nem-facets": lambda: _vrep(
+        Cone.from_vrep(3, [m21_pushforward(r) for r in nem_hrep(SpaceId(7, 1)).rays])
+    ),
     "m21-mov": _m21_mov,
     # from test_dual_description_builds_no_fraction: one equation; sorted,
     # the third inequality lies in the span of the first two, and the last is

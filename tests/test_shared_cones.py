@@ -16,7 +16,6 @@ from modulicones import bridge, cli, cones, verify
 from modulicones.bridge import (
     hyperelliptic_pullback_cone,
     m21_cones,
-    m21_moving_cone,
     mg1_inequality_family,
     mg1_witnesses,
 )
@@ -37,13 +36,12 @@ from test_cli import argument_lists, exit_code
         lambda: mg1_inequality_family(5, 4, "mg1"),
         lambda: mg1_inequality_family(4, 3),
         lambda: m21_cones(),
-        lambda: m21_moving_cone(),
         lambda: cli._nef_fixture_cone(SpaceId(7, 1)),
         lambda: cli._nef_fixture_cone(SpaceId(5, 2)),
     ],
     ids=[
         "eff-x8-2", "nem-x8-1", "nem-x10-0", "hyperelliptic-g4", "mg1-g5-n4-mg1", "mg1-g4-n3-mg",
-        "m21-cones", "m21-mov", "nef-fixture-x7-1", "nef-fixture-x5-2",
+        "m21-cones", "nef-fixture-x7-1", "nef-fixture-x5-2",
     ],
 )
 def test_equal_arguments_share_one_value(build):
@@ -52,8 +50,8 @@ def test_equal_arguments_share_one_value(build):
 
 def test_the_moving_cone_has_one_definition():
     args = cli._build_parser().parse_args(["cone", "--which", "m21-mov"])
-    assert cli._select_cone(args) == (m21_moving_cone(), "m21-mov")
-    assert verify.m21_moving_cone is bridge.m21_moving_cone is m21_moving_cone
+    assert cli._select_cone(args) == (m21_cones()["push_nem"], "m21-mov")
+    assert verify.m21_cones is bridge.m21_cones
 
 
 def _counted_main(capsys, argv):
