@@ -16,16 +16,15 @@ from .spaces import (
     enumerate_boundaries,
     express_in_basis,
     picard_number,
+    psi_sum,
     relations_and_basis,
 )
 from .curves import (
     LinearMap,
-    class_l7,
     counterexample_ftau,
     curve_ck,
     eff_cone,
     ftau_sum,
-    l7_sum,
     nem_hrep,
     nem_rays_inductive,
     pi_star_map,
@@ -52,7 +51,6 @@ __all__ = [
     "boundary_class",
     "canonical_label",
     "certify",
-    "class_l7",
     "counterexample_ftau",
     "curve_ck",
     "dual_description",
@@ -62,7 +60,6 @@ __all__ = [
     "ftau_sum",
     "hyperelliptic_pullback_cone",
     "hyperelliptic_pushforward",
-    "l7_sum",
     "m21_cones",
     "m21_pushforward",
     "mg1_inequality_family",
@@ -72,6 +69,7 @@ __all__ = [
     "picard_number",
     "pi_star_map",
     "pointed_pushforward",
+    "psi_sum",
     "relations_and_basis",
     "x71_mori_data",
 ]

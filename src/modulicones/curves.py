@@ -49,20 +49,17 @@ from .spaces import (
     express_in_basis,
     fully_pointed,
     picard_number,
-    relabel_sum,
     relations_and_basis,
     transport_sum,
 )
 
 __all__ = [
     "LinearMap",
-    "class_l7",
     "counterexample_ftau",
     "curve_ck",
     "eff_cone",
     "eff_xn2_derivation",
     "ftau_sum",
-    "l7_sum",
     "nem_hrep",
     "nem_rays_inductive",
     "nem_xn1_full_rows",
@@ -386,17 +383,6 @@ def ftau_sum() -> FormalSum:
     return terms
 
 
-def l7_sum() -> FormalSum:
-    """The fifteen-term class ``L_7`` on the seven-point space, as boundary terms."""
-    s = fully_pointed(7)
-    terms: dict[BoundaryLabel, int] = {}
-    for r in range(1, 5):
-        for extra in itertools.combinations((3, 4, 5, 6), r):
-            marks = (7,) + extra
-            terms[canonical_label(s, len(marks), marks)] = 1
-    return terms
-
-
 def counterexample_ftau(n: int) -> tuple[DivisorClass, Certificate, tuple[IntVec, ...]]:
     """Effective class on ``X(n, 3)`` lying outside the boundary cone.
 
@@ -418,18 +404,3 @@ def counterexample_ftau(n: int) -> tuple[DivisorClass, Certificate, tuple[IntVec
             f"the transported class unexpectedly lies in the boundary cone of {s}"
         )
     return cls, cert, rays
-
-
-def class_l7() -> tuple[FormalSum, DivisorClass]:
-    """The boundary terms of ``L_7`` and its one-marked quotient image.
-
-    The class is symmetric in the first six points with the seventh one
-    special, so the quotient keeping a distinguished point is taken after
-    swapping points 1 and 7.
-    """
-    terms = l7_sum()
-    swapped = relabel_sum(7, terms, {1: 7, 7: 1})
-    s = SpaceId(7, 1)
-    pushed = transport_sum(fully_pointed(7), swapped, s)
-    coords = express_in_basis(s, pushed).coords
-    return terms, DivisorClass(s, primitive(coords))

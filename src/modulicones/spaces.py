@@ -32,7 +32,7 @@ basis, the combination of basis labels the stored relations equate it with.
 The sum is taken in ints for int coefficients and divided by ``D`` once, so
 only the returned `DivisorClass` holds `Fraction` coordinates.  The
 pushforward and pullback multiplicities are ints too: an int-coefficient
-boundary sum stays int through `transport_sum` and `relabel_sum`.
+boundary sum stays int through `transport_sum`.
 
 `transport_sum` is the one push of boundary sums.  It pulls a sum back along
 the map forgetting new points and pushes it down along a symmetrization in
@@ -40,7 +40,9 @@ one step, by one rule: a label whose side gains ``t`` of the ``p`` new points
 is reached ``C(p, t)`` ways, each with the ratio of its pushforward degrees
 onto the target and onto the source (`_pushforward_degree`).  With no new
 point it is the plain symmetrization.  No label of a space in between is
-built, so the cost is polynomial in the number of points.
+built, so the cost is polynomial in the number of points.  `psi_sum` is
+Keel's ``psi_1`` on ``s``: his boundary formula on the space with two more
+distinguished points, pushed down by `transport_sum`.
 """
 
 from __future__ import annotations
@@ -494,12 +496,27 @@ def transport_sum(src: SpaceId, formal: FormalSum, dst: SpaceId) -> dict[Boundar
     return dict(out)
 
 
-def relabel_sum(n: int, formal: FormalSum, swap: Mapping[int, int]) -> dict[BoundaryLabel, Fraction | int]:
-    """Apply a marked-point permutation to a boundary sum on the fully
-    pointed space (the permutation is given by its non-fixed values)."""
-    s = fully_pointed(n)
-    out: dict[BoundaryLabel, Fraction | int] = defaultdict(int)
-    for label, coeff in formal.items():
-        members = frozenset(swap.get(x, x) for x in label.marks)
-        out[canonical_label(s, len(members), members)] += _exact(coeff)
-    return dict(out)
+def psi_sum(s: SpaceId) -> dict[BoundaryLabel, Fraction]:
+    """Keel's ``psi_1`` on ``s`` as a formal boundary sum, for ``m >= 1`` and
+    ``n - m >= 2``: ``q^* psi_sum(s) == psi_1`` along the quotient map ``q``
+    from the fully pointed space.
+
+    On the fully pointed space ``psi_1 = sum D_S`` over the sides ``S`` that
+    hold 1 and neither of two further points ``j, k`` (Keel, 1992).  With
+    ``j, k = m + 1, m + 2`` distinguished on ``X(n, m + 2)``, each orbit of
+    such sides is one label there, whose side holding 1 avoids ``j`` and
+    ``k``, and the sum of those labels pulls back to ``psi_1``.  Its push to
+    ``s`` by `transport_sum` is ``psi_1`` times the degree ``(n - m)(n - m -
+    1)`` of the map, which is divided out.
+    """
+    if s.m < 1 or s.n - s.m < 2:
+        raise ValueError(f"no psi_1 with two further distinguished points on {s}")
+    big = SpaceId(s.n, s.m + 2)
+    far = big.distinguished - s.distinguished
+    terms = {
+        label: 1
+        for label in enumerate_boundaries(big)
+        if not far & (label.marks if 1 in label.marks else big.distinguished - label.marks)
+    }
+    degree = (s.n - s.m) * (s.n - s.m - 1)
+    return {label: Fraction(c, degree) for label, c in transport_sum(big, terms, s).items()}

@@ -35,7 +35,6 @@ from .bridge import (
     x71_mori_data,
 )
 from .curves import (
-    class_l7,
     counterexample_ftau,
     curve_ck,
     eff_cone,
@@ -53,7 +52,9 @@ from .spaces import (
     boundary_class,
     canonical_label,
     enumerate_boundaries,
+    express_in_basis,
     picard_number,
+    psi_sum,
 )
 
 __all__ = [
@@ -315,9 +316,10 @@ def check_genus_two_pointed() -> None:
 
 
 def check_symmetrized_cotangent_class() -> None:
-    """The fifteen-term class pushes to the primitive ray (10, 6, 3, 1)."""
-    _, pushed = class_l7()
-    assert pushed.coords == (10, 6, 3, 1), _fmt(pushed.coords)
+    """Keel's ``psi_1`` on ``X(7,1)`` spans the primitive ray (10, 6, 3, 1)."""
+    s = SpaceId(7, 1)
+    ray = primitive(express_in_basis(s, psi_sum(s)).coords)
+    assert ray == (10, 6, 3, 1), _fmt(ray)
 
 
 def check_containment_chain() -> None:

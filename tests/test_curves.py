@@ -10,7 +10,6 @@ from modulicones import cones, curves, fixtures, linalg, spaces, verify
 from modulicones.bridge import hyperelliptic_pushforward, pointed_pushforward
 from modulicones.cones import certify
 from modulicones.curves import (
-    class_l7,
     counterexample_ftau,
     curve_ck,
     eff_cone,
@@ -33,6 +32,7 @@ from modulicones.spaces import (
     express_in_basis,
     fully_pointed,
     picard_number,
+    psi_sum,
     relations_and_basis,
 )
 from attaching_oracle import q_map, r_map, s_map
@@ -442,10 +442,10 @@ def test_moving_but_not_boundary_generated(n, coords):
 
 
 def test_cotangent_symmetrization_is_extremal_input():
-    terms, ray = class_l7()
-    assert len(terms) == 15
-    assert ray.coords == vec([10, 6, 3, 1])
-    assert certify(ray.coords, nem_hrep(SpaceId(7, 1)).rays)
+    s = SpaceId(7, 1)
+    ray = primitive(express_in_basis(s, psi_sum(s)).coords)
+    assert ray == vec([10, 6, 3, 1])
+    assert certify(ray, nem_hrep(s).rays)
 
 
 # --- recorded nef data stays inside the computed cone ----------------------------

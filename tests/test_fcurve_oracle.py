@@ -50,6 +50,7 @@ from modulicones.spaces import (
     express_in_basis,
     fully_pointed,
     picard_number,
+    psi_sum,
     relations_and_basis,
     transport_sum,
 )
@@ -276,6 +277,17 @@ def test_recorded_six_point_class_transports_to_other_heads(n, head):
     assert f_vector(n, pull_coords(n, 3, cls.coords)) == f_vector(
         n, expected_transport(n, _ftau_without_d56())
     )
+
+
+@pytest.mark.parametrize("n", range(4, 10))
+def test_psi_meets_the_f_curves_where_point_one_is_a_block(n):
+    # psi_1 . F = 1 if {1} is a block of F, else 0; q^* psi_sum is psi_1 on
+    # the nose, with no scale
+    expected = tuple(int(frozenset({1}) in blocks) for blocks in _f_curves(n))
+    for m in range(1, min(3, n - 2) + 1):
+        s = SpaceId(n, m)
+        pulled = pull_coords(n, m, express_in_basis(s, psi_sum(s)).coords)
+        assert f_vector(n, pulled) == expected, s
 
 
 def _pullback_f_vectors(n, label):

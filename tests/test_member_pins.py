@@ -82,6 +82,12 @@ MEMBER = {
         0,
         'member: yes\ncombination: 7/10 * (1, 1, 0) + 1/10 * (3, 3, 10)\n',
     ),
+    # the combination reads the four extreme rays: on the ten pushed
+    # generators of the moving cone the same query prints 1 * (1, 6, 5)
+    'member --which m21-mov --coords=1,6,5': (
+        0,
+        'member: yes\ncombination: 3/4 * (1, 6, 0) + 1/4 * (1, 6, 20)\n',
+    ),
     'member --which m21-mov --coords=-1/3,2,007': (
         1,
         'member: no\nseparating functional: (6, 19, -6)\n',

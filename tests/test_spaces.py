@@ -1,6 +1,6 @@
 import itertools
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 import pytest
 
@@ -16,13 +16,13 @@ from modulicones.spaces import (
     express_in_basis,
     fully_pointed,
     picard_number,
-    relabel_sum,
+    psi_sum,
     relations_and_basis,
     sum_to_vector,
     transport_sum,
 )
 from attaching_oracle import keel_relations
-from transport_oracle import forgetful_pullback_sum, quotient_pushforward_sum
+from transport_oracle import forgetful_pullback_sum, keel_psi, quotient_pushforward_sum
 
 F = Fraction
 
@@ -163,20 +163,50 @@ def test_moving_divisor_transport_to_n7():
     assert pushed.coords == tuple(F(c) for c in (4, 0, 0, 6, 0, -4, -4, 8, 6, -6, -6, -24))
 
 
+def test_keel_psi_at_the_seventh_point_is_the_fifteen_term_class():
+    # psi_7 with j, k = 1, 2 written out term by term: the sides {7} | T,
+    # T a nonempty subset of {3, 4, 5, 6}
+    s = fully_pointed(7)
+    fifteen = {
+        canonical_label(s, 1 + r, (7, *extra)): 1
+        for r in range(1, 5)
+        for extra in itertools.combinations((3, 4, 5, 6), r)
+    }
+    assert len(fifteen) == 15
+    assert keel_psi(7, 7, 1, 2) == fifteen
+
+
 def test_cotangent_class_symmetrization():
-    # psi at the last point, symmetrized keeping that point distinguished
+    # psi at point 1, symmetrized keeping that point distinguished
     src = fully_pointed(7)
-    formal: dict = {}
-    for k in range(1, 5):
-        for extra in itertools.combinations((3, 4, 5, 6), k):
-            members = frozenset((7,) + extra)
-            lbl = canonical_label(src, len(members), members)
-            formal[lbl] = formal.get(lbl, F(0)) + 1
-    assert len(formal) == 15 and all(v == 1 for v in formal.values())
-    swapped = relabel_sum(7, formal, {1: 7, 7: 1})
-    cls = express_in_basis(SpaceId(7, 1), transport_sum(src, swapped, SpaceId(7, 1)))
+    cls = express_in_basis(SpaceId(7, 1), transport_sum(src, keel_psi(7, 1, 2, 7), SpaceId(7, 1)))
     assert cls.coords == tuple(48 * F(c) for c in (10, 6, 3, 1))
     assert primitive(cls.coords) == (10, 6, 3, 1)
+
+
+@pytest.mark.parametrize("n, m", [(n, m) for n in range(4, 13) for m in range(1, min(3, n - 2) + 1)])
+def test_psi_sum_is_the_pushed_keel_class_for_every_j_and_k(n, m):
+    # Keel's psi_1 is one class for every pair j, k: a free check of his
+    # relations, and of the (n - m)! degree of the quotient map
+    s = SpaceId(n, m)
+    expected = tuple(factorial(n - m) * c for c in express_in_basis(s, psi_sum(s)).coords)
+    for j, k in itertools.combinations(range(2, n + 1), 2):
+        pushed = transport_sum(fully_pointed(n), keel_psi(n, 1, j, k), s)
+        assert express_in_basis(s, pushed).coords == expected, (j, k)
+
+
+def test_psi_on_one_marked_spaces_has_b_k_coefficient_comb_n_minus_k_2():
+    for n in [*range(4, 41), 200]:
+        s = SpaceId(n, 1)
+        coords = express_in_basis(s, psi_sum(s)).coords
+        assert coords == tuple(F(comb(n - k, 2), comb(n - 1, 2)) for k in range(2, n - 1)), n
+        assert primitive(coords) == tuple(comb(n - k, 2) for k in range(2, n - 1)), n
+
+
+@pytest.mark.parametrize("n, m", [(5, 0), (5, 4), (5, 5), (6, 5)])
+def test_psi_sum_needs_point_one_and_two_more_points(n, m):
+    with pytest.raises(ValueError):
+        psi_sum(SpaceId(n, m))
 
 
 def test_boundary_classes_against_the_ordered_basis():

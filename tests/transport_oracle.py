@@ -1,10 +1,12 @@
 """The label-by-label forgetful pullback and quotient pushforward, kept as
-the oracle that `spaces.transport_sum` is tested against.
+the oracle that `spaces.transport_sum` is tested against, and Keel's psi
+class on the fully pointed space, the oracle for `spaces.psi_sum`.
 
 The pullback walks one forgotten point at a time through every label of the
 spaces in between, so it costs about ``2^n`` labels, and the pushforward
 lifts each label to one representative subset of its own; `transport_sum`
-groups those labels by orbit type instead.
+groups those labels by orbit type instead.  `keel_psi` lists the ``2^(n-3) -
+1`` pointed labels of its class; `psi_sum` builds no pointed label.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from modulicones.spaces import (
     _is_ramified,
     _pushforward_degree,
     canonical_label,
+    fully_pointed,
 )
 
 
@@ -84,3 +87,19 @@ def quotient_pushforward_sum(src: SpaceId, formal: FormalSum, dst: SpaceId) -> d
         image = canonical_label(dst, len(members), members & dst.distinguished)
         out[image] += _exact(coeff) * deg
     return dict(out)
+
+
+def keel_psi(n: int, i: int, j: int, k: int) -> dict[BoundaryLabel, int]:
+    """Keel's ``psi_i = sum D_S`` on the fully pointed n-point space, over the
+    sides ``S`` holding ``i`` and neither ``j`` nor ``k`` (Keel, 1992).
+
+    Each divisor is listed once, from its side holding ``i``, with
+    coefficient 1; the class does not depend on the choice of ``j, k``.
+    """
+    s = fully_pointed(n)
+    rest = [x for x in range(1, n + 1) if x not in (i, j, k)]
+    return {
+        canonical_label(s, 1 + r, (i, *extra)): 1
+        for r in range(1, n - 2)
+        for extra in itertools.combinations(rest, r)
+    }
